@@ -1,7 +1,7 @@
 """Small dense complex linear algebra for qubit-scale operators.
 
-Pauli matrices, Bloch-vector conversions, a cyclic Jacobi eigensolver for
-complex Hermitian matrices (dimensions <= 8), and Haar-random state vectors
+Pauli matrices, Bloch-vector conversions, the Hermitian eigensolver, the
+step-count resolver shared by every time grid, and Haar-random state vectors
 drawn from counter-based Gaussians.
 """
 
@@ -11,8 +11,6 @@ import numpy as np
 
 from . import rng
 from .errors import DimensionError, ValidationError
-
-MAX_EIGEN_DIM = 8
 
 _SIGMA = np.array(
     [
@@ -92,71 +90,25 @@ def state_from_bloch(n) -> np.ndarray:
     return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
 
 
-def _jacobi_rotation(a_pp: float, a_qq: float, a_pq: complex):
-    # Annihilates the (p, q) entry of the Hermitian 2x2 block; returns the
-    # rotation parameters (c, s, phase) with |a_pq| = r, a_pq = r * phase.
-    r = abs(a_pq)
-    phase = a_pq / r
-    tau = (a_pp - a_qq) / (2.0 * r)
-    sign = 1.0 if tau >= 0.0 else -1.0
-    t = sign / (abs(tau) + np.hypot(tau, 1.0))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c, phase
-
-
-def hermitian_eigen(a, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(a):
+    """Eigendecomposition of a complex Hermitian matrix (LAPACK through numpy's eigh).
 
     Returns (w, v) with eigenvalues w ascending and unitary v satisfying
-    a @ v = v @ diag(w).  Sweeps stop once the off-diagonal Frobenius norm
-    drops below `tol`.  Dimensions above 8 are rejected; this solver targets
-    operator-space matrices, not general numerics.
+    a @ v = v @ diag(w).
     """
-    a = require_hermitian(a, tol=1e-12, what="eigensolver input")
-    n = a.shape[0]
-    if n > MAX_EIGEN_DIM:
-        raise ValidationError(f"eigensolver supports dimensions <= {MAX_EIGEN_DIM}, got {n}")
-    work = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex)
-    if n == 1:
-        return work.real.diagonal().copy(), vecs
+    return np.linalg.eigh(require_hermitian(a, tol=1e-12, what="eigensolver input"))
 
-    def _off_norm(m):
-        return np.sqrt(np.sum(np.abs(m - np.diag(np.diagonal(m))) ** 2))
 
-    for _ in range(max_sweeps):
-        if _off_norm(work) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) == 0.0:
-                    continue
-                c, s, phase = _jacobi_rotation(work[p, p].real, work[q, q].real, work[p, q])
-                # Column update: A <- A U with U = [[c, -s*phase], [s*conj(phase), c]].
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p + s * np.conj(phase) * col_q
-                work[:, q] = -s * phase * col_p + c * col_q
-                # Row update: A <- U^dag A.
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p + s * phase * row_q
-                work[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                work[p, p] = work[p, p].real
-                work[q, q] = work[q, q].real
-                col_p = vecs[:, p].copy()
-                col_q = vecs[:, q].copy()
-                vecs[:, p] = c * col_p + s * np.conj(phase) * col_q
-                vecs[:, q] = -s * phase * col_p + c * col_q
-    else:
-        if _off_norm(work) >= tol:
-            raise RuntimeError("Jacobi eigensolver did not converge")
-
-    values = np.diagonal(work).real.copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+def resolve_steps(t_final: float, dt: float) -> int:
+    """Number of dt steps spanning [0, t_final]; t_final must be a whole multiple of dt."""
+    if t_final < 0:
+        raise ValidationError(f"final time must be >= 0, got {t_final}")
+    if dt <= 0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    steps = int(round(t_final / dt))
+    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+        raise ValidationError(f"time {t_final} is not an integer multiple of dt = {dt}")
+    return steps
 
 
 def random_state(seed: int, d: int, index=0) -> np.ndarray:

@@ -16,19 +16,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .algebra import bloch_from_state, pauli, random_state, state_from_bloch
+from .algebra import bloch_from_state, pauli, random_state, resolve_steps, state_from_bloch
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
     MasterGenerator,
     analytic_pauli_solution,
+    apply_map,
     choi_matrix,
     cp_verdict,
-    integrate_master,
     map_grid,
     pauli_generator,
 )
@@ -84,8 +85,14 @@ _DEFAULTS = {
         "cases": 100,
         "witness_steps": 100,
     },
-    "convergence": {**_COMMON_DEFAULTS, "t_final": 0.25, "trajectories": 20000},
+    # 0.256 is a whole multiple of the coarsest level, 4 dt.
+    "convergence": {**_COMMON_DEFAULTS, "t_final": 0.256, "trajectories": 20000},
 }
+
+_FLOAT_KEYS = ("c1", "c2", "c3", "dt", "t_final")
+_INT_KEYS = (
+    "seed", "threads", "grid_points", "trajectories", "cases", "n_lindblad", "n_wiener", "witness_steps"
+)
 
 _VERDICT_INCONCLUSIVE = "INCONCLUSIVE (N too small for 3sigma test)"
 
@@ -142,6 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     path = getattr(args, "config", None)
@@ -162,6 +177,12 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         if value is not None:
             cfg[key] = value
 
+    for key in _FLOAT_KEYS:
+        if key in cfg and not _is_finite_number(cfg[key]):
+            raise ValidationError(f"{key} must be a finite number, got {cfg[key]!r}")
+    for key in _INT_KEYS:
+        if key in cfg and not _is_int(cfg[key]):
+            raise ValidationError(f"{key} must be an integer, got {cfg[key]!r}")
     if cfg["dt"] <= 0:
         raise ValidationError("dt must be positive")
     if cfg.get("t_final") is not None and cfg["t_final"] < 0:
@@ -175,8 +196,8 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     if cfg["format"] not in ("csv", "json"):
         raise ValidationError("format must be csv or json")
     blo = cfg["initial_bloch"]
-    if len(tuple(blo)) != 3:
-        raise ValidationError("initial_bloch must have three components")
+    if not isinstance(blo, (list, tuple)) or len(blo) != 3 or not all(map(_is_finite_number, blo)):
+        raise ValidationError(f"initial_bloch must be three finite numbers, got {blo!r}")
     cfg["initial_bloch"] = tuple(float(x) for x in blo)
     for key in ("cases", "n_lindblad", "witness_steps"):
         if cfg.get(key) is not None and cfg[key] < 1:
@@ -232,15 +253,7 @@ def _density_bloch(rho: np.ndarray) -> np.ndarray:
 
 def _master_bloch_on_grid(gen: MasterGenerator, psi0: np.ndarray, times, dt: float) -> np.ndarray:
     rho = np.outer(psi0, psi0.conj())
-    out = np.empty((len(times), 3))
-    prev = 0.0
-    for i, t in enumerate(times):
-        gap = t - prev
-        if gap > 0:
-            rho = integrate_master(rho, gen, gap, dt)
-        out[i] = _density_bloch(rho)
-        prev = t
-    return out
+    return np.array([_density_bloch(apply_map(m, rho)) for m in map_grid(gen, times, dt)])
 
 
 def _safe_ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -304,10 +317,7 @@ def cmd_choi(cfg: dict):
     rates = (cfg["c1"], cfg["c2"], cfg["c3"])
     gen = pauli_generator(rates)
     dt = cfg["dt"]
-    steps = int(round(cfg["t_final"] / dt))
-    if abs(steps * dt - cfg["t_final"]) > 1e-9 * max(1.0, cfg["t_final"]):
-        raise ValidationError("t_final must be an integer multiple of dt")
-    times = report_indices(steps, cfg["grid_points"]) * dt
+    times = report_indices(resolve_steps(cfg["t_final"], dt), cfg["grid_points"]) * dt
     verdicts = [cp_verdict(choi_matrix(m)) for m in map_grid(gen, times, dt)]
 
     columns = ["t", "min_choi_eig", "min_choi_eig_raw", "cp"]

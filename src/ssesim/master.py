@@ -1,9 +1,9 @@
 """Deterministic master-equation engine.
 
-Signed-rate Lindblad generators, classical RK4 integration, the closed-form
-Bloch solution for Pauli-channel generators, dynamical-map extraction by
-basis tomography, Choi matrices, and complete-positivity / positivity
-diagnostics.
+Signed-rate Lindblad generators built once as d^2 x d^2 superoperators,
+classical RK4 integration applied as a step propagator, the closed-form
+Bloch solution for Pauli-channel generators, dynamical maps, Choi matrices,
+and complete-positivity / positivity diagnostics.
 """
 
 from __future__ import annotations
@@ -19,20 +19,13 @@ from .algebra import (
     pauli,
     random_state,
     require_hermitian,
+    resolve_steps,
 )
 from .errors import DimensionError, ValidationError
 
 
 def _trace(m) -> np.ndarray:
     return np.einsum("...ii->...", m)
-
-
-def _dagger(m) -> np.ndarray:
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
-def _symmetrize(m) -> np.ndarray:
-    return (m + _dagger(m)) / 2.0
 
 
 def _num_steps(t: float, dt: float) -> int:
@@ -46,6 +39,10 @@ class MasterGenerator:
     """Generator -i[H, rho] + sum_k c_k (A_k rho A_k^dag - {A_k^dag A_k, rho}/2).
 
     `channels` is a sequence of (rate, operator) pairs; rates may be negative.
+    The generator is built once as the d^2 x d^2 matrix L acting on
+    row-major vectorized matrices, where vec(A rho B) = (A (x) B^T) vec(rho):
+    L = -i (H (x) I - I (x) H^T) + sum_k c_k (A_k (x) conj(A_k) - G_k (x) I / 2 - I (x) G_k^T / 2)
+    with G_k = A_k^dag A_k.
     """
 
     hamiltonian: np.ndarray
@@ -54,18 +51,20 @@ class MasterGenerator:
     def __post_init__(self):
         self.hamiltonian = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
         d = self.hamiltonian.shape[0]
-        rates, ops = [], []
+        eye = np.eye(d)
+        h = self.hamiltonian
+        superop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        channels = []
         for rate, op in self.channels:
             op = np.asarray(op, dtype=complex)
             if op.shape != (d, d):
                 raise DimensionError(f"channel operator shape {op.shape} does not match d = {d}")
-            rates.append(float(rate))
-            ops.append(op)
-        self.channels = tuple(zip(rates, ops))
-        self._rates = np.array(rates, dtype=float)
-        self._ops = np.array(ops, dtype=complex).reshape(len(ops), d, d)
-        self._ops_dag = _dagger(self._ops)
-        self._gram = self._ops_dag @ self._ops  # A_k^dag A_k
+            rate = float(rate)
+            gram = op.conj().T @ op
+            superop += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(gram, eye) - 0.5 * np.kron(eye, gram.T))
+            channels.append((rate, op))
+        self.channels = tuple(channels)
+        self._superop = superop
 
     @property
     def dim(self) -> int:
@@ -81,39 +80,34 @@ def pauli_generator(rates) -> MasterGenerator:
 
 
 def lindblad_rhs(rho, gen: MasterGenerator) -> np.ndarray:
-    """Right-hand side of the master equation; broadcasts over leading axes."""
+    """Right-hand side L vec(rho) of the master equation; broadcasts over leading axes."""
     rho = np.asarray(rho, dtype=complex)
     d = gen.dim
     if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} does not match generator dimension {d}")
-    h = gen.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    for k in range(len(gen._rates)):
-        a, adag, gram = gen._ops[k], gen._ops_dag[k], gen._gram[k]
-        out = out + gen._rates[k] * (a @ rho @ adag - 0.5 * (gram @ rho + rho @ gram))
-    return out
+    vecs = rho.reshape(*rho.shape[:-2], d * d)
+    return (vecs @ gen._superop.T).reshape(rho.shape)
 
 
-def _integrate_stack(mats, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
-    """RK4 over ceil(t/dt) uniform steps, re-Hermitizing after each step."""
+def _propagate(vecs, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
+    """Classical RK4 over ceil(t/dt) uniform steps on the columns of `vecs`.
+
+    On the linear ODE dv/dt = L v one RK4 step of size h is exactly the
+    matrix P = sum_{j<=4} (hL)^j / j!, so P is built once and applied per step.
+    """
     if t < 0:
         raise ValidationError(f"final time must be >= 0, got {t}")
-    mats = np.asarray(mats, dtype=complex)
     if t == 0:
-        return mats.copy()
+        return vecs.copy()
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
     n = _num_steps(t, dt)
-    h = t / n
-    m = mats.copy()
+    hl = (t / n) * gen._superop
+    eye = np.eye(len(hl))
+    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
     for _ in range(n):
-        k1 = lindblad_rhs(m, gen)
-        k2 = lindblad_rhs(m + 0.5 * h * k1, gen)
-        k3 = lindblad_rhs(m + 0.5 * h * k2, gen)
-        k4 = lindblad_rhs(m + h * k3, gen)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m = _symmetrize(m)
-    return m
+        vecs = step @ vecs
+    return vecs
 
 
 def require_density(rho, what: str = "density matrix") -> np.ndarray:
@@ -129,7 +123,7 @@ def integrate_master(rho0, gen: MasterGenerator, t: float, dt: float) -> np.ndar
     rho0 = require_density(rho0)
     if rho0.shape != (gen.dim, gen.dim):
         raise DimensionError(f"state shape {rho0.shape} does not match generator dimension {gen.dim}")
-    return _integrate_stack(rho0, gen, t, dt)
+    return _propagate(rho0.reshape(-1), gen, t, dt).reshape(rho0.shape)
 
 
 def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
@@ -184,47 +178,10 @@ def apply_map(m: DynamicalMap, mats) -> np.ndarray:
     return out.reshape(*mats.shape[:-2], d, d)
 
 
-def _hermitian_basis(d: int):
-    # Hermitian spanning set from which the matrix units are recombined
-    # linearly: E_ii, then (E_ij + E_ji) and i(E_ij - E_ji) for i < j.
-    mats = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        mats.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            plus = np.zeros((d, d), dtype=complex)
-            plus[i, j] = 1.0
-            plus[j, i] = 1.0
-            minus = np.zeros((d, d), dtype=complex)
-            minus[i, j] = 1.0j
-            minus[j, i] = -1.0j
-            mats.append(plus)
-            mats.append(minus)
-    return np.array(mats)
-
-
-def _assemble_superoperator(basis_out: np.ndarray, d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        s[:, i * d + i] = basis_out[i].reshape(-1)
-    pos = d
-    for i in range(d):
-        for j in range(i + 1, d):
-            out_plus = basis_out[pos]
-            out_minus = basis_out[pos + 1]
-            pos += 2
-            s[:, i * d + j] = ((out_plus - 1j * out_minus) / 2.0).reshape(-1)
-            s[:, j * d + i] = ((out_plus + 1j * out_minus) / 2.0).reshape(-1)
-    return s
-
-
 def extract_map(gen: MasterGenerator, t: float, dt: float) -> DynamicalMap:
-    """Tomography of the generator's evolution: integrate a Hermitian basis."""
-    d = gen.dim
-    evolved = _integrate_stack(_hermitian_basis(d), gen, t, dt)
-    return DynamicalMap(_assemble_superoperator(evolved, d), time=float(t))
+    """Dynamical map of the generator at time t: the RK4 propagator over [0, t]."""
+    d2 = gen.dim**2
+    return DynamicalMap(_propagate(np.eye(d2, dtype=complex), gen, t, dt), time=float(t))
 
 
 def map_grid(gen: MasterGenerator, times, dt: float) -> list[DynamicalMap]:
@@ -236,19 +193,16 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> list[DynamicalMap]:
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(times < 0) or np.any(np.diff(times) <= 0)):
         raise ValidationError("grid times must be nonnegative and strictly increasing")
-    d = gen.dim
-    basis = _hermitian_basis(d)
+    s = np.eye(gen.dim**2, dtype=complex)
     maps = []
-    prev = 0.0
+    done = 0
     for t in times:
-        span = t - prev
-        if span > 0:
-            k = int(round(span / dt))
-            if k < 1 or abs(k * dt - span) > 1e-9 * max(1.0, t):
-                raise ValidationError("grid times must be integer multiples of dt")
-            basis = _integrate_stack(basis, gen, k * dt, dt)
-        maps.append(DynamicalMap(_assemble_superoperator(basis, d), time=float(t)))
-        prev = t
+        steps = resolve_steps(t, dt)
+        if t > 0 and steps <= done:
+            raise ValidationError("grid times must be distinct integer multiples of dt")
+        s = _propagate(s, gen, (steps - done) * dt, dt)
+        maps.append(DynamicalMap(s, time=float(t)))
+        done = steps
     return maps
 
 
@@ -303,13 +257,9 @@ class ChoiMatrix:
 
 
 def choi_matrix(m: DynamicalMap) -> ChoiMatrix:
+    # Choi-Jamiolkowski reshuffle: C[(i, k), (j, l)] = Lambda(E_ij)[k, l] = S[k d + l, i d + j].
     d = m.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            c += np.kron(e, m.superoperator[:, i * d + j].reshape(d, d))
+    c = m.superoperator.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
     return ChoiMatrix(c, dim=d)
 
 
@@ -340,15 +290,6 @@ class PositivityVerdict:
     min_output_eigenvalue: float
 
 
-def _min_eigenvalue_2x2(mats) -> np.ndarray:
-    # Closed form for Hermitian 2x2 batches.
-    a = mats[..., 0, 0].real
-    b = mats[..., 1, 1].real
-    c = mats[..., 0, 1]
-    half_gap = np.sqrt(((a - b) / 2.0) ** 2 + np.abs(c) ** 2)
-    return (a + b) / 2.0 - half_gap
-
-
 def positivity_verdict(m: DynamicalMap, samples: int, seed: int, tol: float = 1e-9) -> PositivityVerdict:
     """Apply the map to Haar-random pure states and report the worst output eigenvalue."""
     if samples < 1:
@@ -356,8 +297,5 @@ def positivity_verdict(m: DynamicalMap, samples: int, seed: int, tol: float = 1e
     psi = random_state(seed, m.dim, np.arange(samples))
     rho = np.einsum("...i,...j->...ij", psi, psi.conj())
     out = apply_map(m, rho)
-    if m.dim == 2:
-        min_eig = float(np.min(_min_eigenvalue_2x2(out)))
-    else:
-        min_eig = min(float(hermitian_eigen(_symmetrize(o))[0][0]) for o in out)
+    min_eig = float(np.min(np.linalg.eigvalsh(out)))
     return PositivityVerdict(positive_on_samples=bool(min_eig >= -tol), min_output_eigenvalue=min_eig)

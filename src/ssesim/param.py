@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from . import rng
-from .algebra import hermitian_eigen, max_abs
+from .algebra import max_abs, resolve_steps
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .sse import GeneralDiffusiveModel, NoiseStream, simulate_with_noise
 
@@ -44,11 +44,8 @@ def _require_symmetric(s, tol: float = 1e-10) -> np.ndarray:
 
 
 def spectral_norm(m) -> float:
-    """Largest singular value, computed from the Hermitian eigensolver on m^dag m."""
-    m = np.asarray(m, dtype=complex)
-    gram = m.conj().T @ m
-    values, _ = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    return float(np.sqrt(max(values[-1], 0.0)))
+    """Largest singular value."""
+    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
 def correlation_from_noise(u) -> np.ndarray:
@@ -178,7 +175,7 @@ def redundancy_witness(
     s_rotated = correlation_from_noise(orth @ u)
     s_deviation = max_abs(s_rotated - s_plain)
 
-    steps = int(round(t_final / dt))
+    steps = resolve_steps(t_final, dt)
     dw = NoiseStream(seed, trajectory_id).wiener_block(steps, n_rows, dt)
     rotated_model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), orth @ u)
     plain_model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), u)

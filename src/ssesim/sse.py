@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import bloch_from_state, max_abs, require_hermitian, require_normalized
+from .algebra import bloch_from_state, max_abs, require_hermitian, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
@@ -243,17 +243,6 @@ class Trajectory:
     norm_drift: np.ndarray
 
 
-def _resolve_steps(t_final: float, dt: float) -> int:
-    if t_final < 0:
-        raise ValidationError(f"final time must be >= 0, got {t_final}")
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValidationError(f"t_final = {t_final} is not an integer multiple of dt = {dt}")
-    return steps
-
-
 def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Trajectory:
     """Integrate a single trajectory driven by explicit Wiener increments.
 
@@ -294,7 +283,7 @@ def simulate_trajectory(
     model, psi0, t_final: float, dt: float, seed: int, trajectory_id: int = 0, gauge=None
 ) -> Trajectory:
     """Seeded single trajectory; identical output for identical (seed, id)."""
-    steps = _resolve_steps(t_final, dt)
+    steps = resolve_steps(t_final, dt)
     stream = NoiseStream(seed, trajectory_id)
     increments = stream.wiener_block(steps, model.n_channels, dt)
     return simulate_with_noise(model, psi0, dt, increments, gauge=gauge)
@@ -416,7 +405,7 @@ def ensemble_density(
     psi0 = require_normalized(np.asarray(psi0, dtype=complex))
     if psi0.shape != (2,):
         raise DimensionError(f"initial state shape {psi0.shape} does not match model dim 2")
-    steps = _resolve_steps(t_final, dt)
+    steps = resolve_steps(t_final, dt)
     grid_idx = report_indices(steps, grid_points)
     on_grid = np.zeros(steps + 1, dtype=bool)
     on_grid[grid_idx] = True

@@ -112,9 +112,15 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_eigen_rejects_large_dimension():
-    with pytest.raises(ValidationError):
-        hermitian_eigen(np.eye(9))
+def test_eigen_diagonalizes_large_dimensions():
+    rng_np = np.random.default_rng(13)
+    for d in range(9, 17):
+        g = rng_np.normal(size=(d, d)) + 1j * rng_np.normal(size=(d, d))
+        a = (g + g.conj().T) / 2.0
+        w, v = hermitian_eigen(a)
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(a @ v - v * w)) <= 1e-11
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-11
 
 
 def test_eigen_reconstruction_sweep():

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,28 @@ def test_unravel_failure_exit_code(capsys, monkeypatch):
 
 def test_invalid_config_value_exits_two(capsys):
     assert cli.main(["unravel", "--dt", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg",
+    [
+        (["choi", "--dt", "nan"], None),
+        (["unravel", "--dt", "nan"], None),
+        (["unravel", "--t-final", "inf"], None),
+        (["unravel"], {"trajectories": "10"}),
+        (["choi", "--c1", "nan"], None),
+        (["identity", "--c1", "inf"], None),
+        (["unravel", "--init-bloch", "nan,0,1"], None),
+        (["choi"], {"grid_points": 2.5}),
+    ],
+)
+def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsys):
+    if file_cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        argv = argv + ["--config", str(path)]
+    assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -169,6 +193,13 @@ def test_convergence_command_passes(capsys):
     assert len(report["summary"]["biases"]) == 3
 
 
+def test_convergence_runs_at_default_times(capsys):
+    code, report = _run(capsys, ["convergence", "--trajectories", "200"])
+    assert code in (0, 1)
+    assert report["config"]["t_final"] == 0.256
+    assert report["config"]["dt"] == 1e-3
+
+
 def test_convergence_zero_time_has_zero_biases(capsys):
     code, report = _run(
         capsys, ["convergence", "--t-final", "0", "--trajectories", "20"]
@@ -217,10 +248,14 @@ def test_csv_floats_survive_round_trip(tmp_path):
 
 
 def test_module_entry_point_smoke():
+    # The child imports the same package as this test, installed or not.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ssesim", "identity", "--trajectories", "100"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "PASS"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ssesim.algebra import pauli
 from ssesim.errors import DimensionError, ValidationError
 from ssesim.master import (
     DynamicalMap,
+    MasterGenerator,
     analytic_pauli_solution,
     apply_map,
     bloch_block,
@@ -28,6 +30,62 @@ def _density_bloch(rho):
 
 def _bloch_density(n):
     return (np.eye(2) + n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)) / 2.0
+
+
+def _random_generator(seed, d=3):
+    # Hamiltonian plus three channels with signed rates.
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    return MasterGenerator((g + g.conj().T) / 2.0, tuple(zip((0.7, -0.3, 0.4), ops)))
+
+
+def _generator_matrix(gen):
+    # L column by column: L e_(i d + j) = vec(rhs(E_ij)) in the row-major vec.
+    d = gen.dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return lindblad_rhs(units, gen).reshape(d * d, d * d).T
+
+
+def test_rhs_matches_operator_form():
+    gen = _random_generator(21)
+    h = gen.hamiltonian
+    rng = np.random.default_rng(22)
+    rhos = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    got = lindblad_rhs(rhos, gen)
+    for rho, out in zip(rhos, got):
+        want = -1j * (h @ rho - rho @ h)
+        for rate, a in gen.channels:
+            gram = a.conj().T @ a
+            want = want + rate * (a @ rho @ a.conj().T - 0.5 * (gram @ rho + rho @ gram))
+        assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_extract_map_matches_matrix_exponential():
+    # One RK4 step is P = sum_{j<=4} (hL)^j / j!, so with l = ||L||_2,
+    # ||P - e^{hL}|| <= (hl)^5 / 5! e^{hl} and over n steps
+    # ||P^n - e^{nhL}|| <= n e^{nhl} (hl)^5 / 5!.
+    gen = _random_generator(23)
+    lmat = _generator_matrix(gen)
+    norm = np.linalg.norm(lmat, 2)
+    t = 0.5
+    errors = []
+    for dt in (0.01, 0.005):
+        n = int(round(t / dt))
+        exact = scipy.linalg.expm(lmat * t)
+        err = np.linalg.norm(extract_map(gen, t, dt).superoperator - exact, 2)
+        assert err <= n * np.exp(t * norm) * (dt * norm) ** 5 / 120.0
+        errors.append(err)
+    assert np.log2(errors[0] / errors[1]) >= 3.7
+    exact = scipy.linalg.expm(lmat * 0.2)
+    assert np.max(np.abs(extract_map(gen, 0.2, 1e-3).superoperator - exact)) <= 1e-10
+
+
+def test_choi_matrix_matches_definition():
+    m = extract_map(_random_generator(24), 0.3, 1e-3)
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)
+    want = sum(np.kron(e, apply_map(m, e)) for e in units)
+    assert np.max(np.abs(choi_matrix(m).matrix - want)) <= 1e-15
 
 
 def test_rhs_annihilates_maximally_mixed():

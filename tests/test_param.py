@@ -197,6 +197,14 @@ def test_witness_rejects_non_orthogonal_matrix():
         )
 
 
+def test_witness_rejects_time_not_a_multiple_of_dt():
+    u = random_isometry(9, 3, 1, 0)
+    with pytest.raises(ValidationError):
+        redundancy_witness(
+            u, np.eye(3), H_TEST, L_TEST[:1], random_state(9, 2, 0), 0.0104, 1e-3, seed=1
+        )
+
+
 def test_random_helpers_are_deterministic():
     assert np.array_equal(random_isometry(1, 4, 2, 3), random_isometry(1, 4, 2, 3))
     assert np.array_equal(random_orthogonal(1, 4, 3), random_orthogonal(1, 4, 3))
