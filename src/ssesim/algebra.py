@@ -68,13 +68,23 @@ def bloch_from_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 2:
         raise DimensionError(f"Bloch conversion requires qubit states, got dim {psi.shape[-1]}")
-    require_normalized(psi)
+    return np.stack(_bloch_components(require_normalized(psi)), axis=-1)
+
+
+def _bloch_components(psi):
+    # Unchecked (n_1, n_2, n_3): the stepping loop calls it on renormalized states.
     a, b = psi[..., 0], psi[..., 1]
     cross = a.conj() * b
-    return np.stack(
-        [2.0 * cross.real, 2.0 * cross.imag, (a.conj() * a - b.conj() * b).real],
-        axis=-1,
-    )
+    return 2.0 * cross.real, 2.0 * cross.imag, (a.conj() * a - b.conj() * b).real
+
+
+def bloch_from_density(rho) -> np.ndarray:
+    """Bloch vector n_k = tr(rho sigma_k) of qubit density matrices (..., 2, 2) -> (..., 3)."""
+    rho = np.asarray(rho)
+    if rho.shape[-2:] != (2, 2):
+        raise DimensionError(f"Bloch conversion requires 2 x 2 density matrices, got shape {rho.shape}")
+    off = rho[..., 1, 0]
+    return np.stack([2.0 * off.real, 2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 def state_from_bloch(n) -> np.ndarray:
@@ -99,12 +109,20 @@ def hermitian_eigen(a):
     return np.linalg.eigh(require_hermitian(a, tol=1e-12, what="eigensolver input"))
 
 
+# Ceiling on the steps of one time grid: the grid arrays (trajectory states,
+# the report mask `on_grid` and `slot_of`) are O(steps), and a huge finite
+# horizon must be refused before they are allocated.
+MAX_STEPS = 10**8
+
+
 def resolve_steps(t_final: float, dt: float) -> int:
     """Number of dt steps spanning [0, t_final]; t_final must be a whole multiple of dt."""
     if t_final < 0:
         raise ValidationError(f"final time must be >= 0, got {t_final}")
     if dt <= 0:
         raise ValidationError(f"dt must be positive, got {dt}")
+    if not t_final / dt < MAX_STEPS + 0.5:
+        raise ValidationError(f"time {t_final} needs more than {MAX_STEPS} steps of dt = {dt}")
     steps = int(round(t_final / dt))
     if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValidationError(f"time {t_final} is not an integer multiple of dt = {dt}")

@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import bloch_from_state, pauli, random_state, resolve_steps, state_from_bloch
+from .algebra import bloch_from_density, bloch_from_state, pauli, random_state, resolve_steps
+from .algebra import state_from_bloch
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
     MasterGenerator,
@@ -207,19 +208,17 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _parse_complex(entry) -> complex:
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise ValidationError(f"complex entries are [re, im] pairs, got {entry!r}")
-        return complex(float(entry[0]), float(entry[1]))
-    return complex(float(entry), 0.0)
+def _parse_complex(entry, name: str) -> complex:
+    parts = entry if isinstance(entry, list) else [entry, 0.0]
+    if len(parts) != 2 or not all(map(_is_finite_number, parts)):
+        raise ValidationError(f"{name} entries must be finite numbers or [re, im] pairs, got {entry!r}")
+    return complex(parts[0], parts[1])
 
 
 def _parse_complex_matrix(rows, name: str) -> np.ndarray:
-    try:
-        return np.array([[_parse_complex(e) for e in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"cannot parse {name}: {exc}") from exc
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == len(rows[0]) for r in rows):
+        raise ValidationError(f"{name} must be a list of equal-length rows, got {rows!r}")
+    return np.array([[_parse_complex(e, name) for e in row] for row in rows], dtype=complex)
 
 
 def _build_model(cfg: dict):
@@ -229,6 +228,8 @@ def _build_model(cfg: dict):
         raise ValidationError(
             "the general model requires hamiltonian, lindblads and noise_matrix in the config file"
         )
+    if not isinstance(cfg["lindblads"], list):
+        raise ValidationError(f"lindblads must be a list of matrices, got {cfg['lindblads']!r}")
     hamiltonian = _parse_complex_matrix(cfg["hamiltonian"], "hamiltonian")
     lindblads = tuple(
         _parse_complex_matrix(m, f"lindblads[{i}]") for i, m in enumerate(cfg["lindblads"])
@@ -238,8 +239,11 @@ def _build_model(cfg: dict):
 
 
 def _initial_state(cfg: dict) -> np.ndarray:
-    if cfg.get("initial_state") is not None:
-        vec = np.array([_parse_complex(e) for e in cfg["initial_state"]], dtype=complex)
+    entries = cfg.get("initial_state")
+    if entries is not None:
+        if not isinstance(entries, list):
+            raise ValidationError(f"initial_state must be a list of complex entries, got {entries!r}")
+        vec = np.array([_parse_complex(e, "initial_state") for e in entries], dtype=complex)
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError("initial_state must be normalized")
@@ -247,13 +251,9 @@ def _initial_state(cfg: dict) -> np.ndarray:
     return state_from_bloch(cfg["initial_bloch"])
 
 
-def _density_bloch(rho: np.ndarray) -> np.ndarray:
-    return np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
-
-
 def _master_bloch_on_grid(gen: MasterGenerator, psi0: np.ndarray, times, dt: float) -> np.ndarray:
     rho = np.outer(psi0, psi0.conj())
-    return np.array([_density_bloch(apply_map(m, rho)) for m in map_grid(gen, times, dt)])
+    return bloch_from_density([apply_map(m, rho) for m in map_grid(gen, times, dt)])
 
 
 def _safe_ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:

@@ -11,17 +11,24 @@ trajectory is reproducible independently of batching and thread count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .algebra import bloch_from_state, max_abs, require_hermitian, require_normalized, resolve_steps
+from .algebra import _bloch_components, bloch_from_density, bloch_from_state, max_abs, pauli
+from .algebra import require_hermitian, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
 _DEFAULT_BLOCK_BYTES = 1 << 24
+
+
+def _wiener(seed: int, trajectory, step, channels: int, dt: float) -> np.ndarray:
+    # The one Wiener keying; `trajectory` and `step` broadcast over paths and batches.
+    return rng.normals(rng.DOMAIN_WIENER, seed, trajectory, step, np.arange(channels)) * np.sqrt(dt)
 
 
 @dataclass(frozen=True)
@@ -33,25 +40,11 @@ class NoiseStream:
 
     def wiener(self, step: int, channels: int, dt: float) -> np.ndarray:
         """Increments dW ~ Normal(0, dt) for one step, shape (channels,)."""
-        z = rng.normals(rng.DOMAIN_WIENER, self.seed, self.trajectory_id, step, np.arange(channels))
-        return z * np.sqrt(dt)
+        return _wiener(self.seed, self.trajectory_id, step, channels, dt)
 
     def wiener_block(self, steps: int, channels: int, dt: float) -> np.ndarray:
         """All increments for a trajectory, shape (steps, channels)."""
-        z = rng.normals(
-            rng.DOMAIN_WIENER,
-            self.seed,
-            self.trajectory_id,
-            np.arange(steps)[:, None],
-            np.arange(channels),
-        )
-        return z * np.sqrt(dt)
-
-
-def _wiener_batch(seed: int, trajectory_ids: np.ndarray, step: int, channels: int, dt: float) -> np.ndarray:
-    # Same stream as NoiseStream.wiener, vectorized over trajectories.
-    z = rng.normals(rng.DOMAIN_WIENER, seed, trajectory_ids[:, None], step, np.arange(channels))
-    return z * np.sqrt(dt)
+        return _wiener(self.seed, self.trajectory_id, np.arange(steps)[:, None], channels, dt)
 
 
 @dataclass
@@ -84,6 +77,25 @@ class NonCpQubitModel:
     @property
     def n_channels(self) -> int:
         return 1
+
+    def propose(self, psi, dw, dt: float) -> np.ndarray:
+        """Unchecked Ito proposal for dw of shape (..., 1); see `noncp_increment`."""
+        c = self._c
+        a, b = psi[..., 0], psi[..., 1]
+        n1, n2, n3 = _bloch_components(psi)
+        # (sigma_k - n_k)^2 = (1 + n_k^2) I - 2 n_k sigma_k, so the drift operator
+        # splits into a scalar part and a weighted-Pauli part.
+        scalar = c[0] * (1.0 + n1 * n1) + c[1] * (1.0 + n2 * n2) + c[2] * (1.0 + n3 * n3)
+        w1, w2, w3 = c[0] * n1, c[1] * n2, c[2] * n3
+        pauli_part = np.stack(
+            [w1 * b - 1j * w2 * b + w3 * a, w1 * a + 1j * w2 * a - w3 * b], axis=-1
+        )
+        drift = -0.5 * scalar[..., None] * psi + pauli_part
+        perp = _perp(a, b, n1, n2, self.pole_tolerance)
+        if self.perp_phase:
+            perp = perp * np.exp(1j * self.perp_phase)
+        amp = np.sqrt(2.0) * n3
+        return psi + drift * dt + (amp * dw[..., 0])[..., None] * perp
 
 
 @dataclass
@@ -130,6 +142,32 @@ class GeneralDiffusiveModel:
     def n_channels(self) -> int:
         return self.noise_matrix.shape[0]
 
+    def propose(self, psi, dw, dt: float) -> np.ndarray:
+        """Unchecked Ito proposal for dw of shape (..., N); see `general_increment`."""
+        l_psi = np.einsum("nij,...j->...ni", self._l_ops, psi)
+        expv = np.einsum("...i,...ni->...n", psi.conj(), l_psi)
+        centered = l_psi - expv[..., None] * psi[..., None, :]
+        xi = np.einsum("...k,kn->...n", dw, self.noise_matrix)
+        noise = np.einsum("...n,...ni->...i", xi, centered)
+        drift = (
+            -1j * np.einsum("ij,...j->...i", self.hamiltonian, psi)
+            - 0.5 * np.einsum("ij,...j->...i", self._gram_sum, psi)
+            + np.einsum("...n,...ni->...i", expv.conj(), l_psi)
+            - 0.5 * np.einsum("...n,...n->...", expv.conj(), expv)[..., None].real * psi
+        )
+        return psi + drift * dt + noise
+
+
+def _perp(a, b, n1, n2, pole_tolerance: float) -> np.ndarray:
+    # 1 - n_z^2 evaluated as 4|a|^2|b|^2: identical for unit states but free
+    # of the cancellation that loses precision near the poles.
+    off = 4.0 * (a.conj() * a).real * (b.conj() * b).real
+    pole = off < pole_tolerance
+    inv = 1.0 / np.sqrt(np.where(pole, 1.0, off))
+    regular = np.stack([(n2 + 1j * n1) * b * inv, (n2 - 1j * n1) * a * inv], axis=-1)
+    fallback = np.stack([-b.conj(), a.conj()], axis=-1)
+    return np.where(pole[..., None], fallback, regular)
+
 
 def perp_state(psi, pole_tolerance: float = 1e-12) -> np.ndarray:
     """Unit state orthogonal to a qubit state.
@@ -139,19 +177,8 @@ def perp_state(psi, pole_tolerance: float = 1e-12) -> np.ndarray:
     (-conj(psi_2), conj(psi_1)) is returned instead.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1] != 2:
-        raise DimensionError(f"perp_state requires qubit states, got dim {psi.shape[-1]}")
-    n = bloch_from_state(psi)
-    a, b = psi[..., 0], psi[..., 1]
-    n1, n2 = n[..., 0], n[..., 1]
-    # 1 - n_z^2 evaluated as 4|a|^2|b|^2: identical for unit states but free
-    # of the cancellation that loses precision near the poles.
-    off = 4.0 * (a.conj() * a).real * (b.conj() * b).real
-    pole = off < pole_tolerance
-    inv = 1.0 / np.sqrt(np.where(pole, 1.0, off))
-    regular = np.stack([(n2 + 1j * n1) * b * inv, (n2 - 1j * n1) * a * inv], axis=-1)
-    fallback = np.stack([-b.conj(), a.conj()], axis=-1)
-    return np.where(pole[..., None], fallback, regular)
+    n = bloch_from_state(psi)  # rejects non-qubit and unnormalized states
+    return _perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1], pole_tolerance)
 
 
 def noncp_increment(psi, model: NonCpQubitModel, dw, dt: float) -> np.ndarray:
@@ -164,23 +191,7 @@ def noncp_increment(psi, model: NonCpQubitModel, dw, dt: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 2:
         raise DimensionError(f"model is qubit-only, got state dim {psi.shape[-1]}")
-    c = model._c
-    n = bloch_from_state(psi)
-    a, b = psi[..., 0], psi[..., 1]
-    n1, n2, n3 = n[..., 0], n[..., 1], n[..., 2]
-    # (sigma_k - n_k)^2 = (1 + n_k^2) I - 2 n_k sigma_k, so the drift operator
-    # splits into a scalar part and a weighted-Pauli part.
-    scalar = c[0] * (1.0 + n1 * n1) + c[1] * (1.0 + n2 * n2) + c[2] * (1.0 + n3 * n3)
-    w1, w2, w3 = c[0] * n1, c[1] * n2, c[2] * n3
-    pauli_part = np.stack(
-        [w1 * b - 1j * w2 * b + w3 * a, w1 * a + 1j * w2 * a - w3 * b], axis=-1
-    )
-    drift = -0.5 * scalar[..., None] * psi + pauli_part
-    perp = perp_state(psi, model.pole_tolerance)
-    if model.perp_phase:
-        perp = perp * np.exp(1j * model.perp_phase)
-    amp = np.sqrt(2.0) * n3
-    return psi + drift * dt + (amp * np.asarray(dw))[..., None] * perp
+    return model.propose(require_normalized(psi), np.asarray(dw)[..., None], dt)
 
 
 def general_increment(psi, model: GeneralDiffusiveModel, dw, dt: float) -> np.ndarray:
@@ -198,36 +209,31 @@ def general_increment(psi, model: GeneralDiffusiveModel, dw, dt: float) -> np.nd
         raise DimensionError(
             f"need {model.n_channels} Wiener increments, got shape {dw.shape}"
         )
-    l_ops = model._l_ops
-    l_psi = np.einsum("nij,...j->...ni", l_ops, psi)
-    expv = np.einsum("...i,...ni->...n", psi.conj(), l_psi)
-    centered = l_psi - expv[..., None] * psi[..., None, :]
-    xi = np.einsum("...k,kn->...n", dw, model.noise_matrix)
-    noise = np.einsum("...n,...ni->...i", xi, centered)
-    drift = (
-        -1j * np.einsum("ij,...j->...i", model.hamiltonian, psi)
-        - 0.5 * np.einsum("ij,...j->...i", model._gram_sum, psi)
-        + np.einsum("...n,...ni->...i", expv.conj(), l_psi)
-        - 0.5 * np.einsum("...n,...n->...", expv.conj(), expv)[..., None].real * psi
-    )
-    return psi + drift * dt + noise
+    return model.propose(psi, dw, dt)
 
 
-def _propose(psi, model, dw, dt: float) -> np.ndarray:
-    if isinstance(model, NonCpQubitModel):
-        return noncp_increment(psi, model, np.asarray(dw)[..., 0], dt)
-    if isinstance(model, GeneralDiffusiveModel):
-        return general_increment(psi, model, dw, dt)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+def _renormalize(proposal, step: int, first_trajectory=None):
+    # The only norm check of the stepping path: norm^2 below 0.01, inf or nan means dt is too large.
+    norm2 = np.einsum("...i,...i->...", proposal.conj(), proposal).real
+    # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
+    low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
+    if not 0.01 <= low <= high < np.inf:
+        bad = int(np.argmax(~((norm2 >= 0.01) & (norm2 < np.inf))))
+        who = "the trajectory" if first_trajectory is None else f"trajectory {first_trajectory + bad}"
+        raise StepSizeError(
+            f"{who} collapsed at step {step}: proposed norm^2 "
+            f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
+        )
+    return proposal / np.sqrt(norm2)[..., None], norm2
 
 
 def step(psi, model, dw, dt: float) -> np.ndarray:
-    """Euler-Maruyama step followed by exact renormalization."""
-    proposal = _propose(psi, model, dw, dt)
-    norm2 = np.einsum("...i,...i->...", proposal.conj(), proposal).real
-    if np.any(norm2 < 0.01):
-        raise StepSizeError("proposed state norm fell below 0.1; dt is too large")
-    return proposal / np.sqrt(norm2)[..., None]
+    """Euler-Maruyama step with exact renormalization; a failing batch row is reported at step 0."""
+    psi = require_normalized(np.asarray(psi, dtype=complex))
+    dw = np.asarray(dw, dtype=float)
+    if psi.shape[-1] != model.dim or dw.shape[-1] != model.n_channels:
+        raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
+    return _renormalize(model.propose(psi, dw, dt), 0, 0)[0]
 
 
 @dataclass
@@ -265,12 +271,8 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
     states[0] = psi
     for s in range(steps):
         dw = increments[s]
-        proposal = _propose(psi, model, dw, dt)
-        norm2 = float(np.einsum("i,i->", proposal.conj(), proposal).real)
+        nxt, norm2 = _renormalize(model.propose(psi, dw, dt), s)
         drifts[s] = norm2 - 1.0
-        if norm2 < 0.01:
-            raise StepSizeError(f"state norm collapsed at step {s}; dt is too large")
-        nxt = proposal / np.sqrt(norm2)
         if gauge is not None:
             nxt = nxt * np.exp(-1j * float(gauge(psi, dw, dt)))
         psi = nxt
@@ -322,11 +324,7 @@ class EnsembleEstimate:
 
     def bloch(self) -> np.ndarray:
         """Bloch components tr(rho sigma_k) of the mean density, shape (G, 3)."""
-        rho = self.mean_density
-        n1 = 2.0 * rho[:, 1, 0].real
-        n2 = 2.0 * rho[:, 1, 0].imag
-        n3 = (rho[:, 0, 0] - rho[:, 1, 1]).real
-        return np.stack([n1, n2, n3], axis=-1)
+        return bloch_from_density(self.mean_density)
 
 
 def _block_partials(task):
@@ -345,13 +343,8 @@ def _block_partials(task):
         proj[:, 0] = np.einsum("bi,bj->bij", psi, psi.conj())
         bloch[:, 0] = bloch_from_state(psi)
     for s in range(steps):
-        dw = _wiener_batch(seed, ids, s, channels, dt)
-        proposal = _propose(psi, model, dw, dt)
-        norm2 = np.einsum("bi,bi->b", proposal.conj(), proposal).real
-        if np.any(norm2 < 0.01):
-            bad = int(np.argmax(norm2 < 0.01))
-            raise StepSizeError(f"trajectory {lo + bad} collapsed at step {s}; dt is too large")
-        psi = proposal / np.sqrt(norm2)[:, None]
+        dw = _wiener(seed, ids[:, None], s, channels, dt)
+        psi = _renormalize(model.propose(psi, dw, dt), s, lo)[0]
         if on_grid[s + 1]:
             slot = slot_of[s + 1]
             proj[:, slot] = np.einsum("bi,bj->bij", psi, psi.conj())
@@ -416,10 +409,14 @@ def ensemble_density(
         (model, psi0, seed, dt, steps, on_grid, slot_of, lo, min(lo + block, n_traj))
         for lo in range(0, n_traj, block)
     ]
+    # A forking pool starts all `max_workers` processes at once, so ask for no
+    # more than can run at the same time or have a block to work on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, cpus, len(tasks))
     partials = None
-    if threads > 1 and len(tasks) > 1:
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 partials = list(pool.map(_block_partials, tasks))
         except OSError:
             partials = None  # no subprocess support; fall through to serial
@@ -461,11 +458,10 @@ def identity_residual(psi, rates=_SIGNED_RATES):
     proj = np.einsum("...i,...j->...ij", psi, psi.conj())
     perp = perp_state(psi)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())
-    sigma = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     rhs = np.zeros_like(proj)
     for k in range(3):
-        m_k = sigma[k] - n[..., k, None, None] * eye
+        m_k = pauli(k + 1) - n[..., k, None, None] * eye
         rhs = rhs + c[k] * (m_k @ proj @ m_k)
     res = np.max(np.abs(lhs - rhs), axis=(-2, -1))
     return float(res) if res.ndim == 0 else res

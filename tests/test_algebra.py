@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssesim import rng
 from ssesim.algebra import (
+    MAX_STEPS,
+    bloch_from_density,
     bloch_from_state,
     hermitian_eigen,
     pauli,
     random_state,
+    resolve_steps,
     state_from_bloch,
 )
 from ssesim.errors import DimensionError, ValidationError
@@ -76,6 +81,16 @@ def test_bloch_state_round_trip():
     for n in vecs:
         back = bloch_from_state(state_from_bloch(n))
         assert np.max(np.abs(back - n)) <= 1e-12
+
+
+def test_bloch_from_density_matches_trace():
+    psi = random_state(31, 2, np.arange(40))
+    weights = np.linspace(0.1, 1.0, 40) / np.linspace(0.1, 1.0, 40).sum()
+    rho = np.einsum("b,bi,bj->ij", weights, psi, psi.conj())
+    direct = [np.trace(rho @ pauli(k)).real for k in (1, 2, 3)]
+    assert np.max(np.abs(bloch_from_density(rho) - direct)) <= 1e-15
+    with pytest.raises(DimensionError):
+        bloch_from_density(np.eye(3))
 
 
 def test_state_from_bloch_rejects_interior_point():
@@ -181,3 +196,39 @@ def test_counter_uniforms_are_open_interval():
     u = rng.uniforms(0, np.arange(10000))
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
+
+
+def test_resolve_steps_ceiling():
+    assert resolve_steps(MAX_STEPS * 1e-3, 1e-3) == MAX_STEPS
+    with pytest.raises(ValidationError, match="more than"):
+        resolve_steps((MAX_STEPS + 1) * 1e-3, 1e-3)
+    with pytest.raises(ValidationError):
+        resolve_steps(1e300, 1e-3)
+
+
+_U64 = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_U64,
+    trajectories=st.lists(_U64, min_size=1, max_size=6),
+    steps=st.lists(_U64, min_size=1, max_size=6),
+    channel=_U64,
+    data=st.data(),
+)
+def test_normals_depend_only_on_their_coordinates(seed, trajectories, steps, channel, data):
+    # The same (seed, trajectory, step, channel) draws the same value as a
+    # scalar call, inside a broadcast grid, or in a shuffled flat batch.
+    grid = rng.normals(
+        rng.DOMAIN_WIENER, seed, np.array(trajectories, dtype=np.uint64)[:, None],
+        np.array(steps, dtype=np.uint64), channel,
+    )
+    cells = data.draw(st.permutations([(i, j) for i in range(len(trajectories)) for j in range(len(steps))]))
+    flat = rng.normals(
+        rng.DOMAIN_WIENER, seed, np.array([trajectories[i] for i, _ in cells], dtype=np.uint64),
+        np.array([steps[j] for _, j in cells], dtype=np.uint64), channel,
+    )
+    for (i, j), value in zip(cells, flat):
+        single = rng.normals(rng.DOMAIN_WIENER, seed, trajectories[i], steps[j], channel)
+        assert value == grid[i, j] == single

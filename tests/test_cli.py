@@ -68,6 +68,14 @@ def test_invalid_config_value_exits_two(capsys):
         (["identity", "--c1", "inf"], None),
         (["unravel", "--init-bloch", "nan,0,1"], None),
         (["choi"], {"grid_points": 2.5}),
+        (["choi", "--t-final", "1e300"], None),
+        (["unravel"], {"initial_state": ["a", 1]}),
+        (["unravel"], {"initial_state": 5}),
+        (["unravel"], {"initial_state": [None, 1]}),
+        (
+            ["unravel"],
+            {"model": "general", "hamiltonian": [[0, 0], [0, 0]], "lindblads": 5, "noise_matrix": [[1]]},
+        ),
     ],
 )
 def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsys):

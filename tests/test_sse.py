@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ssesim import sse
 from ssesim.algebra import bloch_from_state, pauli, random_state
 from ssesim.errors import DimensionError, StepSizeError, ValidationError
 from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_master
@@ -231,6 +234,20 @@ def test_trajectory_step_failure_reports_index():
         simulate_with_noise(NonCpQubitModel(), POLE, 0.99, np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        NonCpQubitModel(rates=(1e200, 1.0, -1.0)),
+        GeneralDiffusiveModel(1e200 * pauli(1), (pauli(3),), np.eye(1)),
+    ],
+    ids=["noncp", "general"],
+)
+def test_overflowing_norm_fails_at_its_step(model):
+    # norm^2 overflows to inf at step 0; dividing by it would leave a zero state.
+    with pytest.raises(StepSizeError, match="step 0"):
+        simulate_with_noise(model, POLE, 1e-3, np.zeros((2, 1)))
+
+
 def test_trajectory_rejects_non_multiple_horizon():
     with pytest.raises(ValidationError):
         simulate_trajectory(NonCpQubitModel(), POLE, 0.25, 1e-3 * 1.0001, seed=0)
@@ -279,6 +296,18 @@ def test_pairwise_sum_matches_exact_sum():
     assert np.allclose(pairwise_sum(values, axis=0), values.sum(axis=0), atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
+    log_block=st.integers(min_value=0, max_value=8),
+)
+def test_pairwise_sum_composes_from_power_of_two_blocks(values, log_block):
+    values = np.array(values)
+    block = 2**log_block
+    parts = [pairwise_sum(values[lo : lo + block]) for lo in range(0, len(values), block)]
+    assert pairwise_sum(np.array(parts)) == pairwise_sum(values)
+
+
 def test_pairwise_sum_is_blocking_invariant():
     rng = np.random.default_rng(3)
     values = rng.normal(size=137)
@@ -291,9 +320,18 @@ def test_pairwise_sum_is_blocking_invariant():
 # ---------------------------------------------------------------- ensembles
 
 
-def test_single_trajectory_ensemble_is_pure():
-    est = ensemble_density(NonCpQubitModel(), POLE, 0.1, 1e-3, 1, seed=5, grid_points=100)
-    traj = simulate_trajectory(NonCpQubitModel(), POLE, 0.1, 1e-3, seed=5, trajectory_id=0)
+_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+_GENERAL = GeneralDiffusiveModel(
+    0.7 * pauli(3) + 0.3 * pauli(1),
+    (0.8 * _SIGMA_MINUS, 0.5 * pauli(3)),
+    np.array([[0.6, 0.0], [0.8, 0.0], [0.0, 1.0]], dtype=complex),
+)
+
+
+@pytest.mark.parametrize("model", [NonCpQubitModel(), _GENERAL], ids=["noncp", "general"])
+def test_single_trajectory_ensemble_is_pure(model):
+    est = ensemble_density(model, POLE, 0.1, 1e-3, 1, seed=5, grid_points=100)
+    traj = simulate_trajectory(model, POLE, 0.1, 1e-3, seed=5, trajectory_id=0)
     idx = np.round(est.times / 1e-3).astype(int)
     assert np.array_equal(est.mean_density, _projectors(traj.states[idx]))
     assert np.all(np.isinf(est.standard_error))
@@ -305,6 +343,34 @@ def test_ensemble_thread_count_does_not_change_bytes():
     threaded = ensemble_density(*args, threads=4)
     assert serial.mean_density.tobytes() == threaded.mean_density.tobytes()
     assert serial.standard_error.tobytes() == threaded.standard_error.tobytes()
+
+
+def test_pool_size_is_clamped_to_cpus_and_blocks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sse, "ProcessPoolExecutor", SerialPool)
+    args = (NonCpQubitModel(), POLE, 0.002, 1e-3, 3 * 4096, 42)  # three blocks
+    serial = ensemble_density(*args)
+    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert ensemble_density(*args, threads=10000).mean_density.tobytes() == serial.mean_density.tobytes()
+    ensemble_density(*args, threads=2)
+    assert sizes == [3, 2]
+    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    ensemble_density(*args, threads=4)
+    assert sizes == [3, 2]
 
 
 def test_ensemble_mean_density_is_physical():
