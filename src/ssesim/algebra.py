@@ -68,12 +68,13 @@ def bloch_from_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 2:
         raise DimensionError(f"Bloch conversion requires qubit states, got dim {psi.shape[-1]}")
-    return np.stack(_bloch_components(require_normalized(psi)), axis=-1)
+    psi = require_normalized(psi)
+    return np.stack(_bloch_components(psi[..., 0], psi[..., 1]), axis=-1)
 
 
-def _bloch_components(psi):
-    # Unchecked (n_1, n_2, n_3): the stepping loop calls it on renormalized states.
-    a, b = psi[..., 0], psi[..., 1]
+def _bloch_components(a, b):
+    # Unchecked (n_1, n_2, n_3) from the components a, b: the stepping loop
+    # calls it on renormalized states.
     cross = a.conj() * b
     return 2.0 * cross.real, 2.0 * cross.imag, (a.conj() * a - b.conj() * b).real
 
@@ -109,9 +110,9 @@ def hermitian_eigen(a):
     return np.linalg.eigh(require_hermitian(a, tol=1e-12, what="eigensolver input"))
 
 
-# Ceiling on the steps of one time grid: the grid arrays (trajectory states,
-# the report mask `on_grid` and `slot_of`) are O(steps), and a huge finite
-# horizon must be refused before they are allocated.
+# Ceiling on the steps of one time grid: a single trajectory's states and
+# Wiener increments are O(steps), and a huge finite horizon must be refused
+# before they are allocated.
 MAX_STEPS = 10**8
 
 

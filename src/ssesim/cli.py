@@ -222,7 +222,10 @@ def _parse_complex_matrix(rows, name: str) -> np.ndarray:
 
 
 def _build_model(cfg: dict):
-    if cfg.get("model", "noncp") == "noncp":
+    model = cfg.get("model", "noncp")
+    if model not in ("noncp", "general"):
+        raise ValidationError(f"model must be 'noncp' or 'general', got {model!r}")
+    if model == "noncp":
         return NonCpQubitModel(rates=(cfg["c1"], cfg["c2"], cfg["c3"]))
     if cfg.get("hamiltonian") is None or not cfg.get("lindblads") or cfg.get("noise_matrix") is None:
         raise ValidationError(

@@ -7,6 +7,12 @@ operators L_j, and an isometric noise matrix u mixing them into N real
 Wiener channels.  Integration is Euler-Maruyama in the Ito convention with
 post-step renormalization; noise comes from a counter-based stream so every
 trajectory is reproducible independently of batching and thread count.
+
+Inside the stepping path states are component-major: a block of B
+trajectories is a (d, B) array and its increments are (N, B), so each kernel
+works on whole component rows; a lone trajectory keeps its (d,) and (N,)
+shapes and rounds exactly like a batch column.  The public functions take
+and return states of shape (..., d).
 """
 
 from __future__ import annotations
@@ -26,9 +32,29 @@ _SIGNED_RATES = (1.0, 1.0, -1.0)
 _DEFAULT_BLOCK_BYTES = 1 << 24
 
 
-def _wiener(seed: int, trajectory, step, channels: int, dt: float) -> np.ndarray:
-    # The one Wiener keying; `trajectory` and `step` broadcast over paths and batches.
-    return rng.normals(rng.DOMAIN_WIENER, seed, trajectory, step, np.arange(channels)) * np.sqrt(dt)
+def _wiener(seed: int, trajectory, step, channel, dt: float) -> np.ndarray:
+    # The one Wiener keying; `trajectory`, `step` and `channel` broadcast over paths and batches.
+    return rng.normals(rng.DOMAIN_WIENER, seed, trajectory, step, channel) * np.sqrt(dt)
+
+
+def _sum_rows(x):
+    # Left-to-right sum over the short leading axis of a temporary x, which it
+    # overwrites: the rows accumulate into x[0].  numpy's sum() pairs the terms
+    # of one trajectory's contiguous axis differently than those of a batch,
+    # and the kernels must give a batch column the bits of a lone state.
+    total = x[0]
+    for i in range(1, len(x)):
+        total += x[i]
+    return total
+
+
+def _contract(matrix_t, x):
+    # matrix @ x for component-major x of shape (k, ...), given matrix.T.  A
+    # BLAS matmul accumulates a batch column differently from the same vector
+    # alone, so the k products are formed elementwise and summed in order.
+    # Casting x once is cheaper than casting it inside every product.
+    columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim - 1))
+    return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
 
 
 @dataclass(frozen=True)
@@ -40,14 +66,14 @@ class NoiseStream:
 
     def wiener(self, step: int, channels: int, dt: float) -> np.ndarray:
         """Increments dW ~ Normal(0, dt) for one step, shape (channels,)."""
-        return _wiener(self.seed, self.trajectory_id, step, channels, dt)
+        return _wiener(self.seed, self.trajectory_id, step, np.arange(channels), dt)
 
     def wiener_block(self, steps: int, channels: int, dt: float) -> np.ndarray:
         """All increments for a trajectory, shape (steps, channels)."""
-        return _wiener(self.seed, self.trajectory_id, np.arange(steps)[:, None], channels, dt)
+        return _wiener(self.seed, self.trajectory_id, np.arange(steps)[:, None], np.arange(channels), dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonCpQubitModel:
     """Qubit diffusion with drift -(1/2) sum_k c_k (sigma_k - n_k)^2 psi and
     noise sqrt(2) n_z psi_perp dW.
@@ -68,7 +94,7 @@ class NonCpQubitModel:
             raise DimensionError(f"rate vector must have shape (3,), got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValidationError("rates must be finite")
-        self._c = c
+        object.__setattr__(self, "_c", c)
 
     @property
     def dim(self) -> int:
@@ -79,26 +105,35 @@ class NonCpQubitModel:
         return 1
 
     def propose(self, psi, dw, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal for dw of shape (..., 1); see `noncp_increment`."""
-        c = self._c
-        a, b = psi[..., 0], psi[..., 1]
-        n1, n2, n3 = _bloch_components(psi)
-        # (sigma_k - n_k)^2 = (1 + n_k^2) I - 2 n_k sigma_k, so the drift operator
-        # splits into a scalar part and a weighted-Pauli part.
-        scalar = c[0] * (1.0 + n1 * n1) + c[1] * (1.0 + n2 * n2) + c[2] * (1.0 + n3 * n3)
-        w1, w2, w3 = c[0] * n1, c[1] * n2, c[2] * n3
-        pauli_part = np.stack(
-            [w1 * b - 1j * w2 * b + w3 * a, w1 * a + 1j * w2 * a - w3 * b], axis=-1
-        )
-        drift = -0.5 * scalar[..., None] * psi + pauli_part
-        perp = _perp(a, b, n1, n2, self.pole_tolerance)
+        """Unchecked Ito proposal for component-major psi (2, ...) and dw (1, ...);
+        see `noncp_increment`."""
+        c1, c2, c3 = self._c
+        # Slices keep a lone state's components arrays, shape (1,): numpy's scalar
+        # complex arithmetic rounds differently from the array loops a batch runs.
+        a, b = psi[0:1], psi[1:2]
+        n1, n2, n3 = _bloch_components(a, b)
+        # (sigma_k - n_k)^2 = (1 + n_k^2) I - 2 n_k sigma_k, so the drift step is
+        # I + dt (-half I + sum_k c_k n_k sigma_k): diagonal 1 + dt (-half +- c_3 n_3),
+        # off-diagonal dt z* and dt z with z = c_1 n_1 + i c_2 n_2.
+        half = 0.5 * (c1 * (1.0 + n1 * n1) + c2 * (1.0 + n2 * n2) + c3 * (1.0 + n3 * n3))
+        w3 = c3 * n3
+        dt_z = dt * (c1 * n1) + 1j * (dt * (c2 * n2))
+        up, down = _perp(a, b, n1, n2, self.pole_tolerance)
+        amp = np.sqrt(2.0) * n3 * dw
         if self.perp_phase:
-            perp = perp * np.exp(1j * self.perp_phase)
-        amp = np.sqrt(2.0) * n3
-        return psi + drift * dt + (amp * dw[..., 0])[..., None] * perp
+            amp = amp * np.exp(1j * self.perp_phase)
+        out = np.empty(psi.shape, dtype=complex)
+        top, bottom = out[0:1], out[1:2]
+        np.multiply(1.0 + dt * (w3 - half), a, out=top)
+        top += dt_z.conj() * b
+        top += amp * up
+        np.multiply(1.0 - dt * (w3 + half), b, out=bottom)
+        bottom += dt_z * a
+        bottom += amp * down
+        return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneralDiffusiveModel:
     """General diffusive model: Hamiltonian, Lindblad operators, noise matrix.
 
@@ -111,15 +146,14 @@ class GeneralDiffusiveModel:
     noise_matrix: np.ndarray
 
     def __post_init__(self):
-        self.hamiltonian = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
-        d = self.hamiltonian.shape[0]
+        h = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
+        d = h.shape[0]
         ops = [np.asarray(op, dtype=complex) for op in self.lindblads]
         if not ops:
             raise ValidationError("need at least one Lindblad operator")
         for op in ops:
             if op.shape != (d, d):
                 raise DimensionError(f"Lindblad operator shape {op.shape} does not match d = {d}")
-        self.lindblads = tuple(ops)
         u = np.asarray(self.noise_matrix, dtype=complex)
         if u.ndim != 2 or u.shape[1] != len(ops):
             raise DimensionError(
@@ -130,9 +164,13 @@ class GeneralDiffusiveModel:
         dev = max_abs(u.conj().T @ u - np.eye(u.shape[1]))
         if dev > 1e-10:
             raise ValidationError(f"noise matrix is not an isometry (max |u^dag u - I| = {dev:.3e})")
-        self.noise_matrix = u
-        self._l_ops = np.array(ops)
-        self._gram_sum = np.einsum("nij,njk->ik", np.conj(np.swapaxes(self._l_ops, -1, -2)), self._l_ops)
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "lindblads", tuple(ops))
+        object.__setattr__(self, "noise_matrix", u)
+        # The drift operator K = -iH - (1/2) sum_j L_j^dag L_j stacked over the
+        # Lindblad rows: one contraction gives K psi and every L_j psi.
+        drift_op = -1j * h - 0.5 * sum(op.conj().T @ op for op in ops)
+        object.__setattr__(self, "_stacked_t", np.concatenate([drift_op, *ops]).T.copy())
 
     @property
     def dim(self) -> int:
@@ -143,30 +181,45 @@ class GeneralDiffusiveModel:
         return self.noise_matrix.shape[0]
 
     def propose(self, psi, dw, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal for dw of shape (..., N); see `general_increment`."""
-        l_psi = np.einsum("nij,...j->...ni", self._l_ops, psi)
-        expv = np.einsum("...i,...ni->...n", psi.conj(), l_psi)
-        centered = l_psi - expv[..., None] * psi[..., None, :]
-        xi = np.einsum("...k,kn->...n", dw, self.noise_matrix)
-        noise = np.einsum("...n,...ni->...i", xi, centered)
-        drift = (
-            -1j * np.einsum("ij,...j->...i", self.hamiltonian, psi)
-            - 0.5 * np.einsum("ij,...j->...i", self._gram_sum, psi)
-            + np.einsum("...n,...ni->...i", expv.conj(), l_psi)
-            - 0.5 * np.einsum("...n,...n->...", expv.conj(), expv)[..., None].real * psi
-        )
-        return psi + drift * dt + noise
+        """Unchecked Ito proposal for component-major psi (d, ...) and dw (N, ...);
+        see `general_increment`."""
+        d = psi.shape[0]
+        stacked = _contract(self._stacked_t, psi)
+        k_psi, l_psi = stacked[:d], stacked[d:].reshape((-1,) + psi.shape)
+        expv = _sum_rows((l_psi * psi.conj()).swapaxes(0, 1))
+        xi = _contract(self.noise_matrix, dw)
+        # psi + [K psi + sum_j (<L_j>* L_j - |<L_j>|^2 / 2) psi] dt + sum_j xi_j (L_j - <L_j>) psi
+        # = psi + K psi dt + sum_j (g_j + dt <L_j>* / 2) L_j psi - (sum_j g_j <L_j>) psi
+        # with g_j = dt <L_j>* / 2 + xi_j.
+        half_drift = (0.5 * dt) * expv.conj()
+        g = half_drift + xi
+        out = psi + k_psi * dt
+        out += _sum_rows((g + half_drift)[:, None] * l_psi)
+        out -= _sum_rows(g * expv) * psi
+        return out
 
 
-def _perp(a, b, n1, n2, pole_tolerance: float) -> np.ndarray:
-    # 1 - n_z^2 evaluated as 4|a|^2|b|^2: identical for unit states but free
-    # of the cancellation that loses precision near the poles.
+def _perp(a, b, n1, n2, pole_tolerance: float):
+    # The two components of psi_perp.  1 - n_z^2 is evaluated as 4|a|^2|b|^2:
+    # identical for unit states but free of the cancellation near the poles.
     off = 4.0 * (a.conj() * a).real * (b.conj() * b).real
     pole = off < pole_tolerance
     inv = 1.0 / np.sqrt(np.where(pole, 1.0, off))
-    regular = np.stack([(n2 + 1j * n1) * b * inv, (n2 - 1j * n1) * a * inv], axis=-1)
-    fallback = np.stack([-b.conj(), a.conj()], axis=-1)
-    return np.where(pole[..., None], fallback, regular)
+    i_n1 = 1j * n1
+    up, down = (n2 + i_n1) * b * inv, (n2 - i_n1) * a * inv
+    if pole.any():
+        up, down = np.where(pole, -b.conj(), up), np.where(pole, a.conj(), down)
+    return up, down
+
+
+def _component_major(psi, dw):
+    # Boundary of the stepping path: (..., d) states and (..., N) increments
+    # broadcast to one batch shape and move their component axis first.
+    batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
+    return (
+        np.moveaxis(np.broadcast_to(psi, batch + psi.shape[-1:]), -1, 0),
+        np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0),
+    )
 
 
 def perp_state(psi, pole_tolerance: float = 1e-12) -> np.ndarray:
@@ -178,7 +231,7 @@ def perp_state(psi, pole_tolerance: float = 1e-12) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=complex)
     n = bloch_from_state(psi)  # rejects non-qubit and unnormalized states
-    return _perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1], pole_tolerance)
+    return np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1], pole_tolerance), axis=-1)
 
 
 def noncp_increment(psi, model: NonCpQubitModel, dw, dt: float) -> np.ndarray:
@@ -191,7 +244,8 @@ def noncp_increment(psi, model: NonCpQubitModel, dw, dt: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 2:
         raise DimensionError(f"model is qubit-only, got state dim {psi.shape[-1]}")
-    return model.propose(require_normalized(psi), np.asarray(dw)[..., None], dt)
+    psi, dw = _component_major(require_normalized(psi), np.asarray(dw, dtype=float)[..., None])
+    return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
 
 
 def general_increment(psi, model: GeneralDiffusiveModel, dw, dt: float) -> np.ndarray:
@@ -209,12 +263,14 @@ def general_increment(psi, model: GeneralDiffusiveModel, dw, dt: float) -> np.nd
         raise DimensionError(
             f"need {model.n_channels} Wiener increments, got shape {dw.shape}"
         )
-    return model.propose(psi, dw, dt)
+    return np.moveaxis(model.propose(*_component_major(psi, dw), dt), 0, -1)
 
 
 def _renormalize(proposal, step: int, first_trajectory=None):
     # The only norm check of the stepping path: norm^2 below 0.01, inf or nan means dt is too large.
-    norm2 = np.einsum("...i,...i->...", proposal.conj(), proposal).real
+    # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = _sum_rows((proposal.conj() * proposal).real)
     # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
     low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
     if not 0.01 <= low <= high < np.inf:
@@ -224,7 +280,8 @@ def _renormalize(proposal, step: int, first_trajectory=None):
             f"{who} collapsed at step {step}: proposed norm^2 "
             f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
         )
-    return proposal / np.sqrt(norm2)[..., None], norm2
+    # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
+    return proposal * (1.0 / np.sqrt(norm2)), norm2
 
 
 def step(psi, model, dw, dt: float) -> np.ndarray:
@@ -233,7 +290,8 @@ def step(psi, model, dw, dt: float) -> np.ndarray:
     dw = np.asarray(dw, dtype=float)
     if psi.shape[-1] != model.dim or dw.shape[-1] != model.n_channels:
         raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
-    return _renormalize(model.propose(psi, dw, dt), 0, 0)[0]
+    proposal = model.propose(*_component_major(psi, dw), dt)
+    return np.moveaxis(_renormalize(proposal, 0, 0)[0], 0, -1)
 
 
 @dataclass
@@ -330,25 +388,25 @@ class EnsembleEstimate:
 def _block_partials(task):
     """Advance one block of trajectories and return its pairwise partial sums
     (projectors, Bloch components, squared Bloch components) on the grid.
-    Module-level so blocks can run in worker processes."""
-    model, psi0, seed, dt, steps, on_grid, slot_of, lo, hi = task
+    States are component-major, shape (2, trajectories).  Module-level so
+    blocks can run in worker processes."""
+    model, psi0, seed, dt, steps, grid_idx, lo, hi = task
     b = hi - lo
-    g = int(on_grid.sum())
+    g = grid_idx.size
     ids = np.arange(lo, hi)
-    channels = model.n_channels
-    psi = np.tile(psi0, (b, 1))
+    channels = np.arange(model.n_channels)[:, None]
+    psi = np.repeat(psi0[:, None], b, axis=1)
     proj = np.empty((b, g, 2, 2), dtype=complex)
     bloch = np.empty((b, g, 3))
-    if on_grid[0]:
-        proj[:, 0] = np.einsum("bi,bj->bij", psi, psi.conj())
-        bloch[:, 0] = bloch_from_state(psi)
-    for s in range(steps):
-        dw = _wiener(seed, ids[:, None], s, channels, dt)
-        psi = _renormalize(model.propose(psi, dw, dt), s, lo)[0]
-        if on_grid[s + 1]:
-            slot = slot_of[s + 1]
-            proj[:, slot] = np.einsum("bi,bj->bij", psi, psi.conj())
-            bloch[:, slot] = bloch_from_state(psi)
+    slot = 0
+    for s in range(steps + 1):
+        if slot < g and grid_idx[slot] == s:
+            proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
+            bloch[:, slot] = bloch_from_state(psi.T)
+            slot += 1
+        if s < steps:
+            dw = _wiener(seed, ids, s, channels, dt)
+            psi = _renormalize(model.propose(psi, dw, dt), s, lo)[0]
     return (
         pairwise_sum(proj, axis=0),
         pairwise_sum(bloch, axis=0),
@@ -400,13 +458,10 @@ def ensemble_density(
         raise DimensionError(f"initial state shape {psi0.shape} does not match model dim 2")
     steps = resolve_steps(t_final, dt)
     grid_idx = report_indices(steps, grid_points)
-    on_grid = np.zeros(steps + 1, dtype=bool)
-    on_grid[grid_idx] = True
-    slot_of = np.cumsum(on_grid) - 1
 
     block = _block_size(grid_idx.size)
     tasks = [
-        (model, psi0, seed, dt, steps, on_grid, slot_of, lo, min(lo + block, n_traj))
+        (model, psi0, seed, dt, steps, grid_idx, lo, min(lo + block, n_traj))
         for lo in range(0, n_traj, block)
     ]
     # A forking pool starts all `max_workers` processes at once, so ask for no

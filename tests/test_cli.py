@@ -76,6 +76,11 @@ def test_invalid_config_value_exits_two(capsys):
             ["unravel"],
             {"model": "general", "hamiltonian": [[0, 0], [0, 0]], "lindblads": 5, "noise_matrix": [[1]]},
         ),
+        (["unravel"], {"model": "foo"}),
+        (
+            ["unravel", "--trajectories", "10"],
+            {"model": "General", "hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 0], [0, 0]]], "noise_matrix": [[1]]},
+        ),
     ],
 )
 def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsys):
@@ -85,6 +90,14 @@ def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsy
         argv = argv + ["--config", str(path)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unknown_model_names_both_models(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "foo"}))
+    assert cli.main(["unravel", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'noncp'" in err and "'general'" in err and "'foo'" in err
 
 
 def test_unknown_flag_exits_two():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,30 @@ def test_perp_sweep_norm_and_orthogonality():
     overlaps = np.abs(np.einsum("bi,bi->b", psi.conj(), perp))
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     assert np.max(overlaps) <= 1e-12
+
+
+@st.composite
+def _unit_states(draw, kinds=("any", "north", "south"), pole_offset=1e-6):
+    # Any state, or one within pole_offset of |0> (north) or |1> (south): the
+    # component that vanishes at the pole has modulus sin(eps) <= pole_offset.
+    kind = draw(st.sampled_from(kinds))
+    if kind == "any":
+        theta = draw(st.floats(0.0, np.pi))
+    else:
+        eps = draw(st.floats(0.0, pole_offset))
+        theta = 2.0 * eps if kind == "north" else np.pi - 2.0 * eps
+    phi, gamma = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    return np.exp(1j * gamma) * np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=_unit_states(kinds=("north", "south"), pole_offset=4e-7))
+def test_perp_state_at_the_poles_is_the_unit_orthogonal_fallback(psi):
+    # Within 4e-7 of a pole, 1 - n_z^2 <= 6.4e-13 is below the 1e-12 pole tolerance.
+    perp = perp_state(psi)
+    assert np.array_equal(perp, np.array([-psi[1].conj(), psi[0].conj()]))
+    assert abs(np.vdot(psi, perp)) <= 1e-15
+    assert abs(np.vdot(perp, perp).real - 1.0) <= 1e-15
 
 
 def test_perp_rejects_wrong_dimension():
@@ -337,6 +363,23 @@ def test_single_trajectory_ensemble_is_pure(model):
     assert np.all(np.isinf(est.standard_error))
 
 
+def test_report_grid_arrays_are_sized_by_grid_points(monkeypatch):
+    # 2000 steps, 4 report points: no array handed to a block may scale with the steps.
+    tasks = []
+    block_partials = sse._block_partials
+
+    def recorder(task):
+        tasks.append(task)
+        return block_partials(task)
+
+    monkeypatch.setattr(sse, "_block_partials", recorder)
+    est = ensemble_density(NonCpQubitModel(), PLUS, 2.0, 1e-3, 3, seed=1, grid_points=4)
+    assert tasks
+    for task in tasks:
+        assert max(x.size for x in task if isinstance(x, np.ndarray)) <= 4 + 1
+    assert np.allclose(est.times, [0.5, 1.0, 1.5, 2.0])
+
+
 def test_ensemble_thread_count_does_not_change_bytes():
     args = (NonCpQubitModel(), POLE, 0.05, 1e-3, 600, 42)
     serial = ensemble_density(*args, threads=1)
@@ -430,6 +473,55 @@ def test_perp_phase_choice_does_not_move_the_final_mean():
 def test_ensemble_rejects_zero_trajectories():
     with pytest.raises(ValidationError):
         ensemble_density(NonCpQubitModel(), POLE, 0.1, 1e-3, 0, seed=1)
+
+
+# ---------------------------------------------------------------- kernels
+
+
+# Four operators: numpy's sum() over a contiguous axis of four or more terms
+# pairs them differently from a row-by-row batch sum.
+_GENERAL_COMPLEX = GeneralDiffusiveModel(
+    0.15 * pauli(1) + 0.2 * pauli(3),
+    (0.6 * _SIGMA_MINUS, 0.5 * pauli(3), 0.4 * pauli(1), 0.3 * pauli(2)),
+    np.linalg.qr(
+        np.random.default_rng(5).normal(size=(5, 4)) + 1j * np.random.default_rng(6).normal(size=(5, 4))
+    )[0],
+)
+_KERNEL_MODELS = [NonCpQubitModel(), NonCpQubitModel(perp_phase=0.9), _GENERAL, _GENERAL_COMPLEX]
+
+
+@pytest.mark.parametrize(
+    "model", _KERNEL_MODELS, ids=["noncp", "noncp-phase", "general", "general-complex"]
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batch_proposal_matches_each_column_bitwise(model, data):
+    # A block steps component-major (d, B) states; a lone trajectory steps (d,).
+    # Both must round alike, including next to the poles where psi_perp
+    # switches to its fallback.
+    states = data.draw(st.lists(_unit_states(), min_size=1, max_size=8))
+    k = len(states)
+    dw = np.array(
+        data.draw(
+            st.lists(st.floats(-0.2, 0.2), min_size=k * model.n_channels, max_size=k * model.n_channels)
+        )
+    ).reshape(model.n_channels, k)
+    dt = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    # Tiled past a few SIMD widths so that the columns are not all loop tails.
+    reps = 1 + 64 // k
+    batch = model.propose(np.tile(np.array(states).T, reps), np.tile(dw, reps), dt)
+    for j in range(k):
+        lone = model.propose(states[j], dw[:, j].copy(), dt)
+        assert np.array_equal(batch[:, j], lone)
+        assert np.array_equal(batch[:, j + k * (reps - 1)], lone)
+
+
+def test_models_are_frozen():
+    # Derived arrays are cached at construction, so the defining fields cannot change.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        NonCpQubitModel().rates = (5.0, 5.0, 5.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        _GENERAL.hamiltonian = np.zeros((2, 2))
 
 
 # ---------------------------------------------------------------- identity
