@@ -35,11 +35,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def is_hermitian(a, tol: float = 1e-12) -> bool:
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - a.conj().T) <= tol
-
-
 def require_hermitian(a, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,48 +54,6 @@ from .sse import (
 _FLOAT_FMT = "{:.17g}"
 _SIGNED_PATTERN = (1.0, 1.0, -1.0)
 
-_COMMON_DEFAULTS = {
-    "c1": 1.0,
-    "c2": 1.0,
-    "c3": -1.0,
-    "dt": 1e-3,
-    "seed": 42,
-    "threads": 1,
-    "grid_points": 32,
-    "format": "csv",
-    "output": None,
-    "initial_bloch": (0.0, 0.0, 1.0),
-    "initial_state": None,
-}
-
-_DEFAULTS = {
-    "unravel": {
-        **_COMMON_DEFAULTS,
-        "t_final": 0.25,
-        "trajectories": 20000,
-        "model": "noncp",
-        "hamiltonian": None,
-        "lindblads": None,
-        "noise_matrix": None,
-    },
-    "choi": {**_COMMON_DEFAULTS, "t_final": 1.0},
-    "identity": {**_COMMON_DEFAULTS, "trajectories": 10000},
-    "param": {
-        **_COMMON_DEFAULTS,
-        "n_lindblad": 2,
-        "n_wiener": 4,
-        "cases": 100,
-        "witness_steps": 100,
-    },
-    # 0.256 is a whole multiple of the coarsest level, 4 dt.
-    "convergence": {**_COMMON_DEFAULTS, "t_final": 0.256, "trajectories": 20000},
-}
-
-_FLOAT_KEYS = ("c1", "c2", "c3", "dt", "t_final")
-_INT_KEYS = (
-    "seed", "threads", "grid_points", "trajectories", "cases", "n_lindblad", "n_wiener", "witness_steps"
-)
-
 _VERDICT_INCONCLUSIVE = "INCONCLUSIVE (N too small for 3sigma test)"
 
 
@@ -105,6 +64,74 @@ def _parse_triple(text: str):
     return tuple(parts)
 
 
+class _Key(NamedTuple):
+    """One config key: its flag (None for a key only a config file can set),
+    its type (float, int, str, `_parse_triple`, a tuple of the allowed values,
+    or None for structured entries that their reader checks), the flag's help
+    and the least allowed value."""
+
+    flag: str | None
+    kind: object
+    help: str
+    least: int | None = None
+
+
+_KEYS = {
+    "c1": _Key("--c1", float, "rate of the sigma_x channel"),
+    "c2": _Key("--c2", float, "rate of the sigma_y channel"),
+    "c3": _Key("--c3", float, "rate of the sigma_z channel"),
+    "t_final": _Key("--t-final", float, "final time", 0),
+    "dt": _Key("--dt", float, "time step, positive"),
+    "trajectories": _Key("--trajectories", int, "number of trajectories or random states", 1),
+    "seed": _Key("--seed", int, "seed of every random draw"),
+    "output": _Key("--output", str, "write the data payload to this path"),
+    "format": _Key("--format", ("csv", "json"), "data payload format"),
+    "threads": _Key("--threads", int, "worker processes; affects wall time only", 1),
+    "grid_points": _Key("--grid-points", int, "number of report times", 1),
+    "initial_bloch": _Key("--init-bloch", _parse_triple, "initial Bloch vector as 'x,y,z'"),
+    "initial_state": _Key(None, None, "initial state vector; overrides initial_bloch"),
+    "model": _Key("--model", ("noncp", "general"), "general takes its operators from the config file"),
+    "hamiltonian": _Key(None, None, "general model Hamiltonian"),
+    "lindblads": _Key(None, None, "general model Lindblad operators"),
+    "noise_matrix": _Key(None, None, "general model isometric noise matrix"),
+    "n_lindblad": _Key("--n-lindblad", int, "number of Lindblad operators", 1),
+    "n_wiener": _Key("--n-wiener", int, "number of Wiener processes, at least n_lindblad"),
+    "cases": _Key("--cases", int, "number of random cases", 1),
+    "witness_steps": _Key("--witness-steps", int, "steps of the pathwise redundancy witness", 1),
+}
+
+# The keys each subcommand reads, with their defaults; every subcommand also
+# takes the seed (the payload header carries it) and the payload settings.
+_RATES = {"c1": 1.0, "c2": 1.0, "c3": -1.0}
+_PAYLOAD = {"seed": 42, "format": "csv", "output": None}
+_ENSEMBLE = {
+    **_RATES,
+    "dt": 1e-3,
+    "trajectories": 20000,
+    "grid_points": 32,
+    "threads": 1,
+    "initial_bloch": (0.0, 0.0, 1.0),
+    "initial_state": None,
+}
+
+_DEFAULTS = {
+    "unravel": {
+        **_ENSEMBLE,
+        "t_final": 0.25,
+        "model": "noncp",
+        "hamiltonian": None,
+        "lindblads": None,
+        "noise_matrix": None,
+        **_PAYLOAD,
+    },
+    "choi": {**_RATES, "t_final": 1.0, "dt": 1e-3, "grid_points": 32, **_PAYLOAD},
+    "identity": {**_RATES, "trajectories": 10000, **_PAYLOAD},
+    "param": {"dt": 1e-3, "n_lindblad": 2, "n_wiener": 4, "cases": 100, "witness_steps": 100, **_PAYLOAD},
+    # 0.256 is a whole multiple of the coarsest level, 4 dt.
+    "convergence": {**_ENSEMBLE, "t_final": 0.256, **_PAYLOAD},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssesim",
@@ -112,41 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ssesim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, defaults in _DEFAULTS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="JSON config file; explicit flags override its values")
-        p.add_argument("--c1", type=float, help="rate of the sigma_x channel")
-        p.add_argument("--c2", type=float, help="rate of the sigma_y channel")
-        p.add_argument("--c3", type=float, help="rate of the sigma_z channel")
-        p.add_argument("--t-final", dest="t_final", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--trajectories", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output", help="write the data payload to this path")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--threads", type=int, help="worker threads; affects wall time only")
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument(
-            "--init-bloch",
-            dest="initial_bloch",
-            type=_parse_triple,
-            help="initial Bloch vector as 'x,y,z'",
-        )
-
-    p = sub.add_parser("unravel", help="ensemble average vs. master-equation reference")
-    add_common(p)
-    p.add_argument("--model", choices=["noncp", "general"])
-
-    add_common(sub.add_parser("choi", help="complete-positivity curve of the extracted map"))
-    add_common(sub.add_parser("identity", help="projector-identity residual sweep"))
-    p = sub.add_parser("param", help="noise-matrix parametrization property suites")
-    add_common(p)
-    p.add_argument("--n-lindblad", dest="n_lindblad", type=int)
-    p.add_argument("--n-wiener", dest="n_wiener", type=int)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--witness-steps", dest="witness_steps", type=int)
-
-    add_common(sub.add_parser("convergence", help="ensemble bias vs. step size study"))
+        for key, spec in _KEYS.items():
+            if key not in defaults or spec.flag is None:
+                continue
+            kind = {"choices": spec.kind} if isinstance(spec.kind, tuple) else {"type": spec.kind}
+            p.add_argument(spec.flag, dest=key, help=spec.help, **kind)
     return parser
 
 
@@ -178,32 +178,25 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         if value is not None:
             cfg[key] = value
 
-    for key in _FLOAT_KEYS:
-        if key in cfg and not _is_finite_number(cfg[key]):
-            raise ValidationError(f"{key} must be a finite number, got {cfg[key]!r}")
-    for key in _INT_KEYS:
-        if key in cfg and not _is_int(cfg[key]):
-            raise ValidationError(f"{key} must be an integer, got {cfg[key]!r}")
-    if cfg["dt"] <= 0:
+    for key, value in cfg.items():
+        kind, least = _KEYS[key].kind, _KEYS[key].least
+        if kind is float and not _is_finite_number(value):
+            raise ValidationError(f"{key} must be a finite number, got {value!r}")
+        if kind is int and not _is_int(value):
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        if kind is str and value is not None and not isinstance(value, str):
+            raise ValidationError(f"{key} must be a string, got {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValidationError(f"{key} must be one of {', '.join(map(repr, kind))}, got {value!r}")
+        if kind is _parse_triple:
+            if not isinstance(value, (list, tuple)) or len(value) != 3 or not all(map(_is_finite_number, value)):
+                raise ValidationError(f"{key} must be three finite numbers, got {value!r}")
+            cfg[key] = tuple(float(x) for x in value)
+        if least is not None and value < least:
+            raise ValidationError(f"{key} must be >= {least}")
+    if "dt" in cfg and cfg["dt"] <= 0:
         raise ValidationError("dt must be positive")
-    if cfg.get("t_final") is not None and cfg["t_final"] < 0:
-        raise ValidationError("t_final must be >= 0")
-    if cfg.get("trajectories") is not None and cfg["trajectories"] < 1:
-        raise ValidationError("trajectories must be >= 1")
-    if cfg["threads"] < 1:
-        raise ValidationError("threads must be >= 1")
-    if cfg["grid_points"] < 1:
-        raise ValidationError("grid_points must be >= 1")
-    if cfg["format"] not in ("csv", "json"):
-        raise ValidationError("format must be csv or json")
-    blo = cfg["initial_bloch"]
-    if not isinstance(blo, (list, tuple)) or len(blo) != 3 or not all(map(_is_finite_number, blo)):
-        raise ValidationError(f"initial_bloch must be three finite numbers, got {blo!r}")
-    cfg["initial_bloch"] = tuple(float(x) for x in blo)
-    for key in ("cases", "n_lindblad", "witness_steps"):
-        if cfg.get(key) is not None and cfg[key] < 1:
-            raise ValidationError(f"{key} must be >= 1")
-    if cfg.get("n_wiener") is not None and cfg["n_wiener"] < cfg["n_lindblad"]:
+    if "n_wiener" in cfg and cfg["n_wiener"] < cfg["n_lindblad"]:
         raise ValidationError("n_wiener must be >= n_lindblad")
     return cfg
 
@@ -222,10 +215,7 @@ def _parse_complex_matrix(rows, name: str) -> np.ndarray:
 
 
 def _build_model(cfg: dict):
-    model = cfg.get("model", "noncp")
-    if model not in ("noncp", "general"):
-        raise ValidationError(f"model must be 'noncp' or 'general', got {model!r}")
-    if model == "noncp":
+    if cfg["model"] == "noncp":
         return NonCpQubitModel(rates=(cfg["c1"], cfg["c2"], cfg["c3"]))
     if cfg.get("hamiltonian") is None or not cfg.get("lindblads") or cfg.get("noise_matrix") is None:
         raise ValidationError(
@@ -259,6 +249,17 @@ def _master_bloch_on_grid(gen: MasterGenerator, psi0: np.ndarray, times, dt: flo
     return bloch_from_density([apply_map(m, rho) for m in map_grid(gen, times, dt)])
 
 
+_BLOCH_COLUMNS = ["t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
+
+
+def _bloch_rows(times, mean, se, reference, *prefix) -> list:
+    """Rows of `_BLOCH_COLUMNS`, each led by the values of `prefix`."""
+    return [
+        [*prefix, float(t), *map(float, m), *map(float, s), *map(float, r)]
+        for t, m, s, r in zip(times, mean, se, reference)
+    ]
+
+
 def _safe_ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(dev == 0, 0.0, dev / se)
@@ -266,6 +267,7 @@ def _safe_ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:
 
 
 def cmd_unravel(cfg: dict):
+    """Ensemble average vs. master-equation reference."""
     model = _build_model(cfg)
     psi0 = _initial_state(cfg)
     dt = cfg["dt"]
@@ -299,12 +301,6 @@ def cmd_unravel(cfg: dict):
     else:
         verdict, code = "FAIL", 1
 
-    columns = ["t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
-    rows = [
-        [float(est.times[i])] + [float(x) for x in mean[i]] + [float(x) for x in se[i]]
-        + [float(x) for x in reference[i]]
-        for i in range(len(est.times))
-    ]
     summary = {
         "max_abs_deviation": float(np.max(dev)),
         "max_deviation_se_units": float(np.max(_safe_ratio(dev, se))),
@@ -313,10 +309,11 @@ def cmd_unravel(cfg: dict):
         "master_vs_reference": float(np.max(np.abs(rk4 - reference))),
         "final_bloch_mean": [float(x) for x in mean[-1]],
     }
-    return code, verdict, summary, columns, rows
+    return code, verdict, summary, _BLOCH_COLUMNS, _bloch_rows(est.times, mean, se, reference)
 
 
 def cmd_choi(cfg: dict):
+    """Complete-positivity curve of the extracted map."""
     rates = (cfg["c1"], cfg["c2"], cfg["c3"])
     gen = pauli_generator(rates)
     dt = cfg["dt"]
@@ -351,6 +348,7 @@ def _pole_states(count: int = 10) -> np.ndarray:
 
 
 def cmd_identity(cfg: dict):
+    """Projector-identity residual sweep."""
     rates = (cfg["c1"], cfg["c2"], cfg["c3"])
     haar = random_state(cfg["seed"], 2, np.arange(cfg["trajectories"]))
     poles = _pole_states()
@@ -380,6 +378,7 @@ _WITNESS_LINDBLADS = (
 
 
 def cmd_param(cfg: dict):
+    """Noise-matrix parametrization property suites."""
     n = cfg["n_lindblad"]
     n_w = cfg["n_wiener"]
     if n > len(_WITNESS_LINDBLADS):
@@ -436,12 +435,12 @@ def cmd_param(cfg: dict):
 
 
 def cmd_convergence(cfg: dict):
+    """Ensemble bias vs. step size study."""
     model = NonCpQubitModel(rates=(cfg["c1"], cfg["c2"], cfg["c3"]))
     psi0 = _initial_state(cfg)
     n0 = bloch_from_state(psi0)
     base = cfg["dt"]
     levels = [4.0 * base, 2.0 * base, base]
-    columns = ["dt", "t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
     rows = []
     biases, floors = [], []
     for level in levels:
@@ -461,13 +460,7 @@ def cmd_convergence(cfg: dict):
         biases.append(float(np.max(dev)))
         finite_se = est.standard_error[np.isfinite(est.standard_error)]
         floors.append(float(3.0 * np.max(finite_se)) if finite_se.size else float("inf"))
-        for i in range(len(est.times)):
-            rows.append(
-                [float(level), float(est.times[i])]
-                + [float(x) for x in mean[i]]
-                + [float(x) for x in est.standard_error[i]]
-                + [float(x) for x in reference[i]]
-            )
+        rows += _bloch_rows(est.times, mean, est.standard_error, reference, float(level))
 
     ok = all(
         biases[i] <= biases[i - 1] * (1.0 + 1e-12) or biases[i] <= floors[i]
@@ -483,7 +476,7 @@ def cmd_convergence(cfg: dict):
         "noise_floors": floors,
         "weak_order_exponent": exponent,
     }
-    return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, columns, rows
+    return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, ["dt", *_BLOCH_COLUMNS], rows
 
 
 _COMMANDS = {
@@ -540,12 +533,13 @@ def main(argv=None) -> int:
             "verdict": verdict,
             "summary": summary,
         }
+        records = [dict(zip(columns, row)) for row in rows]
         if cfg["output"]:
             if cfg["format"] == "csv":
                 text = _csv_text(columns, rows)
             else:
                 text = json.dumps(
-                    {**payload, "records": [dict(zip(columns, row)) for row in rows]},
+                    {**payload, "records": records},
                     indent=2,
                     sort_keys=True,
                 ) + "\n"
@@ -555,8 +549,9 @@ def main(argv=None) -> int:
         if cfg["output"]:
             report["output"] = cfg["output"]
         else:
-            report["records"] = [dict(zip(columns, row)) for row in rows]
-        report["threads"] = cfg["threads"]
+            report["records"] = records
+        # choi, identity and param start no workers.
+        report["threads"] = cfg.get("threads", 1)
         print(json.dumps(report, indent=2, sort_keys=True))
         return code
     except (ValidationError, DimensionError, InfeasibleError, StepSizeError, OSError) as exc:

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,9 @@ import numpy as np
 import pytest
 
 from ssesim import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_COMMAND_LINE = README[README.index("## Command line"):README.index("### Config file")]
 
 
 def _run(capsys, argv):
@@ -81,6 +87,8 @@ def test_invalid_config_value_exits_two(capsys):
             ["unravel", "--trajectories", "10"],
             {"model": "General", "hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 0], [0, 0]]], "noise_matrix": [[1]]},
         ),
+        (["choi"], {"format": "xml"}),
+        (["choi"], {"output": ["a.csv"]}),
     ],
 )
 def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsys):
@@ -104,6 +112,68 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["unravel", "--bogus", "1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["choi", "--trajectories", "5"],
+        ["choi", "--threads", "2"],
+        ["identity", "--t-final", "3"],
+        ["identity", "--dt", "0.01"],
+        ["param", "--c1", "7"],
+        ["param", "--init-bloch", "1,0,0"],
+    ],
+)
+def test_flag_the_subcommand_ignores_exits_two(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _subparsers() -> dict:
+    (action,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
+def test_flags_are_the_config_keys_of_their_subcommand(command):
+    config_only = {"initial_state", "hamiltonian", "lindblads", "noise_matrix"}
+    dests = {a.dest for a in _subparsers()[command]._actions if a.option_strings} - {"help", "config"}
+    assert dests == set(cli._DEFAULTS[command]) - config_only
+
+
+def _readme_command_lines() -> list:
+    argvs, fenced = [], False
+    for line in README_COMMAND_LINE.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("ssesim "):
+            argvs.append(shlex.split(line, comments=True)[1:])
+    return argvs
+
+
+def test_readme_documents_every_subcommand():
+    argvs = _readme_command_lines()
+    assert {argv[0] for argv in argvs} == set(cli._DEFAULTS)
+    assert len(argvs) >= 2 * len(cli._DEFAULTS)
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    cli._build_parser().parse_args(argv)
+
+
+def test_readme_flag_lists_match_the_parser():
+    documented = {}
+    for name, text in re.findall(r"^- (`\w+`|every subcommand): (.*)$", README_COMMAND_LINE, flags=re.M):
+        documented[name.strip("`")] = set(re.findall(r"--[a-z][a-z0-9-]*", text))
+    shared = documented.pop("every subcommand")
+    assert set(documented) == set(cli._DEFAULTS)
+    for command, sub in _subparsers().items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert documented[command] | shared == flags, command
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
