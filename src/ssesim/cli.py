@@ -41,7 +41,7 @@ from .param import (
     random_correlation,
     random_isometry,
     random_orthogonal,
-    redundancy_witness,
+    redundancy_witnesses,
 )
 from .sse import (
     GeneralDiffusiveModel,
@@ -55,6 +55,9 @@ _FLOAT_FMT = "{:.17g}"
 _SIGNED_PATTERN = (1.0, 1.0, -1.0)
 
 _VERDICT_INCONCLUSIVE = "INCONCLUSIVE (N too small for 3sigma test)"
+
+# Ceiling of `identity --trajectories` and `param --cases`.
+MAX_RECORDS = 10**6
 
 
 def _parse_triple(text: str):
@@ -347,10 +350,17 @@ def _pole_states(count: int = 10) -> np.ndarray:
     return np.concatenate([north, south])
 
 
+def _record_count(cfg: dict, key: str) -> int:
+    # identity and param hold one report record per state or case in memory.
+    if cfg[key] > MAX_RECORDS:
+        raise ValidationError(f"{key} must be <= {MAX_RECORDS}, one report record each")
+    return cfg[key]
+
+
 def cmd_identity(cfg: dict):
     """Projector-identity residual sweep."""
     rates = (cfg["c1"], cfg["c2"], cfg["c3"])
-    haar = random_state(cfg["seed"], 2, np.arange(cfg["trajectories"]))
+    haar = random_state(cfg["seed"], 2, np.arange(_record_count(cfg, "trajectories")))
     poles = _pole_states()
     states = np.concatenate([haar, poles])
     kinds = ["haar"] * len(haar) + ["pole"] * len(poles)
@@ -383,33 +393,31 @@ def cmd_param(cfg: dict):
     n_w = cfg["n_wiener"]
     if n > len(_WITNESS_LINDBLADS):
         raise ValidationError(f"n_lindblad must be <= {len(_WITNESS_LINDBLADS)}")
+    cases = _record_count(cfg, "cases")
     seed = cfg["seed"]
     dt = cfg["dt"]
-    columns = ["case", "round_trip_error", "isometry_error", "s_deviation", "pathwise_deviation"]
     rows = []
-    maxima = np.zeros(4)
-    for case in range(cfg["cases"]):
+    for case in range(cases):
         s = random_correlation(seed, n, case)
-        u_built = noise_from_correlation(s)
-        rt_err = float(np.max(np.abs(correlation_from_noise(u_built) - s)))
-        iso_err = float(np.max(np.abs(u_built.conj().T @ u_built - np.eye(n))))
-        u = random_isometry(seed, n_w, n, case)
-        orth = random_orthogonal(seed, n_w, case)
-        psi0 = random_state(seed, 2, case)
-        witness = redundancy_witness(
-            u,
-            orth,
-            _WITNESS_HAMILTONIAN,
-            _WITNESS_LINDBLADS[:n],
-            psi0,
-            cfg["witness_steps"] * dt,
-            dt,
-            seed,
-            trajectory_id=case,
-        )
-        vals = (rt_err, iso_err, witness.s_deviation, witness.max_pathwise_deviation)
-        maxima = np.maximum(maxima, vals)
-        rows.append([case] + [float(v) for v in vals])
+        u = noise_from_correlation(s)
+        rt_err = np.max(np.abs(correlation_from_noise(u) - s))
+        iso_err = np.max(np.abs(u.conj().T @ u - np.eye(n)))
+        rows.append([case, float(rt_err), float(iso_err)])
+    witnesses = redundancy_witnesses(
+        [random_isometry(seed, n_w, n, case) for case in range(cases)],
+        [random_orthogonal(seed, n_w, case) for case in range(cases)],
+        _WITNESS_HAMILTONIAN,
+        _WITNESS_LINDBLADS[:n],
+        random_state(seed, 2, np.arange(cases)),
+        cfg["witness_steps"] * dt,
+        dt,
+        seed,
+        np.arange(cases),
+    )
+    for row, witness in zip(rows, witnesses):
+        row += [witness.s_deviation, witness.max_pathwise_deviation]
+    columns = ["case", "round_trip_error", "isometry_error", "s_deviation", "pathwise_deviation"]
+    maxima = np.max([row[1:] for row in rows], axis=0)
 
     try:
         noise_from_correlation(2.0 * np.eye(n))

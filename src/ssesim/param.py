@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import rng
-from .algebra import max_abs, resolve_steps
+from .algebra import max_abs, require_normalized, resolve_steps
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .sse import GeneralDiffusiveModel, NoiseStream, simulate_with_noise
+from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener
 
 _DEGENERACY_TOL = 1e-12
+# Entries of the largest temporary of the witness noise map, N^2 per case and step.
+_NOISE_ENTRIES = 1 << 8
 
 
 def _require_isometry(u, tol: float = 1e-10) -> np.ndarray:
@@ -63,38 +64,30 @@ def map_noise_increments(u, dw) -> np.ndarray:
     dw = np.asarray(dw, dtype=float)
     if dw.shape[-1] != u.shape[0]:
         raise DimensionError(f"need {u.shape[0]} increments per draw, got shape {dw.shape}")
-    return np.einsum("...k,kn->...n", dw, u)
+    return np.moveaxis(_contract(u, np.moveaxis(dw, -1, 0)), 0, -1)
 
 
 def takagi(s) -> tuple[np.ndarray, np.ndarray]:
     """Takagi factorization s = w diag(sigma) w^T of a complex symmetric matrix.
 
-    Built on the SVD s = U Sigma V^dag: for symmetric s the matrix U^dag
-    conj(V) is block-diagonal over singular-value clusters and symmetric
-    unitary within each, so its principal square root converts U into the
-    Takagi vectors.  Clusters closer than 1e-12 are treated as degenerate;
-    the zero cluster takes the U columns unchanged.
+    s conj(w_j) = sigma_j w_j with w_j = x + iy says that (x, y) is an
+    eigenvector of the real symmetric embedding [[Re s, Im s], [Im s, -Re s]]
+    with eigenvalue sigma_j; its spectrum is +-sigma.  So the top n
+    eigenvectors give the Takagi vectors however close the sigma_j lie, with
+    no clusters to resolve.  Values at or below 1e-12 are set to 0, and a QR
+    completes w to a unitary.
     """
     s = _require_symmetric(s)
     n = s.shape[0]
-    u_svd, sigma, vh = np.linalg.svd(s)
-    z = u_svd.conj().T @ vh.T
-    w = np.zeros((n, n), dtype=complex)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and sigma[start] - sigma[stop] <= _DEGENERACY_TOL:
-            stop += 1
-        block = slice(start, stop)
-        if sigma[start] <= _DEGENERACY_TOL:
-            w[:, block] = u_svd[:, block]
-        else:
-            zb = z[block, block]
-            zb = (zb + zb.T) / 2.0
-            root = np.sqrt(zb[0, 0]) if stop - start == 1 else scipy.linalg.sqrtm(zb)
-            w[:, block] = u_svd[:, block] @ np.atleast_2d(root).astype(complex)
-        start = stop
-    return sigma, w
+    lam, vec = np.linalg.eigh(np.block([[s.real, s.imag], [s.imag, -s.real]]))
+    sigma, vec = lam[: n - 1 : -1], vec[:, : n - 1 : -1]
+    kept = int(np.count_nonzero(sigma > _DEGENERACY_TOL))
+    # A QR completes w and restores orthonormality lost where sigma_j is
+    # barely above the threshold and so close to its -sigma_j partner; the
+    # phases of its diagonal are put back, since w_j and e^{i phi} w_j differ.
+    w, r = np.linalg.qr(vec[:n, :kept] + 1j * vec[n:, :kept], mode="complete")
+    w[:, :kept] *= np.diagonal(r) / np.abs(np.diagonal(r))
+    return np.where(sigma > _DEGENERACY_TOL, sigma, 0.0), w
 
 
 def noise_from_correlation(s) -> np.ndarray:
@@ -162,31 +155,65 @@ def redundancy_witness(
     with increments dW equals, pathwise, driving u with O^T dW, because
     sum_k (O u)_kj dW_k = sum_k u_kj (O^T dW)_k.
     """
-    u = _require_isometry(u)
-    orth = np.asarray(orthogonal, dtype=float)
-    n_rows = u.shape[0]
-    if orth.shape != (n_rows, n_rows):
-        raise DimensionError(f"orthogonal matrix must be {n_rows} x {n_rows}, got {orth.shape}")
-    dev = max_abs(orth.T @ orth - np.eye(n_rows))
-    if dev > 1e-10:
-        raise ValidationError(f"matrix is not orthogonal (max |O^T O - I| = {dev:.3e})")
+    return redundancy_witnesses(
+        [u], [orthogonal], hamiltonian, lindblads, [psi0], t_final, dt, seed, [trajectory_id]
+    )[0]
 
-    s_plain = correlation_from_noise(u)
-    s_rotated = correlation_from_noise(orth @ u)
-    s_deviation = max_abs(s_rotated - s_plain)
 
+def redundancy_witnesses(
+    noise_matrices, orthogonals, hamiltonian, lindblads, initial_states, t_final, dt, seed, case_ids
+) -> list[RedundancyWitness]:
+    """`redundancy_witness` for many cases at once, one per entry of `case_ids`.
+
+    Case c pairs the N x n isometry noise_matrices[c], the N x N orthogonal
+    orthogonals[c] and the initial state initial_states[c], and draws its
+    increments as trajectory case_ids[c]; all cases share H, the L_j and the
+    shape of u.  Every rotated and plain path steps in one component-major
+    block, and only the running maximum of their distance is kept.
+    """
+    us = [_require_isometry(u) for u in noise_matrices]
+    orths = [np.asarray(o, dtype=float) for o in orthogonals]
+    cases = len(us)
+    if len({u.shape for u in us}) != 1 or len(orths) != cases or len(case_ids) != cases:
+        raise DimensionError("need one noise matrix, orthogonal matrix and case id per case, all of one shape")
+    n_rows = us[0].shape[0]
+    for orth in orths:
+        if orth.shape != (n_rows, n_rows):
+            raise DimensionError(f"orthogonal matrix must be {n_rows} x {n_rows}, got {orth.shape}")
+        dev = max_abs(orth.T @ orth - np.eye(n_rows))
+        if dev > 1e-10:
+            raise ValidationError(f"matrix is not orthogonal (max |O^T O - I| = {dev:.3e})")
+    rotated = [orth @ u for orth, u in zip(orths, us)]
+    s_deviations = [max_abs(correlation_from_noise(r) - correlation_from_noise(u)) for r, u in zip(rotated, us)]
+
+    model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), us[0])
+    psi0 = require_normalized(np.asarray(initial_states, dtype=complex))
+    if psi0.shape != (cases, model.dim):
+        raise DimensionError(f"need one initial state of dim {model.dim} per case, got shape {psi0.shape}")
     steps = resolve_steps(t_final, dt)
-    dw = NoiseStream(seed, trajectory_id).wiener_block(steps, n_rows, dt)
-    rotated_model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), orth @ u)
-    plain_model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), u)
-    traj_rotated = simulate_with_noise(rotated_model, psi0, dt, dw)
-    traj_plain = simulate_with_noise(plain_model, psi0, dt, dw @ orth)
-    pathwise = max_abs(traj_rotated.states - traj_plain.states)
-    return RedundancyWitness(
-        s_equal=bool(s_deviation <= 1e-12),
-        s_deviation=float(s_deviation),
-        max_pathwise_deviation=float(pathwise),
-    )
+    # Column c < C of the (d, 2C) block takes O u and dW, column C + c takes u
+    # and O^T dW.  Both noise maps are the ordered contraction of the ensemble
+    # kernels, so each case rounds as it would stepped alone.  The noise of up
+    # to _NOISE_ENTRIES / (N^2 C) steps is drawn, keyed per step, and mapped at
+    # once, so memory is bounded whatever the number of steps.
+    noise_t = np.stack(rotated + us, axis=-1)[:, :, None]
+    orth_t = np.stack(orths, axis=-1)[:, :, None]
+    ids = np.asarray(case_ids)
+    block = max(1, _NOISE_ENTRIES // (n_rows * n_rows * cases))
+    channels = np.arange(n_rows)[:, None, None]
+    psi, labels = np.tile(psi0.T, 2), np.tile(ids, 2)
+    pathwise = np.zeros(cases)
+    for first in range(0, steps, block):
+        span = np.arange(first, min(first + block, steps))
+        dw = _wiener(seed, ids, span[:, None], channels, dt)
+        xi = _contract(noise_t, np.concatenate([dw, _contract(orth_t, dw)], axis=-1))
+        for j, s in enumerate(span):
+            psi = _renormalize(model.drive(psi, xi[:, j], dt), s, labels, "witness case")[0]
+            np.maximum(pathwise, np.abs(psi[:, :cases] - psi[:, cases:]).max(axis=0), out=pathwise)
+    return [
+        RedundancyWitness(s_equal=bool(dev <= 1e-12), s_deviation=float(dev), max_pathwise_deviation=float(path))
+        for dev, path in zip(s_deviations, pathwise)
+    ]
 
 
 def _param_normals(seed: int, tag: int, case: int, rows: int, cols: int, comp: int) -> np.ndarray:

@@ -49,11 +49,12 @@ def _sum_rows(x):
 
 
 def _contract(matrix_t, x):
-    # matrix @ x for component-major x of shape (k, ...), given matrix.T.  A
-    # BLAS matmul accumulates a batch column differently from the same vector
+    # matrix @ x for component-major x of shape (k, ...), given matrix.T of
+    # shape (k, m), or one matrix per column as matrix.T of shape (k, m, ...).
+    # A BLAS matmul accumulates a batch column differently from the same vector
     # alone, so the k products are formed elementwise and summed in order.
     # Casting x once is cheaper than casting it inside every product.
-    columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim - 1))
+    columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim + 1 - matrix_t.ndim))
     return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
 
 
@@ -183,11 +184,15 @@ class GeneralDiffusiveModel:
     def propose(self, psi, dw, dt: float) -> np.ndarray:
         """Unchecked Ito proposal for component-major psi (d, ...) and dw (N, ...);
         see `general_increment`."""
+        return self.drive(psi, _contract(self.noise_matrix, dw), dt)
+
+    def drive(self, psi, xi, dt: float) -> np.ndarray:
+        """Unchecked Ito proposal for component-major psi (d, ...) driven by the
+        complex noise xi (n, ...) = u^T dW, whatever noise matrix u mixed it."""
         d = psi.shape[0]
         stacked = _contract(self._stacked_t, psi)
         k_psi, l_psi = stacked[:d], stacked[d:].reshape((-1,) + psi.shape)
         expv = _sum_rows((l_psi * psi.conj()).swapaxes(0, 1))
-        xi = _contract(self.noise_matrix, dw)
         # psi + [K psi + sum_j (<L_j>* L_j - |<L_j>|^2 / 2) psi] dt + sum_j xi_j (L_j - <L_j>) psi
         # = psi + K psi dt + sum_j (g_j + dt <L_j>* / 2) L_j psi - (sum_j g_j <L_j>) psi
         # with g_j = dt <L_j>* / 2 + xi_j.
@@ -266,8 +271,9 @@ def general_increment(psi, model: GeneralDiffusiveModel, dw, dt: float) -> np.nd
     return np.moveaxis(model.propose(*_component_major(psi, dw), dt), 0, -1)
 
 
-def _renormalize(proposal, step: int, first_trajectory=None):
+def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
     # The only norm check of the stepping path: norm^2 below 0.01, inf or nan means dt is too large.
+    # A failure names the `what` of the batch position in `ids`, when given.
     # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
     with np.errstate(over="ignore", invalid="ignore"):
         norm2 = _sum_rows((proposal.conj() * proposal).real)
@@ -275,7 +281,7 @@ def _renormalize(proposal, step: int, first_trajectory=None):
     low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
     if not 0.01 <= low <= high < np.inf:
         bad = int(np.argmax(~((norm2 >= 0.01) & (norm2 < np.inf))))
-        who = "the trajectory" if first_trajectory is None else f"trajectory {first_trajectory + bad}"
+        who = f"the {what}" if ids is None else f"{what} {np.ravel(ids)[bad]}"
         raise StepSizeError(
             f"{who} collapsed at step {step}: proposed norm^2 "
             f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
@@ -291,7 +297,7 @@ def step(psi, model, dw, dt: float) -> np.ndarray:
     if psi.shape[-1] != model.dim or dw.shape[-1] != model.n_channels:
         raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
     proposal = model.propose(*_component_major(psi, dw), dt)
-    return np.moveaxis(_renormalize(proposal, 0, 0)[0], 0, -1)
+    return np.moveaxis(_renormalize(proposal, 0, np.arange(proposal[0].size))[0], 0, -1)
 
 
 @dataclass
@@ -406,7 +412,7 @@ def _block_partials(task):
             slot += 1
         if s < steps:
             dw = _wiener(seed, ids, s, channels, dt)
-            psi = _renormalize(model.propose(psi, dw, dt), s, lo)[0]
+            psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
     return (
         pairwise_sum(proj, axis=0),
         pairwise_sum(bloch, axis=0),

@@ -265,6 +265,30 @@ def test_identity_informational_for_other_rates(capsys):
     assert report["summary"]["max_identity_residual"] > 1e-3
 
 
+def test_identity_pass_fail_only_for_the_exact_signed_rates(capsys):
+    # One ulp from (1, 1, -1) is another rate vector: its residual is reported, not judged.
+    code, report = _run(capsys, ["identity", "--trajectories", "20", "--c3", repr(float(np.nextafter(-1.0, 0.0)))])
+    assert code == 0
+    assert report["verdict"] == "INFO"
+
+
+@pytest.mark.parametrize("argv", [["identity", "--trajectories"], ["param", "--cases"]])
+def test_record_counts_above_the_ceiling_exit_two(argv, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking the count")
+
+    for name in ("random_state", "random_correlation", "random_isometry", "random_orthogonal"):
+        monkeypatch.setattr(cli, name, no_draw)
+    assert cli.main(argv + [str(10**12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"<= {cli.MAX_RECORDS}" in err
+
+
+def test_param_collapse_exits_two_naming_the_case(capsys):
+    assert cli.main(["param", "--cases", "3", "--dt", "1e200", "--witness-steps", "1"]) == 2
+    assert "error: witness case 0 collapsed at step 0" in capsys.readouterr().err
+
+
 def test_param_command_passes(capsys):
     code, report = _run(capsys, ["param", "--cases", "15", "--seed", "3"])
     assert code == 0

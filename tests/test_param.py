@@ -1,8 +1,17 @@
+import contextlib
+import io
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import unitary_group
 
+from ssesim import cli
 from ssesim.algebra import pauli, random_state
-from ssesim.errors import DimensionError, InfeasibleError, ValidationError
+from ssesim.errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from ssesim.param import (
     correlation_from_noise,
     map_noise_increments,
@@ -11,6 +20,7 @@ from ssesim.param import (
     random_isometry,
     random_orthogonal,
     redundancy_witness,
+    redundancy_witnesses,
     spectral_norm,
     takagi,
     validate_correlation,
@@ -85,10 +95,38 @@ def test_takagi_reconstruction_sweep():
 
 def test_takagi_handles_degenerate_spectra():
     v = random_isometry(2, 3, 3, 0)
-    for sigma in ([0.7, 0.7, 0.7], [0.9, 0.9, 0.0], [0.0, 0.0, 0.0]):
+    # Gaps of 2e-12 lie above the 1e-12 threshold but leave SVD vectors ill-conditioned.
+    for sigma in ([0.7, 0.7, 0.7], [0.9, 0.9, 0.0], [0.0, 0.0, 0.0], [0.9 + 4e-12, 0.9 + 2e-12, 0.9]):
         s = v @ np.diag(sigma) @ v.T
         sig, w = takagi(s)
         assert np.max(np.abs(w @ np.diag(sig) @ w.T - s)) <= 1e-10
+
+
+_GAPS = (0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    top=st.floats(0.0, 0.99),
+    gaps=st.lists(st.sampled_from(_GAPS), min_size=3, max_size=3),
+    zeros=st.integers(0, 2),
+    haar=st.integers(0, 2**31 - 1),
+)
+def test_takagi_round_trip_near_the_degeneracy_threshold(n, top, gaps, zeros, haar):
+    # Clusters whose gaps straddle the 1e-12 threshold; the last `near_zero`
+    # values are replaced by values near 0.
+    near_zero = min(zeros, n - 1)
+    sigma = top - np.cumsum([0.0] + gaps[: n - 1])
+    sigma[n - near_zero :] = gaps[:near_zero]
+    q = unitary_group.rvs(n, random_state=haar)
+    s = q @ np.diag(sigma) @ q.T
+    s = (s + s.T) / 2.0
+    sig, w = takagi(s)
+    assert np.all(np.diff(sig) <= 0.0)
+    assert np.max(np.abs(w @ np.diag(sig) @ w.T - s)) <= 1e-10
+    assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-10
+    noise_from_correlation(s)
 
 
 def test_noise_from_identity_correlation():
@@ -187,6 +225,57 @@ def test_witness_random_sweep():
         )
         assert w.s_deviation <= 1e-12
         assert w.max_pathwise_deviation <= 1e-12
+
+
+def _param_rows(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())["records"]
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_param_rows_match_the_lone_witness_bitwise(seed):
+    # All cases step as one block; each must round exactly as it does alone.
+    for row in _param_rows(["param", "--seed", str(seed)]):
+        case = row["case"]
+        witness = redundancy_witness(
+            random_isometry(seed, 4, 2, case),
+            random_orthogonal(seed, 4, case),
+            cli._WITNESS_HAMILTONIAN,
+            cli._WITNESS_LINDBLADS[:2],
+            random_state(seed, 2, case),
+            0.1,
+            1e-3,
+            seed,
+            trajectory_id=case,
+        )
+        assert row["pathwise_deviation"] == witness.max_pathwise_deviation
+
+
+def test_witness_memory_does_not_grow_with_steps():
+    u, orth, psi0 = random_isometry(5, 4, 2, 7), random_orthogonal(5, 4, 7), random_state(5, 2, 7)
+
+    def peak(steps):
+        tracemalloc.start()
+        redundancy_witness(u, orth, H_TEST, L_TEST, psi0, steps * 1e-3, 1e-3, seed=5)
+        size = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return size
+
+    peak(40)  # first call warms caches outside the measurement
+    # Storing the states alone would add 2 x 4001 x 2 complex, 256 kB.
+    assert peak(4000) <= peak(40) + 16384
+
+
+def test_witness_collapse_names_the_case():
+    # With H = 0 and L = sigma_z, dt = 2 maps |+> to xi sigma_z |+>: the step
+    # collapses where |dW| < 0.1, which among trajectories 40-59 of seed 3 is 48 only.
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    with pytest.raises(StepSizeError, match="witness case 48 collapsed at step 0"):
+        redundancy_witnesses(
+            [np.eye(1)] * 20, [-np.eye(1)] * 20, np.zeros((2, 2)), (pauli(3),), [plus] * 20,
+            2.0, 2.0, seed=3, case_ids=np.arange(40, 60),
+        )
 
 
 def test_witness_rejects_non_orthogonal_matrix():
