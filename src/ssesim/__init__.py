@@ -48,6 +48,7 @@ from .sse import (
     NonCpQubitModel,
     Trajectory,
     apply_phase_gauge,
+    ensemble_densities,
     ensemble_density,
     general_increment,
     identity_residual,

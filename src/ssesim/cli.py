@@ -46,6 +46,7 @@ from .param import (
 from .sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
+    ensemble_densities,
     ensemble_density,
     identity_residual,
     report_indices,
@@ -58,6 +59,10 @@ _VERDICT_INCONCLUSIVE = "INCONCLUSIVE (N too small for 3sigma test)"
 
 # Ceiling of `identity --trajectories` and `param --cases`.
 MAX_RECORDS = 10**6
+# Ceiling of `param`'s cases * n_wiener^2: the witness holds every case's
+# n_wiener x n_wiener orthogonal matrix at once.  2^24 doubles are 128 MiB,
+# and admit MAX_RECORDS cases at the default n_wiener of 4.
+MAX_ORTHOGONAL_ENTRIES = 1 << 24
 
 
 def _parse_triple(text: str):
@@ -394,6 +399,8 @@ def cmd_param(cfg: dict):
     if n > len(_WITNESS_LINDBLADS):
         raise ValidationError(f"n_lindblad must be <= {len(_WITNESS_LINDBLADS)}")
     cases = _record_count(cfg, "cases")
+    if cases * n_w * n_w > MAX_ORTHOGONAL_ENTRIES:
+        raise ValidationError(f"cases * n_wiener^2 must be <= {MAX_ORTHOGONAL_ENTRIES}, one orthogonal matrix per case")
     seed = cfg["seed"]
     dt = cfg["dt"]
     rows = []
@@ -449,19 +456,19 @@ def cmd_convergence(cfg: dict):
     n0 = bloch_from_state(psi0)
     base = cfg["dt"]
     levels = [4.0 * base, 2.0 * base, base]
+    estimates = ensemble_densities(
+        model,
+        psi0,
+        cfg["t_final"],
+        levels,
+        cfg["trajectories"],
+        cfg["seed"],
+        grid_points=cfg["grid_points"],
+        threads=cfg["threads"],
+    )
     rows = []
     biases, floors = [], []
-    for level in levels:
-        est = ensemble_density(
-            model,
-            psi0,
-            cfg["t_final"],
-            level,
-            cfg["trajectories"],
-            cfg["seed"],
-            grid_points=cfg["grid_points"],
-            threads=cfg["threads"],
-        )
+    for level, est in zip(levels, estimates):
         mean = est.bloch()
         reference = analytic_pauli_solution(n0, model.rates, est.times)
         dev = np.abs(mean - reference)

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .algebra import max_abs, require_normalized, resolve_steps
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener
+from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener, _wiener_key
 
 _DEGENERACY_TOL = 1e-12
 # Entries of the largest temporary of the witness noise map, N^2 per case and step.
@@ -199,13 +199,14 @@ def redundancy_witnesses(
     noise_t = np.stack(rotated + us, axis=-1)[:, :, None]
     orth_t = np.stack(orths, axis=-1)[:, :, None]
     ids = np.asarray(case_ids)
+    key = _wiener_key(seed, ids)
     block = max(1, _NOISE_ENTRIES // (n_rows * n_rows * cases))
     channels = np.arange(n_rows)[:, None, None]
     psi, labels = np.tile(psi0.T, 2), np.tile(ids, 2)
     pathwise = np.zeros(cases)
     for first in range(0, steps, block):
         span = np.arange(first, min(first + block, steps))
-        dw = _wiener(seed, ids, span[:, None], channels, dt)
+        dw = _wiener(key, span[:, None], channels, dt)
         xi = _contract(noise_t, np.concatenate([dw, _contract(orth_t, dw)], axis=-1))
         for j, s in enumerate(span):
             psi = _renormalize(model.drive(psi, xi[:, j], dt), s, labels, "witness case")[0]

@@ -27,31 +27,42 @@ DOMAIN_PARAM = 0x5EED_0003
 def _as_u64(value) -> np.ndarray:
     if isinstance(value, (int, np.integer)):
         return np.uint64(int(value) & _MASK64)
-    return np.asarray(value).astype(np.uint64)
+    return np.asarray(value).astype(np.uint64, copy=False)
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
-    z = z + _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    # Mixes z in place, so it must be a temporary.
+    z += _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def hash_u64(*coords) -> np.ndarray:
-    """Hash integer coordinates to uint64, elementwise over broadcast shapes."""
+def hash_u64(*coords, prefix=0) -> np.ndarray:
+    """Hash integer coordinates to uint64, elementwise over broadcast shapes.
+
+    The fold over the coordinates starts from `prefix`, so
+    hash_u64(*b, prefix=hash_u64(*a)) equals hash_u64(*a, *b): a prefix shared
+    by many draws is hashed once.
+    """
     with np.errstate(over="ignore"):
-        h = np.uint64(0)
+        h = _as_u64(prefix)
         for c in coords:
             h = _splitmix(h ^ _as_u64(c))
     return h
 
 
-def uniforms(*coords) -> np.ndarray:
+def uniforms(*coords, prefix=0) -> np.ndarray:
     """Uniform doubles in (0, 1), one per broadcast coordinate tuple."""
-    bits = hash_u64(*coords)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (hash_u64(*coords, prefix=prefix) >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
-def normals(*coords) -> np.ndarray:
+def normals(*coords, prefix=0) -> np.ndarray:
     """Standard normal deviates via the inverse CDF of counter-based uniforms."""
-    return ndtri(uniforms(*coords))
+    return ndtri(uniforms(*coords, prefix=prefix))

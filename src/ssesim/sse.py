@@ -30,11 +30,20 @@ from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
 _DEFAULT_BLOCK_BYTES = 1 << 24
+# Ceiling of an ensemble's trajectory count: every 4096-trajectory block of
+# every level is listed, and its partial sums kept, before the reduction.
+MAX_TRAJECTORIES = 10**8
 
 
-def _wiener(seed: int, trajectory, step, channel, dt: float) -> np.ndarray:
-    # The one Wiener keying; `trajectory`, `step` and `channel` broadcast over paths and batches.
-    return rng.normals(rng.DOMAIN_WIENER, seed, trajectory, step, channel) * np.sqrt(dt)
+def _wiener_key(seed: int, trajectory) -> np.ndarray:
+    # The (domain, seed, trajectory) prefix of the Wiener draws, hashed once per path or block.
+    return rng.hash_u64(rng.DOMAIN_WIENER, seed, trajectory)
+
+
+def _wiener(key, step, channel, dt: float) -> np.ndarray:
+    # The one Wiener keying: the draw of (seed, trajectory, step, channel) from the
+    # `_wiener_key` of (seed, trajectory); `key`, `step` and `channel` broadcast.
+    return rng.normals(step, channel, prefix=key) * np.sqrt(dt)
 
 
 def _sum_rows(x):
@@ -65,13 +74,16 @@ class NoiseStream:
     seed: int
     trajectory_id: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_key", _wiener_key(self.seed, self.trajectory_id))
+
     def wiener(self, step: int, channels: int, dt: float) -> np.ndarray:
         """Increments dW ~ Normal(0, dt) for one step, shape (channels,)."""
-        return _wiener(self.seed, self.trajectory_id, step, np.arange(channels), dt)
+        return _wiener(self._key, step, np.arange(channels), dt)
 
     def wiener_block(self, steps: int, channels: int, dt: float) -> np.ndarray:
         """All increments for a trajectory, shape (steps, channels)."""
-        return _wiener(self.seed, self.trajectory_id, np.arange(steps)[:, None], np.arange(channels), dt)
+        return _wiener(self._key, np.arange(steps)[:, None], np.arange(channels), dt)
 
 
 @dataclass(frozen=True)
@@ -400,6 +412,7 @@ def _block_partials(task):
     b = hi - lo
     g = grid_idx.size
     ids = np.arange(lo, hi)
+    key = _wiener_key(seed, ids)
     channels = np.arange(model.n_channels)[:, None]
     psi = np.repeat(psi0[:, None], b, axis=1)
     proj = np.empty((b, g, 2, 2), dtype=complex)
@@ -411,7 +424,7 @@ def _block_partials(task):
             bloch[:, slot] = bloch_from_state(psi.T)
             slot += 1
         if s < steps:
-            dw = _wiener(seed, ids, s, channels, dt)
+            dw = _wiener(key, s, channels, dt)
             psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
     return (
         pairwise_sum(proj, axis=0),
@@ -455,35 +468,69 @@ def ensemble_density(
     reduction over trajectories is a fixed pairwise tree, so the estimate is
     bitwise independent of `threads`.
     """
+    return ensemble_densities(model, psi0, t_final, [dt], n_traj, seed, grid_points, threads)[0]
+
+
+def ensemble_densities(
+    model,
+    psi0,
+    t_final: float,
+    dts,
+    n_traj: int,
+    seed: int,
+    grid_points: int = 32,
+    threads: int = 1,
+) -> list[EnsembleEstimate]:
+    """`ensemble_density` at each step size in `dts`, bitwise as if run alone.
+
+    The blocks of all levels go to one process pool of at most `threads`
+    workers, longest first.
+    """
     if model.dim != 2:
         raise DimensionError("ensemble statistics are implemented for qubit models only")
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
+    if n_traj > MAX_TRAJECTORIES:
+        raise ValidationError(f"trajectories must be <= {MAX_TRAJECTORIES}, got {n_traj}")
     psi0 = require_normalized(np.asarray(psi0, dtype=complex))
     if psi0.shape != (2,):
         raise DimensionError(f"initial state shape {psi0.shape} does not match model dim 2")
-    steps = resolve_steps(t_final, dt)
-    grid_idx = report_indices(steps, grid_points)
 
-    block = _block_size(grid_idx.size)
-    tasks = [
-        (model, psi0, seed, dt, steps, grid_idx, lo, min(lo + block, n_traj))
-        for lo in range(0, n_traj, block)
-    ]
+    levels, tasks = [], []
+    for dt in dts:
+        steps = resolve_steps(t_final, dt)
+        grid_idx = report_indices(steps, grid_points)
+        block = _block_size(grid_idx.size)
+        first = len(tasks)
+        tasks += [
+            (model, psi0, seed, dt, steps, grid_idx, lo, min(lo + block, n_traj))
+            for lo in range(0, n_traj, block)
+        ]
+        levels.append((dt, grid_idx, first, len(tasks)))
     # A forking pool starts all `max_workers` processes at once, so ask for no
     # more than can run at the same time or have a block to work on.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, cpus, len(tasks))
     partials = None
     if workers > 1:
+        # Longest blocks (steps x trajectories) first, so that the last to
+        # finish are short; the partials go back into task order.
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][4] * (tasks[i][7] - tasks[i][6]))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(_block_partials, tasks))
+                done = dict(zip(order, pool.map(_block_partials, [tasks[i] for i in order])))
+            partials = [done[i] for i in range(len(tasks))]
         except OSError:
             partials = None  # no subprocess support; fall through to serial
     if partials is None:
         partials = [_block_partials(t) for t in tasks]
+    return [
+        _estimate(partials[first:last], grid_idx, dt, n_traj) for dt, grid_idx, first, last in levels
+    ]
 
+
+def _estimate(partials, grid_idx, dt: float, n_traj: int) -> EnsembleEstimate:
+    # One level's blocks, reduced in block order by the fixed pairwise tree.
     proj_sum = pairwise_sum(np.stack([p[0] for p in partials]), axis=0)
     n_sum = pairwise_sum(np.stack([p[1] for p in partials]), axis=0)
     n2_sum = pairwise_sum(np.stack([p[2] for p in partials]), axis=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssesim import rng
+from ssesim import rng, sse
 from ssesim.algebra import (
     MAX_STEPS,
     bloch_from_density,
@@ -232,3 +232,31 @@ def test_normals_depend_only_on_their_coordinates(seed, trajectories, steps, cha
     for (i, j), value in zip(cells, flat):
         single = rng.normals(rng.DOMAIN_WIENER, seed, trajectories[i], steps[j], channel)
         assert value == grid[i, j] == single
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_U64,
+    trajectories=st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=6),
+    steps=st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=4),
+    channels=st.integers(min_value=1, max_value=5),
+    block_steps=st.integers(min_value=1, max_value=12),
+)
+def test_wiener_key_prefix_gives_the_same_draws(seed, trajectories, steps, channels, block_steps):
+    # Continuing the fold from the hashed (domain, seed, trajectory) prefix
+    # draws bit for bit what hashing all five coordinates draws.
+    ids = np.array(trajectories, dtype=np.uint64)
+    step_grid = np.array(steps, dtype=np.uint64)[:, None]
+    channel_grid = np.arange(channels)[:, None, None]
+    prefixed = rng.normals(step_grid, channel_grid, prefix=sse._wiener_key(seed, ids))
+    assert np.array_equal(prefixed, rng.normals(rng.DOMAIN_WIENER, seed, ids, step_grid, channel_grid))
+    for i, trajectory in enumerate(trajectories):
+        for j, step in enumerate(steps):
+            for k in range(channels):
+                assert prefixed[k, j, i] == rng.normals(rng.DOMAIN_WIENER, seed, trajectory, step, k)
+        stream = sse.NoiseStream(seed, trajectory)
+        block = stream.wiener_block(block_steps, channels, 1e-3)
+        key = sse._wiener_key(seed, trajectory)
+        for s in range(block_steps):
+            assert np.array_equal(block[s], sse._wiener(key, s, np.arange(channels), 1e-3))
+            assert np.array_equal(block[s], stream.wiener(s, channels, 1e-3))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssesim import cli
+from ssesim import cli, rng, sse
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 README_COMMAND_LINE = README[README.index("## Command line"):README.index("### Config file")]
@@ -284,6 +284,27 @@ def test_record_counts_above_the_ceiling_exit_two(argv, capsys, monkeypatch):
     assert err.startswith("error:") and f"<= {cli.MAX_RECORDS}" in err
 
 
+@pytest.mark.parametrize("command", ["unravel", "convergence"])
+def test_trajectories_above_the_ceiling_exit_two(command, capsys, monkeypatch):
+    def no_stepping(task):
+        raise AssertionError("stepped a block before checking the count")
+
+    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    assert cli.main([command, "--trajectories", str(10**12)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"<= {sse.MAX_TRAJECTORIES}" in err
+
+
+def test_param_orthogonal_entries_above_the_ceiling_exit_two(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking n_wiener")
+
+    monkeypatch.setattr(rng, "normals", no_draw)
+    assert cli.main(["param", "--n-wiener", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"<= {cli.MAX_ORTHOGONAL_ENTRIES}" in err
+
+
 def test_param_collapse_exits_two_naming_the_case(capsys):
     assert cli.main(["param", "--cases", "3", "--dt", "1e200", "--witness-steps", "1"]) == 2
     assert "error: witness case 0 collapsed at step 0" in capsys.readouterr().err
@@ -333,6 +354,27 @@ def test_payloads_are_byte_identical_across_threads(tmp_path):
         assert code == 0
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_convergence_payloads_are_byte_identical_across_threads(tmp_path):
+    base = ["convergence", "--trajectories", "300", "--t-final", "0.02", "--grid-points", "4", "--seed", "11"]
+    blobs = []
+    for threads in (1, 2, 3):
+        path = tmp_path / f"t{threads}.csv"
+        assert cli.main(base + ["--threads", str(threads), "--output", str(path)]) == 0
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_convergence_runs_every_level_on_one_pool(capsys, serial_pool):
+    base = ["convergence", "--trajectories", "4196", "--t-final", "0.008", "--grid-points", "2"]
+    serial = _run(capsys, base)[1]["records"]
+    assert serial_pool.sizes == []
+    assert _run(capsys, base + ["--threads", "2"])[1]["records"] == serial
+    assert serial_pool.sizes == [2]
+    # Two blocks per level, six in all: one pool is sized over every level.
+    _run(capsys, base + ["--threads", "100"])
+    assert serial_pool.sizes == [2, 6]
 
 
 def test_json_payload_reruns_identically(tmp_path):

@@ -14,6 +14,7 @@ from ssesim.sse import (
     NoiseStream,
     NonCpQubitModel,
     apply_phase_gauge,
+    ensemble_densities,
     ensemble_density,
     general_increment,
     identity_residual,
@@ -414,6 +415,20 @@ def test_pool_size_is_clamped_to_cpus_and_blocks(monkeypatch):
     monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     ensemble_density(*args, threads=4)
     assert sizes == [3, 2]
+
+
+def test_levels_share_one_pool_and_map_longest_blocks_first(serial_pool):
+    dts = [4e-3, 2e-3, 1e-3]
+    args = (NonCpQubitModel(), POLE, 0.008)
+    estimates = ensemble_densities(*args, dts, 4096 + 100, 42, threads=10000)  # two blocks per level
+    assert serial_pool.sizes == [6]
+    costs = [task[4] * (task[7] - task[6]) for task in serial_pool.tasks]
+    assert len(costs) == 6 and costs == sorted(costs, reverse=True)
+    for dt, est in zip(dts, estimates):
+        alone = ensemble_density(*args, dt, 4096 + 100, 42)
+        assert est.times.tobytes() == alone.times.tobytes()
+        assert est.mean_density.tobytes() == alone.mean_density.tobytes()
+        assert est.standard_error.tobytes() == alone.standard_error.tobytes()
 
 
 def test_ensemble_mean_density_is_physical():
