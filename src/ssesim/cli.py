@@ -277,6 +277,8 @@ def _safe_ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:
 def cmd_unravel(cfg: dict):
     """Ensemble average vs. master-equation reference."""
     model = _build_model(cfg)
+    if model.dim != 2:
+        raise DimensionError(f"unravel reports Bloch columns and needs a qubit model, got d = {model.dim}")
     psi0 = _initial_state(cfg)
     dt = cfg["dt"]
     est = ensemble_density(
@@ -286,7 +288,7 @@ def cmd_unravel(cfg: dict):
         dt,
         cfg["trajectories"],
         cfg["seed"],
-        grid_points=cfg["grid_points"],
+        grid_points=_record_count(cfg, "grid_points"),
         threads=cfg["threads"],
     )
     mean = est.bloch()
@@ -325,7 +327,7 @@ def cmd_choi(cfg: dict):
     rates = (cfg["c1"], cfg["c2"], cfg["c3"])
     gen = pauli_generator(rates)
     dt = cfg["dt"]
-    times = report_indices(resolve_steps(cfg["t_final"], dt), cfg["grid_points"]) * dt
+    times = report_indices(resolve_steps(cfg["t_final"], dt), _record_count(cfg, "grid_points")) * dt
     verdicts = [cp_verdict(choi_matrix(m)) for m in map_grid(gen, times, dt)]
 
     columns = ["t", "min_choi_eig", "min_choi_eig_raw", "cp"]
@@ -356,7 +358,7 @@ def _pole_states(count: int = 10) -> np.ndarray:
 
 
 def _record_count(cfg: dict, key: str) -> int:
-    # identity and param hold one report record per state or case in memory.
+    # One report record per Haar state, param case or grid point is held in memory.
     if cfg[key] > MAX_RECORDS:
         raise ValidationError(f"{key} must be <= {MAX_RECORDS}, one report record each")
     return cfg[key]
@@ -463,7 +465,7 @@ def cmd_convergence(cfg: dict):
         levels,
         cfg["trajectories"],
         cfg["seed"],
-        grid_points=cfg["grid_points"],
+        grid_points=_record_count(cfg, "grid_points"),
         threads=cfg["threads"],
     )
     rows = []

@@ -14,18 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    _SIGMA,
+    bloch_from_density,
     hermitian_eigen,
     max_abs,
-    pauli,
     random_state,
     require_hermitian,
     resolve_steps,
 )
 from .errors import DimensionError, ValidationError
-
-
-def _trace(m) -> np.ndarray:
-    return np.einsum("...ii->...", m)
 
 
 def _num_steps(t: float, dt: float) -> int:
@@ -76,7 +73,7 @@ def pauli_generator(rates) -> MasterGenerator:
     c = np.asarray(rates, dtype=float)
     if c.shape != (3,):
         raise DimensionError(f"rate vector must have shape (3,), got {c.shape}")
-    return MasterGenerator(np.zeros((2, 2)), tuple((c[k], pauli(k + 1)) for k in range(3)))
+    return MasterGenerator(np.zeros((2, 2)), tuple(zip(c, _SIGMA.copy())))
 
 
 def lindblad_rhs(rho, gen: MasterGenerator) -> np.ndarray:
@@ -112,7 +109,7 @@ def _propagate(vecs, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
 
 def require_density(rho, what: str = "density matrix") -> np.ndarray:
     rho = require_hermitian(np.asarray(rho, dtype=complex), tol=1e-11, what=what)
-    tr = _trace(rho)
+    tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-11:
         raise ValidationError(f"{what} must have unit trace, got {tr}")
     return rho
@@ -159,12 +156,10 @@ class DynamicalMap:
         tvec = np.eye(d, dtype=complex).reshape(-1)
         if max_abs(tvec @ s - tvec) > 1e-9:
             raise ValidationError("dynamical map is not trace preserving")
-        for i in range(d):
-            for j in range(d):
-                out_ij = s[:, i * d + j].reshape(d, d)
-                out_ji = s[:, j * d + i].reshape(d, d)
-                if max_abs(out_ij.conj().T - out_ji) > 1e-9:
-                    raise ValidationError("dynamical map is not Hermiticity preserving")
+        # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
+        c = _reshuffle(s, d)
+        if max_abs(c - c.conj().T) > 1e-9:
+            raise ValidationError("dynamical map is not Hermiticity preserving")
 
 
 def apply_map(m: DynamicalMap, mats) -> np.ndarray:
@@ -208,14 +203,7 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> list[DynamicalMap]:
 
 def bloch_block(m: DynamicalMap) -> np.ndarray:
     """3x3 real Bloch block B_kl = tr(sigma_k Lambda(sigma_l)) / 2 of a qubit map."""
-    if m.dim != 2:
-        raise DimensionError("Bloch block requires a qubit map")
-    block = np.empty((3, 3))
-    for l in range(3):
-        out = apply_map(m, pauli(l + 1))
-        for k in range(3):
-            block[k, l] = 0.5 * _trace(pauli(k + 1) @ out).real
-    return block
+    return 0.5 * bloch_from_density(apply_map(m, _SIGMA)).T
 
 
 def pauli_channel_map(lambdas, time: float = 0.0) -> DynamicalMap:
@@ -227,17 +215,11 @@ def pauli_channel_map(lambdas, time: float = 0.0) -> DynamicalMap:
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (3,):
         raise DimensionError(f"need three Bloch multipliers, got shape {lam.shape}")
-    sigmas = [np.eye(2, dtype=complex)] + [pauli(k) for k in (1, 2, 3)]
-    mults = np.concatenate([[1.0], lam])
-    s = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            out = sum(
-                mults[mu] * 0.5 * _trace(sigmas[mu] @ e) * sigmas[mu] for mu in range(4)
-            )
-            s[:, i * 2 + j] = out.reshape(-1)
+    # S[k d + l, i d + j] = Lambda(E_ij)[k, l] = sum_mu mults_mu sigma_mu[j, i] sigma_mu[k, l] / 2
+    # with sigma_0 = I, since tr(sigma_mu E_ij) = sigma_mu[j, i].
+    sigmas = np.concatenate([np.eye(2, dtype=complex)[None], _SIGMA])
+    mults = 0.5 * np.concatenate([[1.0], lam])
+    s = np.einsum("m,mkl,mji->klij", mults, sigmas, sigmas).reshape(4, 4)
     return DynamicalMap(s, time=time)
 
 
@@ -252,15 +234,17 @@ class ChoiMatrix:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if max_abs(self.matrix - self.matrix.conj().T) > 1e-10:
             raise ValidationError("Choi matrix must be Hermitian")
-        if abs(_trace(self.matrix) - self.dim) > 1e-9:
+        if abs(np.trace(self.matrix) - self.dim) > 1e-9:
             raise ValidationError("Choi matrix of a trace-preserving map must have trace d")
 
 
-def choi_matrix(m: DynamicalMap) -> ChoiMatrix:
+def _reshuffle(s, d: int) -> np.ndarray:
     # Choi-Jamiolkowski reshuffle: C[(i, k), (j, l)] = Lambda(E_ij)[k, l] = S[k d + l, i d + j].
-    d = m.dim
-    c = m.superoperator.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    return ChoiMatrix(c, dim=d)
+    return s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def choi_matrix(m: DynamicalMap) -> ChoiMatrix:
+    return ChoiMatrix(_reshuffle(m.superoperator, m.dim), dim=m.dim)
 
 
 @dataclass

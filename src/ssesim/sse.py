@@ -33,6 +33,9 @@ _DEFAULT_BLOCK_BYTES = 1 << 24
 # Ceiling of an ensemble's trajectory count: every 4096-trajectory block of
 # every level is listed, and its partial sums kept, before the reduction.
 MAX_TRAJECTORIES = 10**8
+# Ceiling of an ensemble's memory: the partial sums of every block of every
+# level plus the projector records of one block.
+MAX_ENSEMBLE_BYTES = 1 << 30
 
 
 def _wiener_key(seed: int, trajectory) -> np.ndarray:
@@ -395,19 +398,28 @@ class EnsembleEstimate:
 
     times: np.ndarray
     mean_density: np.ndarray
-    standard_error: np.ndarray
+    # Per entry of mean_density: the standard error of its real part + 1j * that of its imaginary part.
+    density_standard_error: np.ndarray
     trajectories: int
 
     def bloch(self) -> np.ndarray:
         """Bloch components tr(rho sigma_k) of the mean density, shape (G, 3)."""
         return bloch_from_density(self.mean_density)
 
+    @property
+    def standard_error(self) -> np.ndarray:
+        """Standard errors (G, 3) of n_1 = 2 Re rho_10, n_2 = 2 Im rho_10 and n_3 = 2 rho_00 - 1."""
+        se = self.density_standard_error
+        if se.shape[-2:] != (2, 2):
+            raise DimensionError(f"Bloch standard errors need a qubit ensemble, got shape {se.shape}")
+        return 2.0 * np.stack([se[..., 1, 0].real, se[..., 1, 0].imag, se[..., 0, 0].real], axis=-1)
+
 
 def _block_partials(task):
-    """Advance one block of trajectories and return its pairwise partial sums
-    (projectors, Bloch components, squared Bloch components) on the grid.
-    States are component-major, shape (2, trajectories).  Module-level so
-    blocks can run in worker processes."""
+    """Advance one block of trajectories and return the pairwise sums over it of
+    the projectors on the grid and of their entries' squared real + 1j * squared
+    imaginary parts.  States are component-major, shape (d, trajectories).
+    Module-level so blocks can run in worker processes."""
     model, psi0, seed, dt, steps, grid_idx, lo, hi = task
     b = hi - lo
     g = grid_idx.size
@@ -415,22 +427,20 @@ def _block_partials(task):
     key = _wiener_key(seed, ids)
     channels = np.arange(model.n_channels)[:, None]
     psi = np.repeat(psi0[:, None], b, axis=1)
-    proj = np.empty((b, g, 2, 2), dtype=complex)
-    bloch = np.empty((b, g, 3))
+    proj = np.empty((b, g, psi0.size, psi0.size), dtype=complex)
     slot = 0
     for s in range(steps + 1):
         if slot < g and grid_idx[slot] == s:
             proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
-            bloch[:, slot] = bloch_from_state(psi.T)
             slot += 1
         if s < steps:
             dw = _wiener(key, s, channels, dt)
             psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
-    return (
-        pairwise_sum(proj, axis=0),
-        pairwise_sum(bloch, axis=0),
-        pairwise_sum(bloch * bloch, axis=0),
-    )
+    # A one-trajectory block's sum is a view of `proj`, which is squared in place next.
+    total = pairwise_sum(proj, axis=0).copy()
+    parts = proj.view(float)
+    np.square(parts, out=parts)
+    return total, pairwise_sum(parts, axis=0).view(complex)
 
 
 def report_indices(steps: int, grid_points: int) -> np.ndarray:
@@ -442,13 +452,13 @@ def report_indices(steps: int, grid_points: int) -> np.ndarray:
     return np.unique(np.round(steps * np.arange(1, count + 1) / count).astype(int))
 
 
-def _block_size(grid_size: int) -> int:
+def _block_size(record_bytes: int) -> int:
     # Power-of-two block so per-block pairwise reductions compose into the
-    # same global tree regardless of how blocks are scheduled.
-    target = max(64, _DEFAULT_BLOCK_BYTES // max(1, grid_size * 112))
-    size = 64
-    while size * 2 <= min(target, 4096):
-        size *= 2
+    # same global tree regardless of how blocks are scheduled: the largest
+    # from 64 to 4096 whose records fit in _DEFAULT_BLOCK_BYTES, else 64.
+    size = 4096
+    while size > 64 and size * record_bytes > _DEFAULT_BLOCK_BYTES:
+        size //= 2
     return size
 
 
@@ -486,21 +496,27 @@ def ensemble_densities(
     The blocks of all levels go to one process pool of at most `threads`
     workers, longest first.
     """
-    if model.dim != 2:
-        raise DimensionError("ensemble statistics are implemented for qubit models only")
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
     if n_traj > MAX_TRAJECTORIES:
         raise ValidationError(f"trajectories must be <= {MAX_TRAJECTORIES}, got {n_traj}")
+    d = model.dim
     psi0 = require_normalized(np.asarray(psi0, dtype=complex))
-    if psi0.shape != (2,):
-        raise DimensionError(f"initial state shape {psi0.shape} does not match model dim 2")
+    if psi0.shape != (d,):
+        raise DimensionError(f"initial state shape {psi0.shape} does not match model dim {d}")
 
     levels, tasks = [], []
+    partial_bytes = buffer_bytes = 0
     for dt in dts:
         steps = resolve_steps(t_final, dt)
         grid_idx = report_indices(steps, grid_points)
-        block = _block_size(grid_idx.size)
+        record = grid_idx.size * 16 * d * d  # one trajectory's complex projector at every grid point
+        block = _block_size(record)
+        # Two partial sums per block, checked before the level's blocks are listed.
+        partial_bytes += 2 * record * -(-n_traj // block)
+        buffer_bytes = max(buffer_bytes, block * record)
+        if partial_bytes + buffer_bytes > MAX_ENSEMBLE_BYTES:
+            raise ValidationError(f"ensemble partial sums and records would exceed {MAX_ENSEMBLE_BYTES} bytes")
         first = len(tasks)
         tasks += [
             (model, psi0, seed, dt, steps, grid_idx, lo, min(lo + block, n_traj))
@@ -530,22 +546,18 @@ def ensemble_densities(
 
 
 def _estimate(partials, grid_idx, dt: float, n_traj: int) -> EnsembleEstimate:
-    # One level's blocks, reduced in block order by the fixed pairwise tree.
+    # One level's blocks, reduced in block order by the fixed pairwise tree; the float views
+    # of the complex sums give each entry's real and imaginary parts their own variance.
     proj_sum = pairwise_sum(np.stack([p[0] for p in partials]), axis=0)
-    n_sum = pairwise_sum(np.stack([p[1] for p in partials]), axis=0)
-    n2_sum = pairwise_sum(np.stack([p[2] for p in partials]), axis=0)
-
-    mean_density = proj_sum / n_traj
+    square_sum = pairwise_sum(np.stack([p[1] for p in partials]), axis=0)
     if n_traj > 1:
-        var = np.clip((n2_sum - n_sum * n_sum / n_traj) / (n_traj - 1), 0.0, None)
-        se = np.sqrt(var / n_traj)
+        parts = proj_sum.view(float)
+        var = np.clip((square_sum.view(float) - parts * parts / n_traj) / (n_traj - 1), 0.0, None)
+        se = np.sqrt(var / n_traj).view(complex)
     else:
-        se = np.full((grid_idx.size, 3), np.inf)
+        se = np.full(proj_sum.shape, complex(np.inf, np.inf))
     return EnsembleEstimate(
-        times=grid_idx * dt,
-        mean_density=mean_density,
-        standard_error=se,
-        trajectories=n_traj,
+        times=grid_idx * dt, mean_density=proj_sum / n_traj, density_standard_error=se, trajectories=n_traj
     )
 
 

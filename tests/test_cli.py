@@ -295,6 +295,50 @@ def test_trajectories_above_the_ceiling_exit_two(command, capsys, monkeypatch):
     assert err.startswith("error:") and f"<= {sse.MAX_TRAJECTORIES}" in err
 
 
+@pytest.mark.parametrize("command", ["unravel", "convergence", "choi"])
+def test_grid_points_above_the_ceiling_exit_two(command, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the grid points")
+
+    monkeypatch.setattr(sse, "_block_partials", no_work)
+    monkeypatch.setattr(cli, "map_grid", no_work)
+    assert cli.main([command, "--grid-points", str(cli.MAX_RECORDS + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"<= {cli.MAX_RECORDS}" in err
+
+
+def test_ensemble_above_the_byte_bound_exits_two(capsys, monkeypatch):
+    # One 64-trajectory block of 10^6 grid points would record 4 GB of projectors.
+    def no_stepping(task):
+        raise AssertionError("stepped a block before checking the memory bound")
+
+    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    argv = ["unravel", "--t-final", "1000", "--grid-points", "1000000", "--trajectories", "64"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(sse.MAX_ENSEMBLE_BYTES) in err
+
+
+def test_unravel_refuses_a_qutrit_model_before_stepping(tmp_path, capsys, monkeypatch):
+    def no_stepping(task):
+        raise AssertionError("stepped a block of a qutrit model")
+
+    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    lower = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+    cfg = {
+        "model": "general",
+        "hamiltonian": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        "lindblads": [lower],
+        "noise_matrix": [[1]],
+        "initial_state": [0, [0, 1], 0],
+    }
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["unravel", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "qubit" in err
+
+
 def test_param_orthogonal_entries_above_the_ceiling_exit_two(capsys, monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before checking n_wiener")

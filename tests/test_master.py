@@ -222,8 +222,13 @@ def test_map_grid_matches_per_time_extraction():
 def test_dynamical_map_validates_trace_preservation():
     bad = np.eye(4, dtype=complex)
     bad[0, 0] = 1.5
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="not trace preserving"):
         DynamicalMap(bad, time=0.0)
+    # Trace preserving, but Lambda(E_01) = 2 E_01 is not the adjoint of Lambda(E_10) = E_10.
+    skewed = np.eye(4, dtype=complex)
+    skewed[1, 1] = 2.0
+    with pytest.raises(ValidationError, match="not Hermiticity preserving"):
+        DynamicalMap(skewed, time=0.0)
 
 
 def test_choi_of_identity_map():

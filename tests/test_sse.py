@@ -490,6 +490,55 @@ def test_ensemble_rejects_zero_trajectories():
         ensemble_density(NonCpQubitModel(), POLE, 0.1, 1e-3, 0, seed=1)
 
 
+_LOWER3 = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
+_QUTRIT = GeneralDiffusiveModel(
+    0.3 * (_LOWER3 + _LOWER3.T) + np.diag([0.0, 0.2, 0.5]),
+    (0.7 * _LOWER3, 0.4 * np.diag([1.0, 0.0, -1.0]).astype(complex)),
+    np.array([[0.6, 0.0], [0.0, 1.0], [0.8, 0.0]], dtype=complex),
+)
+
+
+def test_qutrit_ensemble_matches_lindblad_integration_and_ignores_threads():
+    dt = 1e-3
+    psi0 = np.array([0.6, 0.5j, 0.4 + 0.2j]) / np.sqrt(0.81)
+    args = (_QUTRIT, psi0, 0.2, dt, 6000, 17)  # three 2048-trajectory blocks at d = 3
+    est = ensemble_density(*args, grid_points=8, threads=2)
+    serial = ensemble_density(*args, grid_points=8)
+    assert est.mean_density.tobytes() == serial.mean_density.tobytes()
+    assert est.density_standard_error.tobytes() == serial.density_standard_error.tobytes()
+
+    gen = MasterGenerator(_QUTRIT.hamiltonian, tuple((1.0, op) for op in _QUTRIT.lindblads))
+    rho0 = np.outer(psi0, psi0.conj())
+    reference = np.array([integrate_master(rho0, gen, t, dt) for t in est.times])
+    se = est.density_standard_error
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(est.mean_density - reference)) <= 5.0 * part(se) + 2.0 * dt)
+    with pytest.raises(DimensionError):
+        est.standard_error
+
+
+@pytest.mark.parametrize("model", [NonCpQubitModel(), _GENERAL], ids=["noncp", "general"])
+def test_bloch_standard_error_is_the_sample_error_of_trajectory_bloch_vectors(model):
+    # The ensemble takes the variance from summed squares, which loses a few
+    # ulps of E[n^2]: 2e-15 on n_3, whose spread stays small at the pole.
+    dt, n = 1e-3, 40
+    est = ensemble_density(model, POLE, 0.2, dt, n, seed=4, grid_points=4)
+    idx = np.round(est.times / dt).astype(int)
+    paths = [simulate_trajectory(model, POLE, 0.2, dt, seed=4, trajectory_id=i) for i in range(n)]
+    bloch = bloch_from_state(np.array([p.states[idx] for p in paths]))
+    expected = np.std(bloch, axis=0, ddof=1) / np.sqrt(n)
+    assert np.max(np.abs(est.standard_error - expected)) <= 1e-14
+
+
+def test_ensemble_above_the_byte_bound_is_refused_before_stepping(monkeypatch):
+    def no_stepping(task):
+        raise AssertionError("stepped a block before checking the memory bound")
+
+    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    with pytest.raises(ValidationError, match=str(sse.MAX_ENSEMBLE_BYTES)):
+        ensemble_density(NonCpQubitModel(), POLE, 10.0, 1e-3, 10**6, seed=1, grid_points=10**4)
+
+
 # ---------------------------------------------------------------- kernels
 
 
