@@ -1,8 +1,8 @@
 """Small dense complex linear algebra for qubit-scale operators.
 
 Pauli matrices, Bloch-vector conversions, the Hermitian eigensolver, the
-step-count resolver shared by every time grid, and Haar-random state vectors
-drawn from counter-based Gaussians.
+step-count resolver and report grid shared by every time grid, and
+Haar-random state vectors drawn from counter-based Gaussians.
 """
 
 from __future__ import annotations
@@ -120,9 +120,19 @@ def resolve_steps(t_final: float, dt: float) -> int:
     if not t_final / dt < MAX_STEPS + 0.5:
         raise ValidationError(f"time {t_final} needs more than {MAX_STEPS} steps of dt = {dt}")
     steps = int(round(t_final / dt))
-    if abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
+    if not abs(steps * dt - t_final) <= 1e-9 * max(1.0, t_final):  # also refuses dt = inf
         raise ValidationError(f"time {t_final} is not an integer multiple of dt = {dt}")
     return steps
+
+
+def report_indices(steps: int, grid_points: int) -> np.ndarray:
+    """Step indices of the report grid: `grid_points` evenly spaced points in
+    (0, steps], or just [0] for an empty evolution."""
+    if steps == 0:
+        return np.array([0])
+    count = min(max(1, grid_points), steps)
+    idx = np.round(steps * np.arange(1, count + 1) / count).astype(int)
+    return idx[np.diff(idx, prepend=-1) > 0]  # idx never decreases: keep the first of each run of repeats
 
 
 def random_state(seed: int, d: int, index=0) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .algebra import bloch_from_density, bloch_from_state, pauli, random_state, resolve_steps
+from .algebra import bloch_from_density, bloch_from_state, pauli, random_state, report_indices, resolve_steps
 from .algebra import state_from_bloch
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
@@ -49,7 +49,6 @@ from .sse import (
     ensemble_densities,
     ensemble_density,
     identity_residual,
-    report_indices,
 )
 
 _FLOAT_FMT = "{:.17g}"
@@ -173,7 +172,7 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ValidationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError("config file must contain a JSON object")

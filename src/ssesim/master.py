@@ -25,13 +25,7 @@ from .algebra import (
 from .errors import DimensionError, ValidationError
 
 
-def _num_steps(t: float, dt: float) -> int:
-    # ceil(t / dt) with a guard against float ratios sitting a few ulps
-    # above an integer.
-    return max(1, int(math.ceil(t / dt - 1e-9)))
-
-
-@dataclass
+@dataclass(frozen=True)
 class MasterGenerator:
     """Generator -i[H, rho] + sum_k c_k (A_k rho A_k^dag - {A_k^dag A_k, rho}/2).
 
@@ -46,10 +40,9 @@ class MasterGenerator:
     channels: tuple = ()
 
     def __post_init__(self):
-        self.hamiltonian = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
-        d = self.hamiltonian.shape[0]
+        h = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
+        d = h.shape[0]
         eye = np.eye(d)
-        h = self.hamiltonian
         superop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         channels = []
         for rate, op in self.channels:
@@ -60,8 +53,9 @@ class MasterGenerator:
             gram = op.conj().T @ op
             superop += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(gram, eye) - 0.5 * np.kron(eye, gram.T))
             channels.append((rate, op))
-        self.channels = tuple(channels)
-        self._superop = superop
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "channels", tuple(channels))
+        object.__setattr__(self, "_superop", superop)
 
     @property
     def dim(self) -> int:
@@ -86,25 +80,15 @@ def lindblad_rhs(rho, gen: MasterGenerator) -> np.ndarray:
     return (vecs @ gen._superop.T).reshape(rho.shape)
 
 
-def _propagate(vecs, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
-    """Classical RK4 over ceil(t/dt) uniform steps on the columns of `vecs`.
+def _rk4_step(gen: MasterGenerator, dt: float) -> np.ndarray:
+    """One classical RK4 step of size dt on dv/dt = L v.
 
-    On the linear ODE dv/dt = L v one RK4 step of size h is exactly the
-    matrix P = sum_{j<=4} (hL)^j / j!, so P is built once and applied per step.
+    On this linear ODE the step is exactly the matrix P = sum_{j<=4} (dt L)^j / j!,
+    so P is built once and applied per step.
     """
-    if t < 0:
-        raise ValidationError(f"final time must be >= 0, got {t}")
-    if t == 0:
-        return vecs.copy()
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    n = _num_steps(t, dt)
-    hl = (t / n) * gen._superop
+    hl = dt * gen._superop
     eye = np.eye(len(hl))
-    step = eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
-    for _ in range(n):
-        vecs = step @ vecs
-    return vecs
+    return eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
 
 
 def require_density(rho, what: str = "density matrix") -> np.ndarray:
@@ -116,11 +100,16 @@ def require_density(rho, what: str = "density matrix") -> np.ndarray:
 
 
 def integrate_master(rho0, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
-    """Evolve a density matrix to time t with classical RK4 at step dt."""
+    """Evolve a density matrix to time t, a whole multiple of dt, with classical RK4."""
     rho0 = require_density(rho0)
     if rho0.shape != (gen.dim, gen.dim):
         raise DimensionError(f"state shape {rho0.shape} does not match generator dimension {gen.dim}")
-    return _propagate(rho0.reshape(-1), gen, t, dt).reshape(rho0.shape)
+    steps = resolve_steps(t, dt)
+    step = _rk4_step(gen, dt)
+    vec = rho0.reshape(-1).copy()
+    for _ in range(steps):
+        vec = step @ vec
+    return vec.reshape(rho0.shape)
 
 
 def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
@@ -143,7 +132,7 @@ class DynamicalMap:
 
     superoperator: np.ndarray
     time: float
-    dim: int = field(default=0)
+    dim: int = field(init=False)
 
     def __post_init__(self):
         s = np.asarray(self.superoperator, dtype=complex)
@@ -175,29 +164,25 @@ def apply_map(m: DynamicalMap, mats) -> np.ndarray:
 
 def extract_map(gen: MasterGenerator, t: float, dt: float) -> DynamicalMap:
     """Dynamical map of the generator at time t: the RK4 propagator over [0, t]."""
-    d2 = gen.dim**2
-    return DynamicalMap(_propagate(np.eye(d2, dtype=complex), gen, t, dt), time=float(t))
+    return map_grid(gen, [t], dt)[0]
 
 
 def map_grid(gen: MasterGenerator, times, dt: float) -> list[DynamicalMap]:
     """Maps at an ascending grid of times, integrated cumulatively.
 
-    Grid times must be (near-)integer multiples of dt so the cumulative step
-    sequence matches per-time extraction exactly.
+    Each time must be a whole multiple of dt, and the grid's step counts must
+    strictly increase, so every map matches its own extraction exactly.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and (np.any(times < 0) or np.any(np.diff(times) <= 0)):
-        raise ValidationError("grid times must be nonnegative and strictly increasing")
+    gaps = np.diff([resolve_steps(t, dt) for t in times], prepend=0)
+    if np.any(gaps[1:] <= 0):
+        raise ValidationError("grid times must resolve to strictly increasing step counts of dt")
+    step = _rk4_step(gen, dt)
     s = np.eye(gen.dim**2, dtype=complex)
     maps = []
-    done = 0
-    for t in times:
-        steps = resolve_steps(t, dt)
-        if t > 0 and steps <= done:
-            raise ValidationError("grid times must be distinct integer multiples of dt")
-        s = _propagate(s, gen, (steps - done) * dt, dt)
+    for t, gap in zip(times, gaps):
+        for _ in range(gap):
+            s = step @ s
         maps.append(DynamicalMap(s, time=float(t)))
-        done = steps
     return maps
 
 

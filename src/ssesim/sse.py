@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .algebra import _bloch_components, bloch_from_density, bloch_from_state, max_abs, pauli
-from .algebra import require_hermitian, require_normalized, resolve_steps
+from .algebra import report_indices, require_hermitian, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
@@ -441,15 +441,6 @@ def _block_partials(task):
     parts = proj.view(float)
     np.square(parts, out=parts)
     return total, pairwise_sum(parts, axis=0).view(complex)
-
-
-def report_indices(steps: int, grid_points: int) -> np.ndarray:
-    """Step indices of the report grid: `grid_points` evenly spaced points in
-    (0, steps], or just [0] for an empty evolution."""
-    if steps == 0:
-        return np.array([0])
-    count = min(max(1, grid_points), steps)
-    return np.unique(np.round(steps * np.arange(1, count + 1) / count).astype(int))
 
 
 def _block_size(record_bytes: int) -> int:

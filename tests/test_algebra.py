@@ -11,6 +11,7 @@ from ssesim.algebra import (
     hermitian_eigen,
     pauli,
     random_state,
+    report_indices,
     resolve_steps,
     state_from_bloch,
 )
@@ -204,6 +205,25 @@ def test_resolve_steps_ceiling():
         resolve_steps((MAX_STEPS + 1) * 1e-3, 1e-3)
     with pytest.raises(ValidationError):
         resolve_steps(1e300, 1e-3)
+
+
+def test_resolve_steps_refuses_an_infinite_dt():
+    # 0 * inf is nan, which must not pass the whole-multiple check as 0 steps.
+    for t in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="not an integer multiple"):
+            resolve_steps(t, np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.integers(0, 10**6), grid_points=st.integers(1, 10**4))
+def test_report_indices_strictly_increase_to_steps(steps, grid_points):
+    idx = report_indices(steps, grid_points)
+    assert np.all(np.diff(idx) > 0)
+    assert idx[-1] == steps
+    count = min(grid_points, steps)
+    if count:
+        # The sorted form it replaces.
+        assert np.array_equal(idx, np.unique(np.round(steps * np.arange(1, count + 1) / count).astype(int)))
 
 
 _U64 = st.integers(min_value=0, max_value=2**64 - 1)

@@ -182,6 +182,13 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert cli.main(["unravel", "--config", str(path)]) == 2
 
 
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert cli.main(["choi", "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"trajectories": 50, "t_final": 0.05, "seed": 7}))

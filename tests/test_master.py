@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ssesim.algebra import pauli
+from ssesim.algebra import MAX_STEPS, pauli
 from ssesim.errors import DimensionError, ValidationError
 from ssesim.master import (
     DynamicalMap,
@@ -123,7 +123,9 @@ def test_rhs_rejects_dimension_mismatch():
 
 def test_integrate_zero_time_is_identity():
     rho0 = np.diag([0.7, 0.3]).astype(complex)
-    assert np.array_equal(integrate_master(rho0, pauli_generator(SIGNED), 0.0, 1e-3), rho0)
+    out = integrate_master(rho0, pauli_generator(SIGNED), 0.0, 1e-3)
+    assert np.array_equal(out, rho0)
+    assert not np.shares_memory(out, rho0)
 
 
 def test_integrate_ground_state_decay():
@@ -149,6 +151,16 @@ def test_integrate_preserves_trace_and_hermiticity_along_trajectory():
 def test_integrate_rejects_nonpositive_dt():
     with pytest.raises(ValidationError):
         integrate_master(np.eye(2) / 2.0, pauli_generator(SIGNED), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [0.1005, np.inf, np.nan, (MAX_STEPS + 1) * 1e-3, 1e6, 1e300])
+def test_master_times_off_grid_or_beyond_the_ceiling_are_refused(t):
+    # Each of these is refused by the step-count resolver before any RK4 step.
+    rho0 = np.eye(2, dtype=complex) / 2.0
+    with pytest.raises(ValidationError):
+        integrate_master(rho0, pauli_generator(SIGNED), t, 1e-3)
+    with pytest.raises(ValidationError):
+        extract_map(pauli_generator(SIGNED), t, 1e-3)
 
 
 def test_integrate_rejects_non_density_input():
@@ -178,7 +190,7 @@ def test_analytic_matches_rk4_sweep():
         direction /= np.linalg.norm(direction)
         n0 = direction * rng.uniform(0, 1)
         c = rng.uniform(-2, 2, size=3)
-        t = rng.uniform(0, 1)
+        t = round(rng.uniform(0, 1), 3)
         rho = integrate_master(_bloch_density(n0), pauli_generator(c), t, 1e-3)
         assert np.linalg.norm(_density_bloch(rho) - analytic_pauli_solution(n0, c, t)) <= 1e-7
 
@@ -217,6 +229,21 @@ def test_map_grid_matches_per_time_extraction():
     for grid_map, t in zip(map_grid(gen, times, 1e-3), times):
         single = extract_map(gen, t, 1e-3)
         assert np.max(np.abs(grid_map.superoperator - single.superoperator)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        ([0.2, 0.1], "strictly increasing"),
+        ([0.1, 0.1], "strictly increasing"),
+        ([0.1, 0.1 + 1e-12], "strictly increasing"),  # both resolve to 100 steps
+        ([-0.1, 0.1], ">= 0"),
+        ([0.1, 0.1005], "not an integer multiple"),
+    ],
+)
+def test_map_grid_rejects_bad_grids(times, match):
+    with pytest.raises(ValidationError, match=match):
+        map_grid(pauli_generator(SIGNED), times, 1e-3)
 
 
 def test_dynamical_map_validates_trace_preservation():

@@ -586,6 +586,8 @@ def test_models_are_frozen():
         NonCpQubitModel().rates = (5.0, 5.0, 5.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         _GENERAL.hamiltonian = np.zeros((2, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        MasterGenerator(np.zeros((2, 2))).channels = ((5.0, pauli(1)),)
 
 
 # ---------------------------------------------------------------- identity
