@@ -44,15 +44,13 @@ from .param import (
 from .sse import (
     EnsembleEstimate,
     GeneralDiffusiveModel,
-    NoiseStream,
     NonCpQubitModel,
     Trajectory,
     apply_phase_gauge,
     ensemble_densities,
     ensemble_density,
-    general_increment,
     identity_residual,
-    noncp_increment,
+    increment,
     pairwise_sum,
     perp_state,
     simulate_trajectory,

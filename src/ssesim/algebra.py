@@ -113,10 +113,10 @@ MAX_STEPS = 10**8
 
 def resolve_steps(t_final: float, dt: float) -> int:
     """Number of dt steps spanning [0, t_final]; t_final must be a whole multiple of dt."""
-    if t_final < 0:
-        raise ValidationError(f"final time must be >= 0, got {t_final}")
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if not t_final >= 0:  # also refuses nan
+        raise ValidationError(f"final time must be a number >= 0, got {t_final}")
+    if not dt > 0:
+        raise ValidationError(f"dt must be a positive number, got {dt}")
     if not t_final / dt < MAX_STEPS + 0.5:
         raise ValidationError(f"time {t_final} needs more than {MAX_STEPS} steps of dt = {dt}")
     steps = int(round(t_final / dt))

@@ -49,10 +49,10 @@ from .sse import (
     ensemble_densities,
     ensemble_density,
     identity_residual,
+    _SIGNED_RATES,
 )
 
 _FLOAT_FMT = "{:.17g}"
-_SIGNED_PATTERN = (1.0, 1.0, -1.0)
 
 _VERDICT_INCONCLUSIVE = "INCONCLUSIVE (N too small for 3sigma test)"
 
@@ -109,7 +109,7 @@ _KEYS = {
 
 # The keys each subcommand reads, with their defaults; every subcommand also
 # takes the seed (the payload header carries it) and the payload settings.
-_RATES = {"c1": 1.0, "c2": 1.0, "c3": -1.0}
+_RATES = dict(zip(("c1", "c2", "c3"), _SIGNED_RATES))
 _PAYLOAD = {"seed": 42, "format": "csv", "output": None}
 _ENSEMBLE = {
     **_RATES,
@@ -376,7 +376,7 @@ def cmd_identity(cfg: dict):
     columns = ["index", "kind", "residual"]
     rows = [[i, kinds[i], float(residuals[i])] for i in range(len(states))]
     summary = {"max_identity_residual": max_residual, "states": len(states)}
-    if rates == _SIGNED_PATTERN:
+    if rates == _SIGNED_RATES:
         ok = max_residual <= 1e-12
         return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, columns, rows
     # The identity is specific to the signed-rate pattern; other rates are

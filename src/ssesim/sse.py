@@ -29,6 +29,8 @@ from .algebra import report_indices, require_hermitian, require_normalized, reso
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
+# Where 1 - n_z^2 falls below this, psi_perp switches to its pole fallback.
+_POLE_TOLERANCE = 1e-12
 _DEFAULT_BLOCK_BYTES = 1 << 24
 # Ceiling of an ensemble's trajectory count: every 4096-trajectory block of
 # every level is listed, and its partial sums kept, before the reduction.
@@ -71,25 +73,6 @@ def _contract(matrix_t, x):
 
 
 @dataclass(frozen=True)
-class NoiseStream:
-    """Counter-based Wiener increments keyed by (seed, trajectory, step, channel)."""
-
-    seed: int
-    trajectory_id: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "_key", _wiener_key(self.seed, self.trajectory_id))
-
-    def wiener(self, step: int, channels: int, dt: float) -> np.ndarray:
-        """Increments dW ~ Normal(0, dt) for one step, shape (channels,)."""
-        return _wiener(self._key, step, np.arange(channels), dt)
-
-    def wiener_block(self, steps: int, channels: int, dt: float) -> np.ndarray:
-        """All increments for a trajectory, shape (steps, channels)."""
-        return _wiener(self._key, np.arange(steps)[:, None], np.arange(channels), dt)
-
-
-@dataclass(frozen=True)
 class NonCpQubitModel:
     """Qubit diffusion with drift -(1/2) sum_k c_k (sigma_k - n_k)^2 psi and
     noise sqrt(2) n_z psi_perp dW.
@@ -101,7 +84,6 @@ class NonCpQubitModel:
     """
 
     rates: tuple = _SIGNED_RATES
-    pole_tolerance: float = 1e-12
     perp_phase: float = 0.0
 
     def __post_init__(self):
@@ -121,8 +103,11 @@ class NonCpQubitModel:
         return 1
 
     def propose(self, psi, dw, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal for component-major psi (2, ...) and dw (1, ...);
-        see `noncp_increment`."""
+        """Unchecked Ito proposal psi + dpsi for component-major psi (2, ...) and dw (1, ...):
+
+        dpsi = -(1/2) sum_k c_k (sigma_k - n_k)^2 psi dt + sqrt(2) n_z psi_perp dW,
+        with all coefficients evaluated at the pre-step state.
+        """
         c1, c2, c3 = self._c
         # Slices keep a lone state's components arrays, shape (1,): numpy's scalar
         # complex arithmetic rounds differently from the array loops a batch runs.
@@ -134,7 +119,7 @@ class NonCpQubitModel:
         half = 0.5 * (c1 * (1.0 + n1 * n1) + c2 * (1.0 + n2 * n2) + c3 * (1.0 + n3 * n3))
         w3 = c3 * n3
         dt_z = dt * (c1 * n1) + 1j * (dt * (c2 * n2))
-        up, down = _perp(a, b, n1, n2, self.pole_tolerance)
+        up, down = _perp(a, b, n1, n2)
         amp = np.sqrt(2.0) * n3 * dw
         if self.perp_phase:
             amp = amp * np.exp(1j * self.perp_phase)
@@ -197,8 +182,11 @@ class GeneralDiffusiveModel:
         return self.noise_matrix.shape[0]
 
     def propose(self, psi, dw, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal for component-major psi (d, ...) and dw (N, ...);
-        see `general_increment`."""
+        """Unchecked Ito proposal psi + dpsi for component-major psi (d, ...) and dw (N, ...):
+
+        dpsi = [-iH dt + sum_kj u_kj (L_j - <L_j>) dW_k
+                - (1/2) sum_j (L_j^dag L_j - 2 <L_j>* L_j + |<L_j>|^2) dt] psi.
+        """
         return self.drive(psi, _contract(self.noise_matrix, dw), dt)
 
     def drive(self, psi, xi, dt: float) -> np.ndarray:
@@ -219,11 +207,11 @@ class GeneralDiffusiveModel:
         return out
 
 
-def _perp(a, b, n1, n2, pole_tolerance: float):
+def _perp(a, b, n1, n2):
     # The two components of psi_perp.  1 - n_z^2 is evaluated as 4|a|^2|b|^2:
     # identical for unit states but free of the cancellation near the poles.
     off = 4.0 * (a.conj() * a).real * (b.conj() * b).real
-    pole = off < pole_tolerance
+    pole = off < _POLE_TOLERANCE
     inv = 1.0 / np.sqrt(np.where(pole, 1.0, off))
     i_n1 = 1j * n1
     up, down = (n2 + i_n1) * b * inv, (n2 - i_n1) * a * inv
@@ -232,58 +220,32 @@ def _perp(a, b, n1, n2, pole_tolerance: float):
     return up, down
 
 
-def _component_major(psi, dw):
-    # Boundary of the stepping path: (..., d) states and (..., N) increments
-    # broadcast to one batch shape and move their component axis first.
-    batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
-    return (
-        np.moveaxis(np.broadcast_to(psi, batch + psi.shape[-1:]), -1, 0),
-        np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0),
-    )
-
-
-def perp_state(psi, pole_tolerance: float = 1e-12) -> np.ndarray:
+def perp_state(psi) -> np.ndarray:
     """Unit state orthogonal to a qubit state.
 
-    Off the poles this is (1 - n_z^2)^{-1/2} (n_y sigma_x - n_x sigma_y) psi;
-    within `pole_tolerance` of n_z = +-1 the canonical orthogonal complement
-    (-conj(psi_2), conj(psi_1)) is returned instead.
+    This is (1 - n_z^2)^{-1/2} (n_y sigma_x - n_x sigma_y) psi, except where
+    1 - n_z^2 < `_POLE_TOLERANCE` = 1e-12, next to the poles: there the
+    canonical orthogonal complement (-conj(psi_2), conj(psi_1)) is returned.
     """
     psi = np.asarray(psi, dtype=complex)
     n = bloch_from_state(psi)  # rejects non-qubit and unnormalized states
-    return np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1], pole_tolerance), axis=-1)
+    return np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
 
 
-def noncp_increment(psi, model: NonCpQubitModel, dw, dt: float) -> np.ndarray:
-    """One Ito proposal psi + dpsi for the signed-rate qubit model (unnormalized).
+def increment(psi, model, dw, dt: float) -> np.ndarray:
+    """One unnormalized Ito proposal psi + dpsi of either model; see its `propose`.
 
-    dpsi = -(1/2) sum_k c_k (sigma_k - n_k)^2 psi dt + sqrt(2) n_z psi_perp dW,
-    with all coefficients evaluated at the pre-step state.  `dw` is the real
-    Wiener increment (already scaled to variance dt).
+    States are (..., d) and real Wiener increments (..., N), already scaled
+    to variance dt; the two batch shapes broadcast.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1] != 2:
-        raise DimensionError(f"model is qubit-only, got state dim {psi.shape[-1]}")
-    psi, dw = _component_major(require_normalized(psi), np.asarray(dw, dtype=float)[..., None])
+    psi, dw = np.asarray(psi, dtype=complex), np.asarray(dw, dtype=float)
+    if psi.shape[-1:] != (model.dim,) or dw.shape[-1:] != (model.n_channels,):
+        raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
+    # Boundary of the stepping path: both broadcast to one batch shape and move their component axis first.
+    batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
+    psi = np.moveaxis(np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]), -1, 0)
+    dw = np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
     return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
-
-
-def general_increment(psi, model: GeneralDiffusiveModel, dw, dt: float) -> np.ndarray:
-    """One Ito proposal psi + dpsi for the general diffusive model (unnormalized).
-
-    dpsi = [-iH dt + sum_kj u_kj (L_j - <L_j>) dW_k
-            - (1/2) sum_j (L_j^dag L_j - 2 <L_j>* L_j + |<L_j>|^2) dt] psi.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    d = model.dim
-    if psi.shape[-1] != d:
-        raise DimensionError(f"state dim {psi.shape[-1]} does not match model dim {d}")
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape[-1] != model.n_channels:
-        raise DimensionError(
-            f"need {model.n_channels} Wiener increments, got shape {dw.shape}"
-        )
-    return np.moveaxis(model.propose(*_component_major(psi, dw), dt), 0, -1)
 
 
 def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
@@ -306,12 +268,8 @@ def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
 
 
 def step(psi, model, dw, dt: float) -> np.ndarray:
-    """Euler-Maruyama step with exact renormalization; a failing batch row is reported at step 0."""
-    psi = require_normalized(np.asarray(psi, dtype=complex))
-    dw = np.asarray(dw, dtype=float)
-    if psi.shape[-1] != model.dim or dw.shape[-1] != model.n_channels:
-        raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
-    proposal = model.propose(*_component_major(psi, dw), dt)
+    """Euler-Maruyama step: `increment` with exact renormalization; a failing batch row is reported at step 0."""
+    proposal = np.moveaxis(increment(psi, model, dw, dt), -1, 0)
     return np.moveaxis(_renormalize(proposal, 0, np.arange(proposal[0].size))[0], 0, -1)
 
 
@@ -353,7 +311,7 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
         nxt, norm2 = _renormalize(model.propose(psi, dw, dt), s)
         drifts[s] = norm2 - 1.0
         if gauge is not None:
-            nxt = nxt * np.exp(-1j * float(gauge(psi, dw, dt)))
+            nxt = apply_phase_gauge(nxt, gauge(psi, dw, dt))
         psi = nxt
         states[s + 1] = psi
     times = np.arange(steps + 1) * dt
@@ -365,8 +323,7 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Seeded single trajectory; identical output for identical (seed, id)."""
     steps = resolve_steps(t_final, dt)
-    stream = NoiseStream(seed, trajectory_id)
-    increments = stream.wiener_block(steps, model.n_channels, dt)
+    increments = _wiener(_wiener_key(seed, trajectory_id), np.arange(steps)[:, None], np.arange(model.n_channels), dt)
     return simulate_with_noise(model, psi0, dt, increments, gauge=gauge)
 
 
@@ -376,11 +333,11 @@ def apply_phase_gauge(psi, dchi) -> np.ndarray:
     return psi * np.exp(-1j * np.asarray(dchi, dtype=float))
 
 
-def pairwise_sum(values, axis: int = 0) -> np.ndarray:
-    """Deterministic pairwise reduction: adjacent pairs are folded level by
-    level, an odd tail passes through unchanged.  The result depends only on
-    the operand order, never on chunking or thread count."""
-    a = np.moveaxis(np.asarray(values), axis, 0)
+def pairwise_sum(values) -> np.ndarray:
+    """Deterministic pairwise reduction over the leading axis: adjacent pairs
+    are folded level by level, an odd tail passes through unchanged.  The
+    result depends only on the operand order, never on chunking or thread count."""
+    a = np.asarray(values)
     n = a.shape[0]
     if n == 0:
         raise ValidationError("cannot pairwise-reduce an empty axis")
@@ -437,10 +394,10 @@ def _block_partials(task):
             dw = _wiener(key, s, channels, dt)
             psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
     # A one-trajectory block's sum is a view of `proj`, which is squared in place next.
-    total = pairwise_sum(proj, axis=0).copy()
+    total = pairwise_sum(proj).copy()
     parts = proj.view(float)
     np.square(parts, out=parts)
-    return total, pairwise_sum(parts, axis=0).view(complex)
+    return total, pairwise_sum(parts).view(complex)
 
 
 def _block_size(record_bytes: int) -> int:
@@ -539,8 +496,8 @@ def ensemble_densities(
 def _estimate(partials, grid_idx, dt: float, n_traj: int) -> EnsembleEstimate:
     # One level's blocks, reduced in block order by the fixed pairwise tree; the float views
     # of the complex sums give each entry's real and imaginary parts their own variance.
-    proj_sum = pairwise_sum(np.stack([p[0] for p in partials]), axis=0)
-    square_sum = pairwise_sum(np.stack([p[1] for p in partials]), axis=0)
+    proj_sum = pairwise_sum(np.stack([p[0] for p in partials]))
+    square_sum = pairwise_sum(np.stack([p[1] for p in partials]))
     if n_traj > 1:
         parts = proj_sum.view(float)
         var = np.clip((square_sum.view(float) - parts * parts / n_traj) / (n_traj - 1), 0.0, None)

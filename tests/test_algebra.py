@@ -207,6 +207,14 @@ def test_resolve_steps_ceiling():
         resolve_steps(1e300, 1e-3)
 
 
+@pytest.mark.parametrize(
+    ("t_final", "dt", "message"), [(1.0, np.nan, "dt must be a positive number"), (np.nan, 1e-3, "final time must be")]
+)
+def test_resolve_steps_refuses_nan_with_the_range_message(t_final, dt, message):
+    with pytest.raises(ValidationError, match=message):
+        resolve_steps(t_final, dt)
+
+
 def test_resolve_steps_refuses_an_infinite_dt():
     # 0 * inf is nan, which must not pass the whole-multiple check as 0 steps.
     for t in (0.0, 1.0):
@@ -274,9 +282,9 @@ def test_wiener_key_prefix_gives_the_same_draws(seed, trajectories, steps, chann
         for j, step in enumerate(steps):
             for k in range(channels):
                 assert prefixed[k, j, i] == rng.normals(rng.DOMAIN_WIENER, seed, trajectory, step, k)
-        stream = sse.NoiseStream(seed, trajectory)
-        block = stream.wiener_block(block_steps, channels, 1e-3)
         key = sse._wiener_key(seed, trajectory)
+        block = sse._wiener(key, np.arange(block_steps)[:, None], np.arange(channels), 1e-3)
         for s in range(block_steps):
             assert np.array_equal(block[s], sse._wiener(key, s, np.arange(channels), 1e-3))
-            assert np.array_equal(block[s], stream.wiener(s, channels, 1e-3))
+            full = rng.normals(rng.DOMAIN_WIENER, seed, trajectory, s, np.arange(channels)) * np.sqrt(1e-3)
+            assert np.array_equal(block[s], full)

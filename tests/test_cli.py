@@ -176,6 +176,13 @@ def test_readme_flag_lists_match_the_parser():
         assert documented[command] | shared == flags, command
 
 
+def test_readme_library_use_block_runs(capsys):
+    # Run in process as written, so that a stale API name in the README fails tier-1.
+    code = re.search(r"^## Library use\n.*?^```python\n(.*?)^```", README, flags=re.M | re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"no_such_key": 1}))

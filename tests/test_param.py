@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from ssesim import cli
+from ssesim import cli, sse
 from ssesim.algebra import pauli, random_state
 from ssesim.errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from ssesim.param import (
@@ -25,7 +25,6 @@ from ssesim.param import (
     takagi,
     validate_correlation,
 )
-from ssesim.sse import NoiseStream
 
 H_TEST = np.array([[0.15, 0.2], [0.2, -0.15]], dtype=complex)
 L_TEST = (0.5 * pauli(3), 0.4 * pauli(1))
@@ -74,7 +73,7 @@ def test_map_noise_second_moments():
     # E[dxi dxi^T] / dt -> conj(s) and E[conj(dxi) dxi^T] / dt -> I.
     dt = 1e-3
     u = random_isometry(4, 3, 2, 0)
-    dw = NoiseStream(31, 0).wiener_block(100000, 3, dt)
+    dw = sse._wiener(sse._wiener_key(31, 0), np.arange(100000)[:, None], np.arange(3), dt)
     xi = map_noise_increments(u, dw)
     emp = np.einsum("bi,bj->ij", xi, xi) / (100000 * dt)
     cross = np.einsum("bi,bj->ij", xi.conj(), xi) / (100000 * dt)

@@ -11,14 +11,12 @@ from ssesim.errors import DimensionError, StepSizeError, ValidationError
 from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_master
 from ssesim.sse import (
     GeneralDiffusiveModel,
-    NoiseStream,
     NonCpQubitModel,
     apply_phase_gauge,
     ensemble_densities,
     ensemble_density,
-    general_increment,
     identity_residual,
-    noncp_increment,
+    increment,
     pairwise_sum,
     perp_state,
     simulate_trajectory,
@@ -34,27 +32,32 @@ def _projectors(states):
     return np.einsum("...i,...j->...ij", states, states.conj())
 
 
+def _wiener_block(seed, trajectory, steps, channels, dt):
+    # One trajectory's Wiener increments, shape (steps, channels).
+    return sse._wiener(sse._wiener_key(seed, trajectory), np.arange(steps)[:, None], np.arange(channels), dt)
+
+
 # ---------------------------------------------------------------- noise
 
 
 def test_wiener_moments():
-    dw = NoiseStream(77, 5).wiener_block(100000, 1, 1e-3)[:, 0]
+    dw = _wiener_block(77, 5, 100000, 1, 1e-3)[:, 0]
     assert abs(dw.mean()) <= 4.0 * np.sqrt(1e-3 / 100000.0)
     assert abs(dw.var() - 1e-3) <= 0.05 * 1e-3
 
 
 def test_wiener_is_counter_based():
-    stream = NoiseStream(5, 9)
-    block = stream.wiener_block(20, 3, 1e-3)
-    per_step = np.array([stream.wiener(s, 3, 1e-3) for s in range(20)])
+    key = sse._wiener_key(5, 9)
+    block = _wiener_block(5, 9, 20, 3, 1e-3)
+    per_step = np.array([sse._wiener(key, s, np.arange(3), 1e-3) for s in range(20)])
     assert np.array_equal(block, per_step)
     # draws depend only on the coordinates, not on previous calls
-    assert np.array_equal(stream.wiener(7, 3, 1e-3), block[7])
+    assert np.array_equal(sse._wiener(key, 7, np.arange(3), 1e-3), block[7])
 
 
 def test_wiener_streams_differ_across_trajectories():
-    a = NoiseStream(5, 0).wiener_block(10, 1, 1e-3)
-    b = NoiseStream(5, 1).wiener_block(10, 1, 1e-3)
+    a = _wiener_block(5, 0, 10, 1, 1e-3)
+    b = _wiener_block(5, 1, 10, 1, 1e-3)
     assert np.min(np.abs(a - b)) > 0.0
 
 
@@ -113,13 +116,13 @@ def test_perp_rejects_wrong_dimension():
 
 
 def test_noncp_increment_plus_state_is_stationary():
-    prop = noncp_increment(PLUS, NonCpQubitModel(), dw=0.37, dt=1e-3)
+    prop = increment(PLUS, NonCpQubitModel(), dw=np.array([0.37]), dt=1e-3)
     assert np.max(np.abs(prop - PLUS)) <= 1e-15
 
 
 def test_noncp_increment_at_pole():
     dt, dw = 1e-3, 0.02
-    prop = noncp_increment(POLE, NonCpQubitModel(), dw=dw, dt=dt)
+    prop = increment(POLE, NonCpQubitModel(), dw=np.array([dw]), dt=dt)
     expected = POLE * (1.0 - dt) + np.sqrt(2.0) * dw * np.array([0.0, 1.0])
     assert np.max(np.abs(prop - expected)) <= 1e-15
 
@@ -127,7 +130,7 @@ def test_noncp_increment_at_pole():
 def test_noncp_increment_continuity():
     psi = random_state(4, 2, 0)
     for dt in (1e-2, 1e-4, 1e-6):
-        prop = noncp_increment(psi, NonCpQubitModel(), dw=0.0, dt=dt)
+        prop = increment(psi, NonCpQubitModel(), dw=np.zeros(1), dt=dt)
         assert np.max(np.abs(prop - psi)) <= 4.0 * dt
 
 
@@ -138,9 +141,9 @@ def test_ito_norm_balance():
     dt = 1e-3
     model = NonCpQubitModel()
     psi = random_state(21, 2, np.arange(1000))
-    root = np.full(1000, np.sqrt(dt))
-    plus = noncp_increment(psi, model, root, dt)
-    minus = noncp_increment(psi, model, -root, dt)
+    root = np.full((1000, 1), np.sqrt(dt))
+    plus = increment(psi, model, root, dt)
+    minus = increment(psi, model, -root, dt)
     norm_plus = np.einsum("bi,bi->b", plus.conj(), plus).real
     norm_minus = np.einsum("bi,bi->b", minus.conj(), minus).real
     residual = np.abs((norm_plus + norm_minus) / 2.0 - 1.0)
@@ -149,7 +152,7 @@ def test_ito_norm_balance():
 
 def test_general_increment_eigenstate_is_stationary():
     model = GeneralDiffusiveModel(np.zeros((2, 2)), (np.sqrt(0.7) * pauli(3),), np.eye(1))
-    prop = general_increment(POLE, model, np.array([0.4]), 1e-3)
+    prop = increment(POLE, model, np.array([0.4]), 1e-3)
     assert np.max(np.abs(prop - POLE)) <= 1e-15
 
 
@@ -158,7 +161,7 @@ def test_general_increment_closed_system_limit():
     model = GeneralDiffusiveModel(pauli(3), (zero_op,), np.eye(1))
     psi = random_state(11, 2, 0)
     dt = 1e-3
-    prop = general_increment(psi, model, np.array([0.0]), dt)
+    prop = increment(psi, model, np.array([0.0]), dt)
     expected = psi - 1j * (pauli(3) @ psi) * dt
     assert np.max(np.abs(prop - expected)) <= 1e-16
 
@@ -186,13 +189,38 @@ def test_general_increment_matches_naive_loop():
             e = np.vdot(psi, op @ psi)
             noise = noise + u[k, j] * ((op @ psi) - e * psi) * dw[k]
     expected = psi + drift * dt + noise
-    assert np.max(np.abs(general_increment(psi, model, dw, dt) - expected)) <= 1e-15
+    assert np.max(np.abs(increment(psi, model, dw, dt) - expected)) <= 1e-15
 
 
 def test_general_increment_rejects_wrong_noise_length():
     model = GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(1), pauli(2)), np.eye(2))
     with pytest.raises(DimensionError):
-        general_increment(PLUS, model, np.zeros(3), 1e-3)
+        increment(PLUS, model, np.zeros(3), 1e-3)
+
+
+_QUBIT_MODELS = [
+    NonCpQubitModel(),
+    GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(1), pauli(2)), np.eye(3)[:, :2]),
+]
+
+
+@pytest.mark.parametrize("model", _QUBIT_MODELS, ids=["noncp", "general"])
+def test_increment_rejects_an_unnormalized_state(model):
+    with pytest.raises(ValidationError, match="not normalized"):
+        increment(np.array([2.0, 0.0]), model, np.zeros(model.n_channels), 1e-3)
+
+
+@pytest.mark.parametrize("model", _QUBIT_MODELS, ids=["noncp", "general"])
+def test_increment_rejects_wrong_state_or_increment_widths(model):
+    qutrit = np.ones(3, dtype=complex) / np.sqrt(3.0)
+    with pytest.raises(DimensionError):
+        increment(qutrit, model, np.zeros(model.n_channels), 1e-3)
+    with pytest.raises(DimensionError):
+        increment(PLUS, model, np.zeros(model.n_channels + 1), 1e-3)
+    with pytest.raises(DimensionError):
+        increment(PLUS, model, 0.0, 1e-3)
+    with pytest.raises(DimensionError):
+        step(1.0, model, np.zeros(model.n_channels), 1e-3)
 
 
 def test_general_model_rejects_non_isometry():
@@ -220,7 +248,7 @@ def test_step_at_pole_without_noise():
 
 def test_step_output_is_normalized():
     psi = random_state(6, 2, np.arange(100))
-    dw = NoiseStream(6, 0).wiener(0, 1, 1e-3) * np.ones((100, 1))
+    dw = sse._wiener(sse._wiener_key(6, 0), 0, np.arange(1), 1e-3) * np.ones((100, 1))
     out = step(psi, NonCpQubitModel(), dw, 1e-3)
     norms = np.einsum("bi,bi->b", out.conj(), out).real
     assert np.max(np.abs(norms - 1.0)) <= 1e-15
@@ -320,7 +348,7 @@ def test_gauged_trajectory_has_identical_projector_path():
 def test_pairwise_sum_matches_exact_sum():
     rng = np.random.default_rng(2)
     values = rng.normal(size=(1001, 3))
-    assert np.allclose(pairwise_sum(values, axis=0), values.sum(axis=0), atol=1e-12)
+    assert np.allclose(pairwise_sum(values), values.sum(axis=0), atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
