@@ -25,28 +25,23 @@ from .master import (
     cp_verdict,
     extract_map,
     integrate_master,
-    lindblad_rhs,
     map_grid,
     pauli_channel_map,
     pauli_generator,
     positivity_verdict,
 )
 from .param import (
-    CorrelationCheck,
     RedundancyWitness,
     correlation_from_noise,
-    map_noise_increments,
     noise_from_correlation,
     redundancy_witness,
     takagi,
-    validate_correlation,
 )
 from .sse import (
     EnsembleEstimate,
     GeneralDiffusiveModel,
     NonCpQubitModel,
     Trajectory,
-    apply_phase_gauge,
     ensemble_densities,
     ensemble_density,
     identity_residual,

@@ -1,8 +1,8 @@
 """Small dense complex linear algebra for qubit-scale operators.
 
-Pauli matrices, Bloch-vector conversions, the Hermitian eigensolver, the
-step-count resolver and report grid shared by every time grid, and
-Haar-random state vectors drawn from counter-based Gaussians.
+Pauli matrices, the input checks every module shares, Bloch-vector
+conversions, the Hermitian eigensolver, the step-count resolver and report
+grid of every time grid, and Haar-random states from counter-based Gaussians.
 """
 
 from __future__ import annotations
@@ -52,6 +52,29 @@ def require_normalized(psi, tol: float = 1e-8, what: str = "state") -> np.ndarra
     if dev > tol:
         raise ValidationError(f"{what} is not normalized (max ||psi||^2 - 1| = {dev:.3e})")
     return psi
+
+
+def require_isometry(u, what: str = "noise matrix") -> np.ndarray:
+    """An N x n matrix with N >= n >= 1 and u^dag u = I_n, as a complex array."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[1] < 1:
+        raise DimensionError(f"{what} must be N x n with n >= 1, got shape {u.shape}")
+    if u.shape[0] < u.shape[1]:
+        raise ValidationError(f"{what} needs N >= n rows, got shape {u.shape}")
+    dev = max_abs(u.conj().T @ u - np.eye(u.shape[1]))
+    if dev > 1e-10:
+        raise ValidationError(f"{what} is not an isometry (max |u^dag u - I| = {dev:.3e})")
+    return u
+
+
+def require_rates(rates) -> np.ndarray:
+    """The finite rates (c_1, c_2, c_3) of the sigma_1, sigma_2, sigma_3 channels, as a float array."""
+    c = np.asarray(rates, dtype=float)
+    if c.shape != (3,):
+        raise DimensionError(f"rate vector must have shape (3,), got {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValidationError(f"rates must be finite, got {c}")
+    return c
 
 
 def bloch_from_state(psi) -> np.ndarray:

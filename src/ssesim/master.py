@@ -20,6 +20,7 @@ from .algebra import (
     max_abs,
     random_state,
     require_hermitian,
+    require_rates,
     resolve_steps,
 )
 from .errors import DimensionError, ValidationError
@@ -64,20 +65,7 @@ class MasterGenerator:
 
 def pauli_generator(rates) -> MasterGenerator:
     """Qubit generator with H = 0 and channels (c_k, sigma_k), k = 1..3."""
-    c = np.asarray(rates, dtype=float)
-    if c.shape != (3,):
-        raise DimensionError(f"rate vector must have shape (3,), got {c.shape}")
-    return MasterGenerator(np.zeros((2, 2)), tuple(zip(c, _SIGMA.copy())))
-
-
-def lindblad_rhs(rho, gen: MasterGenerator) -> np.ndarray:
-    """Right-hand side L vec(rho) of the master equation; broadcasts over leading axes."""
-    rho = np.asarray(rho, dtype=complex)
-    d = gen.dim
-    if rho.shape[-2:] != (d, d):
-        raise DimensionError(f"state shape {rho.shape} does not match generator dimension {d}")
-    vecs = rho.reshape(*rho.shape[:-2], d * d)
-    return (vecs @ gen._superop.T).reshape(rho.shape)
+    return MasterGenerator(np.zeros((2, 2)), tuple(zip(require_rates(rates), _SIGMA.copy())))
 
 
 def _rk4_step(gen: MasterGenerator, dt: float) -> np.ndarray:
@@ -118,9 +106,9 @@ def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
     `t` may be a scalar or an array; the result has shape (..., 3).
     """
     n0 = np.asarray(n0, dtype=float)
-    c = np.asarray(rates, dtype=float)
-    if n0.shape != (3,) or c.shape != (3,):
-        raise DimensionError("Bloch vector and rate vector must have shape (3,)")
+    if n0.shape != (3,):
+        raise DimensionError(f"Bloch vector must have shape (3,), got {n0.shape}")
+    c = require_rates(rates)
     t = np.asarray(t, dtype=float)
     decay = np.exp(-2.0 * (np.sum(c) - c) * t[..., None])
     return n0 * decay

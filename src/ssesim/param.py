@@ -15,23 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import max_abs, require_normalized, resolve_steps
+from .algebra import max_abs, require_isometry, require_normalized, resolve_steps
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener, _wiener_key
 
 _DEGENERACY_TOL = 1e-12
 # Entries of the largest temporary of the witness noise map, N^2 per case and step.
 _NOISE_ENTRIES = 1 << 8
-
-
-def _require_isometry(u, tol: float = 1e-10) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] < u.shape[1] or u.shape[1] < 1:
-        raise DimensionError(f"noise matrix must be N x n with N >= n >= 1, got shape {u.shape}")
-    dev = max_abs(u.conj().T @ u - np.eye(u.shape[1]))
-    if dev > tol:
-        raise ValidationError(f"noise matrix is not an isometry (max |u^dag u - I| = {dev:.3e})")
-    return u
 
 
 def _require_symmetric(s, tol: float = 1e-10) -> np.ndarray:
@@ -44,27 +34,13 @@ def _require_symmetric(s, tol: float = 1e-10) -> np.ndarray:
     return s
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
-
-
 def correlation_from_noise(u) -> np.ndarray:
     """Correlation matrix s with conj(s)_jl = sum_k u_kj u_kl."""
-    u = _require_isometry(u)
+    u = require_isometry(u)
     s = np.conj(u.T @ u)
-    if spectral_norm(s) > 1.0 + 1e-10:
+    if np.linalg.norm(s, 2) > 1.0 + 1e-10:
         raise ValidationError("correlation matrix exceeds unit spectral norm; isometry input is inconsistent")
     return s
-
-
-def map_noise_increments(u, dw) -> np.ndarray:
-    """Image dxi*_j = sum_k dW_k u_kj of real Wiener increments, shape (..., n)."""
-    u = np.asarray(u, dtype=complex)
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape[-1] != u.shape[0]:
-        raise DimensionError(f"need {u.shape[0]} increments per draw, got shape {dw.shape}")
-    return np.moveaxis(_contract(u, np.moveaxis(dw, -1, 0)), 0, -1)
 
 
 def takagi(s) -> tuple[np.ndarray, np.ndarray]:
@@ -104,31 +80,10 @@ def noise_from_correlation(s) -> np.ndarray:
     p = np.sqrt((1.0 + sigma) / 2.0)
     q = np.sqrt(np.clip(1.0 - sigma, 0.0, None) / 2.0)
     stacked = np.vstack([np.diag(p), 1j * np.diag(q)]).astype(complex)
-    u = stacked @ v.T
-    if max_abs(u.conj().T @ u - np.eye(s.shape[0])) > 1e-10 or max_abs(np.conj(u.T @ u) - s) > 1e-10:
+    u = require_isometry(stacked @ v.T)
+    if max_abs(np.conj(u.T @ u) - s) > 1e-10:
         raise ValidationError("Takagi construction failed to reproduce the correlation matrix")
     return u
-
-
-@dataclass
-class CorrelationCheck:
-    symmetric: bool
-    spectral_norm: float
-    feasible: bool
-
-
-def validate_correlation(s) -> CorrelationCheck:
-    """Feasibility report: symmetry and spectral norm <= 1 + 1e-10."""
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionError(f"correlation matrix must be square, got shape {s.shape}")
-    symmetric = max_abs(s - s.T) <= 1e-10
-    norm = spectral_norm(s)
-    return CorrelationCheck(
-        symmetric=bool(symmetric),
-        spectral_norm=norm,
-        feasible=bool(symmetric and norm <= 1.0 + 1e-10),
-    )
 
 
 @dataclass
@@ -171,7 +126,7 @@ def redundancy_witnesses(
     shape of u.  Every rotated and plain path steps in one component-major
     block, and only the running maximum of their distance is kept.
     """
-    us = [_require_isometry(u) for u in noise_matrices]
+    us = [require_isometry(u) for u in noise_matrices]
     orths = [np.asarray(o, dtype=float) for o in orthogonals]
     cases = len(us)
     if len({u.shape for u in us}) != 1 or len(orths) != cases or len(case_ids) != cases:
@@ -180,9 +135,7 @@ def redundancy_witnesses(
     for orth in orths:
         if orth.shape != (n_rows, n_rows):
             raise DimensionError(f"orthogonal matrix must be {n_rows} x {n_rows}, got {orth.shape}")
-        dev = max_abs(orth.T @ orth - np.eye(n_rows))
-        if dev > 1e-10:
-            raise ValidationError(f"matrix is not orthogonal (max |O^T O - I| = {dev:.3e})")
+        require_isometry(orth, "orthogonal matrix")
     rotated = [orth @ u for orth, u in zip(orths, us)]
     s_deviations = [max_abs(correlation_from_noise(r) - correlation_from_noise(u)) for r, u in zip(rotated, us)]
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import _bloch_components, bloch_from_density, bloch_from_state, max_abs, pauli
-from .algebra import report_indices, require_hermitian, require_normalized, resolve_steps
+from .algebra import _bloch_components, bloch_from_density, bloch_from_state, pauli, report_indices
+from .algebra import require_hermitian, require_isometry, require_normalized, require_rates, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
@@ -87,12 +87,7 @@ class NonCpQubitModel:
     perp_phase: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.rates, dtype=float)
-        if c.shape != (3,):
-            raise DimensionError(f"rate vector must have shape (3,), got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("rates must be finite")
-        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_c", require_rates(self.rates))
 
     @property
     def dim(self) -> int:
@@ -160,14 +155,9 @@ class GeneralDiffusiveModel:
             raise DimensionError(
                 f"noise matrix must be N x n with n = {len(ops)} operators, got shape {u.shape}"
             )
-        if u.shape[0] < u.shape[1]:
-            raise ValidationError(f"noise matrix needs N >= n rows, got shape {u.shape}")
-        dev = max_abs(u.conj().T @ u - np.eye(u.shape[1]))
-        if dev > 1e-10:
-            raise ValidationError(f"noise matrix is not an isometry (max |u^dag u - I| = {dev:.3e})")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "lindblads", tuple(ops))
-        object.__setattr__(self, "noise_matrix", u)
+        object.__setattr__(self, "noise_matrix", require_isometry(u))
         # The drift operator K = -iH - (1/2) sum_j L_j^dag L_j stacked over the
         # Lindblad rows: one contraction gives K psi and every L_j psi.
         drift_op = -1j * h - 0.5 * sum(op.conj().T @ op for op in ops)
@@ -242,7 +232,12 @@ def increment(psi, model, dw, dt: float) -> np.ndarray:
     if psi.shape[-1:] != (model.dim,) or dw.shape[-1:] != (model.n_channels,):
         raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
     # Boundary of the stepping path: both broadcast to one batch shape and move their component axis first.
-    batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
+    try:
+        batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
+    except ValueError:
+        raise DimensionError(
+            f"state batch {psi.shape[:-1]} and increment batch {dw.shape[:-1]} do not broadcast"
+        ) from None
     psi = np.moveaxis(np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]), -1, 0)
     dw = np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
     return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
@@ -311,7 +306,7 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
         nxt, norm2 = _renormalize(model.propose(psi, dw, dt), s)
         drifts[s] = norm2 - 1.0
         if gauge is not None:
-            nxt = apply_phase_gauge(nxt, gauge(psi, dw, dt))
+            nxt = nxt * np.exp(-1j * np.asarray(gauge(psi, dw, dt), dtype=float))
         psi = nxt
         states[s + 1] = psi
     times = np.arange(steps + 1) * dt
@@ -325,12 +320,6 @@ def simulate_trajectory(
     steps = resolve_steps(t_final, dt)
     increments = _wiener(_wiener_key(seed, trajectory_id), np.arange(steps)[:, None], np.arange(model.n_channels), dt)
     return simulate_with_noise(model, psi0, dt, increments, gauge=gauge)
-
-
-def apply_phase_gauge(psi, dchi) -> np.ndarray:
-    """Multiply a state by exp(-i dchi); the projector is untouched."""
-    psi = np.asarray(psi, dtype=complex)
-    return psi * np.exp(-1j * np.asarray(dchi, dtype=float))
 
 
 def pairwise_sum(values) -> np.ndarray:
@@ -519,9 +508,7 @@ def identity_residual(psi, rates=_SIGNED_RATES):
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 2:
         raise DimensionError(f"identity check requires qubit states, got dim {psi.shape[-1]}")
-    c = np.asarray(rates, dtype=float)
-    if c.shape != (3,):
-        raise DimensionError(f"rate vector must have shape (3,), got {c.shape}")
+    c = require_rates(rates)
     n = bloch_from_state(psi)
     proj = np.einsum("...i,...j->...ij", psi, psi.conj())
     perp = perp_state(psi)

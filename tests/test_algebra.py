@@ -16,6 +16,7 @@ from ssesim.algebra import (
     state_from_bloch,
 )
 from ssesim.errors import DimensionError, ValidationError
+from ssesim.master import analytic_pauli_solution, pauli_generator
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -288,3 +289,18 @@ def test_wiener_key_prefix_gives_the_same_draws(seed, trajectories, steps, chann
             assert np.array_equal(block[s], sse._wiener(key, s, np.arange(channels), 1e-3))
             full = rng.normals(rng.DOMAIN_WIENER, seed, trajectory, s, np.arange(channels)) * np.sqrt(1e-3)
             assert np.array_equal(block[s], full)
+
+
+_RATE_USERS = {
+    "pauli_generator": pauli_generator,
+    "analytic_pauli_solution": lambda c: analytic_pauli_solution([0.0, 0.0, 1.0], c, 0.25),
+    "identity_residual": lambda c: sse.identity_residual(np.array([1.0, 0.0]), c),
+    "NonCpQubitModel": sse.NonCpQubitModel,
+}
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0, np.inf), (1.0, np.nan, -1.0)], ids=["inf", "nan"])
+@pytest.mark.parametrize("user", list(_RATE_USERS), ids=list(_RATE_USERS))
+def test_every_rate_vector_user_refuses_non_finite_rates(user, rates):
+    with pytest.raises(ValidationError, match="rates must be finite"):
+        _RATE_USERS[user](rates)

@@ -14,7 +14,6 @@ from ssesim.master import (
     cp_verdict,
     extract_map,
     integrate_master,
-    lindblad_rhs,
     map_grid,
     pauli_channel_map,
     pauli_generator,
@@ -40,11 +39,10 @@ def _random_generator(seed, d=3):
     return MasterGenerator((g + g.conj().T) / 2.0, tuple(zip((0.7, -0.3, 0.4), ops)))
 
 
-def _generator_matrix(gen):
-    # L column by column: L e_(i d + j) = vec(rhs(E_ij)) in the row-major vec.
-    d = gen.dim
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return lindblad_rhs(units, gen).reshape(d * d, d * d).T
+def _rhs(rho, gen):
+    # Right-hand side L vec(rho) of the master equation, in the row-major vec.
+    rho = np.asarray(rho, dtype=complex)
+    return (gen._superop @ rho.reshape(-1)).reshape(rho.shape)
 
 
 def test_rhs_matches_operator_form():
@@ -52,8 +50,8 @@ def test_rhs_matches_operator_form():
     h = gen.hamiltonian
     rng = np.random.default_rng(22)
     rhos = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
-    got = lindblad_rhs(rhos, gen)
-    for rho, out in zip(rhos, got):
+    for rho in rhos:
+        out = _rhs(rho, gen)
         want = -1j * (h @ rho - rho @ h)
         for rate, a in gen.channels:
             gram = a.conj().T @ a
@@ -66,7 +64,7 @@ def test_extract_map_matches_matrix_exponential():
     # ||P - e^{hL}|| <= (hl)^5 / 5! e^{hl} and over n steps
     # ||P^n - e^{nhL}|| <= n e^{nhl} (hl)^5 / 5!.
     gen = _random_generator(23)
-    lmat = _generator_matrix(gen)
+    lmat = gen._superop
     norm = np.linalg.norm(lmat, 2)
     t = 0.5
     errors = []
@@ -89,19 +87,19 @@ def test_choi_matrix_matches_definition():
 
 
 def test_rhs_annihilates_maximally_mixed():
-    out = lindblad_rhs(np.eye(2) / 2.0, pauli_generator(SIGNED))
+    out = _rhs(np.eye(2) / 2.0, pauli_generator(SIGNED))
     assert np.max(np.abs(out)) <= 1e-15
 
 
 def test_rhs_ground_state():
     # Expanding sigma_k |0><0| sigma_k by hand gives -2 sigma_z, i.e. dn3/dt = -4.
-    out = lindblad_rhs(np.diag([1.0, 0.0]).astype(complex), pauli_generator(SIGNED))
+    out = _rhs(np.diag([1.0, 0.0]).astype(complex), pauli_generator(SIGNED))
     assert np.max(np.abs(out - (-2.0) * pauli(3))) <= 1e-15
 
 
 def test_rhs_plus_state_is_stationary():
     plus = np.full((2, 2), 0.5, dtype=complex)
-    out = lindblad_rhs(plus, pauli_generator(SIGNED))
+    out = _rhs(plus, pauli_generator(SIGNED))
     assert np.max(np.abs(out)) <= 1e-15
 
 
@@ -111,14 +109,14 @@ def test_rhs_traceless_and_hermitian():
     for _ in range(50):
         n = rng.normal(size=3)
         n *= rng.uniform(0, 1) / np.linalg.norm(n)
-        out = lindblad_rhs(_bloch_density(n), gen)
+        out = _rhs(_bloch_density(n), gen)
         assert abs(np.trace(out)) <= 1e-12
         assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
 
 def test_rhs_rejects_dimension_mismatch():
     with pytest.raises(DimensionError):
-        lindblad_rhs(np.eye(3) / 3.0, pauli_generator(SIGNED))
+        integrate_master(np.eye(3) / 3.0, pauli_generator(SIGNED), 0.1, 1e-3)
 
 
 def test_integrate_zero_time_is_identity():

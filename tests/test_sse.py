@@ -12,7 +12,6 @@ from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_ma
 from ssesim.sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
-    apply_phase_gauge,
     ensemble_densities,
     ensemble_density,
     identity_residual,
@@ -221,6 +220,8 @@ def test_increment_rejects_wrong_state_or_increment_widths(model):
         increment(PLUS, model, 0.0, 1e-3)
     with pytest.raises(DimensionError):
         step(1.0, model, np.zeros(model.n_channels), 1e-3)
+    with pytest.raises(DimensionError, match="do not broadcast"):
+        step(random_state(1, 2, np.arange(3)), model, np.zeros((2, model.n_channels)), 1e-3)
 
 
 def test_general_model_rejects_non_isometry():
@@ -317,15 +318,24 @@ def test_plus_state_is_a_fixed_point_of_the_unraveling():
 # ---------------------------------------------------------------- gauge
 
 
+def _constant_gauge(dchi):
+    return lambda psi, dw, dt: dchi
+
+
 def test_gauge_zero_phase_is_identity():
     psi = random_state(3, 2, 1)
-    assert np.array_equal(apply_phase_gauge(psi, 0.0), psi)
+    noise = _wiener_block(3, 1, 50, 1, 1e-3)
+    plain = simulate_with_noise(NonCpQubitModel(), psi, 1e-3, noise)
+    gauged = simulate_with_noise(NonCpQubitModel(), psi, 1e-3, noise, gauge=_constant_gauge(0.0))
+    assert np.array_equal(gauged.states, plain.states)
 
 
 def test_gauge_leaves_projector_invariant():
-    psi = random_state(3, 2, np.arange(50))
-    gauged = apply_phase_gauge(psi, 1.234)
-    assert np.max(np.abs(_projectors(gauged) - _projectors(psi))) <= 1e-15
+    # One step from each state: the gauged state is the plain one times exp(-1.234 i).
+    for psi in random_state(3, 2, np.arange(50)):
+        plain = simulate_with_noise(NonCpQubitModel(), psi, 1e-3, np.zeros((1, 1)))
+        gauged = simulate_with_noise(NonCpQubitModel(), psi, 1e-3, np.zeros((1, 1)), gauge=_constant_gauge(1.234))
+        assert np.max(np.abs(_projectors(gauged.states) - _projectors(plain.states))) <= 1e-15
 
 
 def test_gauged_trajectory_has_identical_projector_path():
