@@ -13,7 +13,6 @@ from .algebra import (
 )
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
-    ChoiMatrix,
     CpVerdict,
     DynamicalMap,
     MasterGenerator,

@@ -8,8 +8,10 @@ parametrization property suites), and `convergence` (step-size study).
 Every run prints a JSON report to stdout and optionally writes a data
 payload (CSV records or the full JSON report) to `--output`.  Payloads
 carry no timestamps and are byte-identical for a fixed config and seed,
-independent of `--threads`.  Exit codes: 0 pass, 1 verdict failure,
-2 usage or config error.
+independent of `--threads`.  Each command returns its verdict, and `main`
+sets the exit code by one rule: 1 for the verdict FAIL and only for it, 0
+for every other verdict (PASS, INFO, INCONCLUSIVE), and 2 for a usage,
+config or numerical error.
 """
 
 from __future__ import annotations
@@ -304,11 +306,9 @@ def cmd_unravel(cfg: dict):
     bound = 3.0 * se + 2.0 * dt
     max_se = float(np.max(se))
     if max_se > 0.5:
-        verdict, code = _VERDICT_INCONCLUSIVE, 0
-    elif np.all(dev <= bound):
-        verdict, code = "PASS", 0
+        verdict = _VERDICT_INCONCLUSIVE
     else:
-        verdict, code = "FAIL", 1
+        verdict = "PASS" if np.all(dev <= bound) else "FAIL"
 
     summary = {
         "max_abs_deviation": float(np.max(dev)),
@@ -318,7 +318,7 @@ def cmd_unravel(cfg: dict):
         "master_vs_reference": float(np.max(np.abs(rk4 - reference))),
         "final_bloch_mean": [float(x) for x in mean[-1]],
     }
-    return code, verdict, summary, _BLOCH_COLUMNS, _bloch_rows(est.times, mean, se, reference)
+    return verdict, summary, _BLOCH_COLUMNS, _bloch_rows(est.times, mean, se, reference)
 
 
 def cmd_choi(cfg: dict):
@@ -346,7 +346,7 @@ def cmd_choi(cfg: dict):
         "cp_everywhere": bool(cp_everywhere),
         "negative_at_all_positive_times": bool(negative_at_positive_times),
     }
-    return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, columns, rows
+    return ("PASS" if ok else "FAIL"), summary, columns, rows
 
 
 def _pole_states(count: int = 10) -> np.ndarray:
@@ -377,11 +377,10 @@ def cmd_identity(cfg: dict):
     rows = [[i, kinds[i], float(residuals[i])] for i in range(len(states))]
     summary = {"max_identity_residual": max_residual, "states": len(states)}
     if rates == _SIGNED_RATES:
-        ok = max_residual <= 1e-12
-        return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, columns, rows
+        return ("PASS" if max_residual <= 1e-12 else "FAIL"), summary, columns, rows
     # The identity is specific to the signed-rate pattern; other rates are
     # reported without pass/fail semantics.
-    return 0, "INFO", summary, columns, rows
+    return "INFO", summary, columns, rows
 
 
 _WITNESS_HAMILTONIAN = np.array([[0.15, 0.2], [0.2, -0.15]], dtype=complex)
@@ -447,7 +446,7 @@ def cmd_param(cfg: dict):
         "max_pathwise_deviation": float(maxima[3]),
         "infeasible_rejected": bool(rejected),
     }
-    return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, columns, rows
+    return ("PASS" if ok else "FAIL"), summary, columns, rows
 
 
 def cmd_convergence(cfg: dict):
@@ -492,7 +491,7 @@ def cmd_convergence(cfg: dict):
         "noise_floors": floors,
         "weak_order_exponent": exponent,
     }
-    return (0 if ok else 1), ("PASS" if ok else "FAIL"), summary, ["dt", *_BLOCH_COLUMNS], rows
+    return ("PASS" if ok else "FAIL"), summary, ["dt", *_BLOCH_COLUMNS], rows
 
 
 _COMMANDS = {
@@ -540,7 +539,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args, _DEFAULTS[args.command])
-        code, verdict, summary, columns, rows = _COMMANDS[args.command](cfg)
+        verdict, summary, columns, rows = _COMMANDS[args.command](cfg)
         payload = {
             "command": args.command,
             "version": __version__,
@@ -569,7 +568,7 @@ def main(argv=None) -> int:
         # choi, identity and param start no workers.
         report["threads"] = cfg.get("threads", 1)
         print(json.dumps(report, indent=2, sort_keys=True))
-        return code
+        return 1 if verdict == "FAIL" else 0
     except (ValidationError, DimensionError, InfeasibleError, StepSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

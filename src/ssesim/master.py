@@ -88,16 +88,8 @@ def require_density(rho, what: str = "density matrix") -> np.ndarray:
 
 
 def integrate_master(rho0, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
-    """Evolve a density matrix to time t, a whole multiple of dt, with classical RK4."""
-    rho0 = require_density(rho0)
-    if rho0.shape != (gen.dim, gen.dim):
-        raise DimensionError(f"state shape {rho0.shape} does not match generator dimension {gen.dim}")
-    steps = resolve_steps(t, dt)
-    step = _rk4_step(gen, dt)
-    vec = rho0.reshape(-1).copy()
-    for _ in range(steps):
-        vec = step @ vec
-    return vec.reshape(rho0.shape)
+    """Evolve a density matrix to time t, a whole multiple of dt: the RK4 map `extract_map` applied to it."""
+    return apply_map(extract_map(gen, t, dt), require_density(rho0))
 
 
 def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
@@ -119,7 +111,6 @@ class DynamicalMap:
     """Superoperator acting on row-major vectorized d x d matrices."""
 
     superoperator: np.ndarray
-    time: float
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -134,7 +125,7 @@ class DynamicalMap:
         if max_abs(tvec @ s - tvec) > 1e-9:
             raise ValidationError("dynamical map is not trace preserving")
         # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
-        c = _reshuffle(s, d)
+        c = choi_matrix(self)
         if max_abs(c - c.conj().T) > 1e-9:
             raise ValidationError("dynamical map is not Hermiticity preserving")
 
@@ -167,10 +158,10 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> list[DynamicalMap]:
     step = _rk4_step(gen, dt)
     s = np.eye(gen.dim**2, dtype=complex)
     maps = []
-    for t, gap in zip(times, gaps):
+    for gap in gaps:
         for _ in range(gap):
             s = step @ s
-        maps.append(DynamicalMap(s, time=float(t)))
+        maps.append(DynamicalMap(s))
     return maps
 
 
@@ -179,7 +170,7 @@ def bloch_block(m: DynamicalMap) -> np.ndarray:
     return 0.5 * bloch_from_density(apply_map(m, _SIGMA)).T
 
 
-def pauli_channel_map(lambdas, time: float = 0.0) -> DynamicalMap:
+def pauli_channel_map(lambdas) -> DynamicalMap:
     """Synthetic qubit map acting diagonally on the Bloch vector.
 
     Lambda(I) = I and Lambda(sigma_k) = lambdas[k-1] sigma_k; no positivity
@@ -193,31 +184,18 @@ def pauli_channel_map(lambdas, time: float = 0.0) -> DynamicalMap:
     sigmas = np.concatenate([np.eye(2, dtype=complex)[None], _SIGMA])
     mults = 0.5 * np.concatenate([[1.0], lam])
     s = np.einsum("m,mkl,mji->klij", mults, sigmas, sigmas).reshape(4, 4)
-    return DynamicalMap(s, time=time)
+    return DynamicalMap(s)
 
 
-@dataclass
-class ChoiMatrix:
-    """Unnormalized Choi matrix sum_ij E_ij (x) Lambda(E_ij); trace = d."""
-
-    matrix: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if max_abs(self.matrix - self.matrix.conj().T) > 1e-10:
-            raise ValidationError("Choi matrix must be Hermitian")
-        if abs(np.trace(self.matrix) - self.dim) > 1e-9:
-            raise ValidationError("Choi matrix of a trace-preserving map must have trace d")
-
-
-def _reshuffle(s, d: int) -> np.ndarray:
+def choi_matrix(m: DynamicalMap) -> np.ndarray:
+    """Unnormalized Choi matrix sum_ij E_ij (x) Lambda(E_ij) of a checked map: Hermitian, trace d."""
     # Choi-Jamiolkowski reshuffle: C[(i, k), (j, l)] = Lambda(E_ij)[k, l] = S[k d + l, i d + j].
-    return s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    d = m.dim
+    return m.superoperator.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def choi_matrix(m: DynamicalMap) -> ChoiMatrix:
-    return ChoiMatrix(_reshuffle(m.superoperator, m.dim), dim=m.dim)
+# Eigenvalues down to -_VERDICT_TOL count as nonnegative in both verdicts.
+_VERDICT_TOL = 1e-9
 
 
 @dataclass
@@ -225,20 +203,14 @@ class CpVerdict:
     cp: bool
     min_eigenvalue: float  # divided by d (spectrum summing to 1)
     min_eigenvalue_raw: float
-    witness: np.ndarray
 
 
-def cp_verdict(choi: ChoiMatrix, tol: float = 1e-9) -> CpVerdict:
-    """Complete-positivity test: the Choi matrix must be positive semidefinite."""
-    values, vectors = hermitian_eigen(choi.matrix)
+def cp_verdict(choi) -> CpVerdict:
+    """Complete-positivity test: the d^2 x d^2 Choi matrix must be positive semidefinite."""
+    values = hermitian_eigen(choi)[0]
     raw = float(values[0])
-    normalized = raw / choi.dim
-    return CpVerdict(
-        cp=bool(normalized >= -tol),
-        min_eigenvalue=normalized,
-        min_eigenvalue_raw=raw,
-        witness=vectors[:, 0].copy(),
-    )
+    normalized = raw / math.isqrt(len(values))
+    return CpVerdict(cp=bool(normalized >= -_VERDICT_TOL), min_eigenvalue=normalized, min_eigenvalue_raw=raw)
 
 
 @dataclass
@@ -247,7 +219,7 @@ class PositivityVerdict:
     min_output_eigenvalue: float
 
 
-def positivity_verdict(m: DynamicalMap, samples: int, seed: int, tol: float = 1e-9) -> PositivityVerdict:
+def positivity_verdict(m: DynamicalMap, samples: int, seed: int) -> PositivityVerdict:
     """Apply the map to Haar-random pure states and report the worst output eigenvalue."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
@@ -255,4 +227,4 @@ def positivity_verdict(m: DynamicalMap, samples: int, seed: int, tol: float = 1e
     rho = np.einsum("...i,...j->...ij", psi, psi.conj())
     out = apply_map(m, rho)
     min_eig = float(np.min(np.linalg.eigvalsh(out)))
-    return PositivityVerdict(positive_on_samples=bool(min_eig >= -tol), min_output_eigenvalue=min_eig)
+    return PositivityVerdict(positive_on_samples=bool(min_eig >= -_VERDICT_TOL), min_output_eigenvalue=min_eig)

@@ -88,7 +88,6 @@ def noise_from_correlation(s) -> np.ndarray:
 
 @dataclass
 class RedundancyWitness:
-    s_equal: bool
     s_deviation: float
     max_pathwise_deviation: float
 
@@ -165,7 +164,7 @@ def redundancy_witnesses(
             psi = _renormalize(model.drive(psi, xi[:, j], dt), s, labels, "witness case")[0]
             np.maximum(pathwise, np.abs(psi[:, :cases] - psi[:, cases:]).max(axis=0), out=pathwise)
     return [
-        RedundancyWitness(s_equal=bool(dev <= 1e-12), s_deviation=float(dev), max_pathwise_deviation=float(path))
+        RedundancyWitness(s_deviation=float(dev), max_pathwise_deviation=float(path))
         for dev, path in zip(s_deviations, pathwise)
     ]
 

@@ -270,13 +270,12 @@ def step(psi, model, dw, dt: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """One realization: states on the step grid plus norm diagnostics.
+    """One realization: `states[s]` is the state at time s dt, plus norm diagnostics.
 
     `norm_drift[s]` is the signed pre-renormalization ||psi + dpsi||^2 - 1
     of step s; its running average probes the Ito norm balance.
     """
 
-    times: np.ndarray
     states: np.ndarray
     norm_drift: np.ndarray
 
@@ -309,8 +308,7 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
             nxt = nxt * np.exp(-1j * np.asarray(gauge(psi, dw, dt), dtype=float))
         psi = nxt
         states[s + 1] = psi
-    times = np.arange(steps + 1) * dt
-    return Trajectory(times=times, states=states, norm_drift=drifts)
+    return Trajectory(states=states, norm_drift=drifts)
 
 
 def simulate_trajectory(
@@ -346,7 +344,6 @@ class EnsembleEstimate:
     mean_density: np.ndarray
     # Per entry of mean_density: the standard error of its real part + 1j * that of its imaginary part.
     density_standard_error: np.ndarray
-    trajectories: int
 
     def bloch(self) -> np.ndarray:
         """Bloch components tr(rho sigma_k) of the mean density, shape (G, 3)."""
@@ -493,9 +490,7 @@ def _estimate(partials, grid_idx, dt: float, n_traj: int) -> EnsembleEstimate:
         se = np.sqrt(var / n_traj).view(complex)
     else:
         se = np.full(proj_sum.shape, complex(np.inf, np.inf))
-    return EnsembleEstimate(
-        times=grid_idx * dt, mean_density=proj_sum / n_traj, density_standard_error=se, trajectories=n_traj
-    )
+    return EnsembleEstimate(times=grid_idx * dt, mean_density=proj_sum / n_traj, density_standard_error=se)
 
 
 def identity_residual(psi, rates=_SIGNED_RATES):
@@ -511,7 +506,7 @@ def identity_residual(psi, rates=_SIGNED_RATES):
     c = require_rates(rates)
     n = bloch_from_state(psi)
     proj = np.einsum("...i,...j->...ij", psi, psi.conj())
-    perp = perp_state(psi)
+    perp = np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())
     eye = np.eye(2, dtype=complex)
     rhs = np.zeros_like(proj)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here.
 """
 
+import json
 import time
 
 import numpy as np
@@ -177,14 +178,17 @@ def test_criterion_8_gauge_invariance():
     _verdict(8, "per-step projector difference of a gauged trajectory <= 1e-13", ok)
 
 
-def test_criterion_9_discretization_validity():
-    args = cli._build_parser().parse_args(
-        ["convergence", "--dt", "0.0005", "--trajectories", "20000", "--threads", "2"]
+def test_criterion_9_discretization_validity(tmp_path):
+    path = tmp_path / "convergence.json"
+    code = cli.main(
+        [
+            "convergence", "--dt", "0.0005", "--trajectories", "20000", "--threads", "2",
+            "--format", "json", "--output", str(path),
+        ]
     )
-    cfg = cli._resolve_config(args, cli._DEFAULTS["convergence"])
-    code, verdict, summary, _, _ = cli.cmd_convergence(cfg)
-    biases, floors = summary["biases"], summary["noise_floors"]
-    trend_ok = code == 0 and verdict == "PASS"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    biases, floors = report["summary"]["biases"], report["summary"]["noise_floors"]
+    trend_ok = code == 0 and report["verdict"] == "PASS"
 
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     errors = []

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 
@@ -7,7 +8,7 @@ import ssesim
 # Names dropped from the library because no command, acceptance claim or
 # benchmark used them, with the module that defined each.
 _REMOVED = {
-    "master": ["lindblad_rhs"],
+    "master": ["lindblad_rhs", "ChoiMatrix"],
     "param": [
         "_require_isometry",
         "map_noise_increments",
@@ -16,6 +17,19 @@ _REMOVED = {
         "spectral_norm",
     ],
     "sse": ["apply_phase_gauge"],
+}
+
+# Dataclass fields and function parameters dropped because no code read them
+# or passed another value, keyed by (module, name).
+_REMOVED_MEMBERS = {
+    ("master", "DynamicalMap"): ["time"],
+    ("master", "CpVerdict"): ["witness"],
+    ("master", "pauli_channel_map"): ["time"],
+    ("master", "cp_verdict"): ["tol"],
+    ("master", "positivity_verdict"): ["tol"],
+    ("param", "RedundancyWitness"): ["s_equal"],
+    ("sse", "EnsembleEstimate"): ["trajectories"],
+    ("sse", "Trajectory"): ["times"],
 }
 
 
@@ -30,3 +44,13 @@ def test_every_export_imports_and_no_removed_name_remains():
         home = importlib.import_module(f"ssesim.{module}")
         for name in names:
             assert not hasattr(ssesim, name) and not hasattr(home, name), name
+
+
+def test_no_removed_field_or_parameter_remains():
+    for (module, name), gone in _REMOVED_MEMBERS.items():
+        obj = getattr(importlib.import_module(f"ssesim.{module}"), name)
+        if dataclasses.is_dataclass(obj):
+            members = [f.name for f in dataclasses.fields(obj)]
+        else:
+            members = list(inspect.signature(obj).parameters)
+        assert not set(gone) & set(members), (name, gone)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ssesim import cli, rng, sse
+from ssesim.master import DynamicalMap
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 README_COMMAND_LINE = README[README.index("## Command line"):README.index("### Config file")]
@@ -54,6 +55,46 @@ def test_unravel_failure_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "analytic_pauli_solution", wrong_reference)
     code, report = _run(capsys, ["unravel", "--trajectories", "500", "--t-final", "0.05"])
+    assert code == 1
+    assert report["verdict"] == "FAIL"
+
+
+def _drifting_reference(real):
+    # Each finer dt level meets a reference 0.5 further off, so the bias grows as dt shrinks.
+    offsets = iter([0.0, 0.5, 1.0])
+    return lambda n0, rates, t: real(n0, rates, t) + next(offsets)
+
+
+# Per command: the `cli` name replaced, the replacement built from the real
+# one, and an argv that then gives a FAIL verdict.
+_FORCED_FAILURES = {
+    # Identity maps are CP, so the signed-rate map is not negative at positive times.
+    "choi": ("map_grid", lambda real: lambda gen, times, dt: [DynamicalMap(np.eye(4)) for _ in times], ["choi"]),
+    # Every residual moves by 1e-9, above the 1e-12 bound.
+    "identity": (
+        "identity_residual",
+        lambda real: lambda states, rates: real(states, rates) + 1e-9,
+        ["identity", "--trajectories", "100"],
+    ),
+    # Scaling s to spectral norm 1 makes 2I feasible, so it is no longer rejected.
+    "param": (
+        "noise_from_correlation",
+        lambda real: lambda s: real(s / max(1.0, np.linalg.norm(s, 2))),
+        ["param", "--cases", "3", "--witness-steps", "2"],
+    ),
+    "convergence": (
+        "analytic_pauli_solution",
+        _drifting_reference,
+        ["convergence", "--trajectories", "500", "--t-final", "0.016", "--grid-points", "4"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_FORCED_FAILURES))
+def test_verdict_failure_exits_one(capsys, monkeypatch, command):
+    name, replacement, argv = _FORCED_FAILURES[command]
+    monkeypatch.setattr(cli, name, replacement(getattr(cli, name)))
+    code, report = _run(capsys, argv)
     assert code == 1
     assert report["verdict"] == "FAIL"
 
