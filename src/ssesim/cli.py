@@ -48,6 +48,7 @@ from .param import (
 from .sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
+    available_cpus,
     ensemble_densities,
     ensemble_density,
     identity_residual,
@@ -95,7 +96,7 @@ _KEYS = {
     "seed": _Key("--seed", int, "seed of every random draw"),
     "output": _Key("--output", str, "write the data payload to this path"),
     "format": _Key("--format", ("csv", "json"), "data payload format"),
-    "threads": _Key("--threads", int, "worker processes; affects wall time only", 1),
+    "threads": _Key("--threads", int, "worker processes, one per usable CPU by default; affects wall time only", 1),
     "grid_points": _Key("--grid-points", int, "number of report times", 1),
     "initial_bloch": _Key("--init-bloch", _parse_triple, "initial Bloch vector as 'x,y,z'"),
     "initial_state": _Key(None, None, "initial state vector; overrides initial_bloch"),
@@ -118,7 +119,7 @@ _ENSEMBLE = {
     "dt": 1e-3,
     "trajectories": 20000,
     "grid_points": 32,
-    "threads": 1,
+    "threads": None,  # resolved on each run by `_resolve_config` to `available_cpus()`
     "initial_bloch": (0.0, 0.0, 1.0),
     "initial_state": None,
 }
@@ -169,6 +170,8 @@ def _is_finite_number(value) -> bool:
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
+    if "threads" in cfg:
+        cfg["threads"] = available_cpus()
     path = getattr(args, "config", None)
     if path:
         with open(path, "r", encoding="utf-8") as fh:

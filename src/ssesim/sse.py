@@ -18,7 +18,7 @@ and return states of shape (..., d).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +45,11 @@ def _wiener_key(seed: int, trajectory) -> np.ndarray:
     return rng.hash_u64(rng.DOMAIN_WIENER, seed, trajectory)
 
 
-def _wiener(key, step, channel, dt: float) -> np.ndarray:
+def _wiener(key, step, channel, dt: float, ws=None) -> np.ndarray:
     # The one Wiener keying: the draw of (seed, trajectory, step, channel) from the
     # `_wiener_key` of (seed, trajectory); `key`, `step` and `channel` broadcast.
-    return rng.normals(step, channel, prefix=key) * np.sqrt(dt)
+    dw = rng.normals(step, channel, prefix=key, ws=ws)
+    return np.multiply(dw, np.sqrt(dt), out=None if ws is None else dw)
 
 
 def _sum_rows(x):
@@ -62,14 +63,20 @@ def _sum_rows(x):
     return total
 
 
-def _contract(matrix_t, x):
+def _contract(matrix_t, x, ws=None, name="contract"):
     # matrix @ x for component-major x of shape (k, ...), given matrix.T of
     # shape (k, m), or one matrix per column as matrix.T of shape (k, m, ...).
     # A BLAS matmul accumulates a batch column differently from the same vector
     # alone, so the k products are formed elementwise and summed in order.
     # Casting x once is cheaper than casting it inside every product.
     columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim + 1 - matrix_t.ndim))
-    return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
+    if x.dtype != matrix_t.dtype:
+        cast = rng.scratch(ws, name + " cast", x.shape, matrix_t.dtype)
+        if cast is not None:
+            np.copyto(cast, x)
+        x = x.astype(matrix_t.dtype) if cast is None else cast
+    shape = matrix_t.shape[:2] + x.shape[1:]
+    return _sum_rows(np.multiply(columns, x[:, None], out=rng.scratch(ws, name, shape, matrix_t.dtype)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class NonCpQubitModel:
     def n_channels(self) -> int:
         return 1
 
-    def propose(self, psi, dw, dt: float) -> np.ndarray:
+    def propose(self, psi, dw, dt: float, ws=None) -> np.ndarray:
         """Unchecked Ito proposal psi + dpsi for component-major psi (2, ...) and dw (1, ...):
 
         dpsi = -(1/2) sum_k c_k (sigma_k - n_k)^2 psi dt + sqrt(2) n_z psi_perp dW,
@@ -118,7 +125,7 @@ class NonCpQubitModel:
         amp = np.sqrt(2.0) * n3 * dw
         if self.perp_phase:
             amp = amp * np.exp(1j * self.perp_phase)
-        out = np.empty(psi.shape, dtype=complex)
+        out = np.empty(psi.shape, dtype=complex) if ws is None else rng.scratch(ws, "proposal", psi.shape)
         top, bottom = out[0:1], out[1:2]
         np.multiply(1.0 + dt * (w3 - half), a, out=top)
         top += dt_z.conj() * b
@@ -171,29 +178,36 @@ class GeneralDiffusiveModel:
     def n_channels(self) -> int:
         return self.noise_matrix.shape[0]
 
-    def propose(self, psi, dw, dt: float) -> np.ndarray:
+    def propose(self, psi, dw, dt: float, ws=None) -> np.ndarray:
         """Unchecked Ito proposal psi + dpsi for component-major psi (d, ...) and dw (N, ...):
 
         dpsi = [-iH dt + sum_kj u_kj (L_j - <L_j>) dW_k
                 - (1/2) sum_j (L_j^dag L_j - 2 <L_j>* L_j + |<L_j>|^2) dt] psi.
         """
-        return self.drive(psi, _contract(self.noise_matrix, dw), dt)
+        return self.drive(psi, _contract(self.noise_matrix, dw, ws, "noise"), dt, ws)
 
-    def drive(self, psi, xi, dt: float) -> np.ndarray:
+    def drive(self, psi, xi, dt: float, ws=None) -> np.ndarray:
         """Unchecked Ito proposal for component-major psi (d, ...) driven by the
         complex noise xi (n, ...) = u^T dW, whatever noise matrix u mixed it."""
         d = psi.shape[0]
-        stacked = _contract(self._stacked_t, psi)
+        stacked = _contract(self._stacked_t, psi, ws, "stacked")
         k_psi, l_psi = stacked[:d], stacked[d:].reshape((-1,) + psi.shape)
-        expv = _sum_rows((l_psi * psi.conj()).swapaxes(0, 1))
         # psi + [K psi + sum_j (<L_j>* L_j - |<L_j>|^2 / 2) psi] dt + sum_j xi_j (L_j - <L_j>) psi
         # = psi + K psi dt + sum_j (g_j + dt <L_j>* / 2) L_j psi - (sum_j g_j <L_j>) psi
-        # with g_j = dt <L_j>* / 2 + xi_j.
-        half_drift = (0.5 * dt) * expv.conj()
-        g = half_drift + xi
-        out = psi + k_psi * dt
-        out += _sum_rows((g + half_drift)[:, None] * l_psi)
-        out -= _sum_rows(g * expv) * psi
+        # with g_j = dt <L_j>* / 2 + xi_j.  Every temporary is an `out=` array of `ws`,
+        # and one whose value is spent takes the next value of its shape.
+        spare = np.conjugate(psi, out=rng.scratch(ws, "state", psi.shape))
+        per_op = np.multiply(l_psi, spare, out=rng.scratch(ws, "per operator", l_psi.shape))
+        expv = _sum_rows(per_op.swapaxes(0, 1))
+        half_drift = np.conjugate(expv, out=rng.scratch(ws, "half drift", xi.shape))
+        half_drift = np.multiply(0.5 * dt, half_drift, out=half_drift)
+        g = np.add(half_drift, xi, out=rng.scratch(ws, "g", xi.shape))
+        out = np.multiply(k_psi, dt, out=rng.scratch(ws, "proposal", psi.shape))
+        out = np.add(psi, out, out=out)
+        weights = np.add(g, half_drift, out=half_drift)
+        mean = _sum_rows(np.multiply(g, expv, out=g))
+        out += _sum_rows(np.multiply(weights[:, None], l_psi, out=per_op))
+        out -= np.multiply(mean, psi, out=spare)
         return out
 
 
@@ -243,12 +257,13 @@ def increment(psi, model, dw, dt: float) -> np.ndarray:
     return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
 
 
-def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
+def _renormalize(proposal, step: int, ids=None, what: str = "trajectory", ws=None):
     # The only norm check of the stepping path: norm^2 below 0.01, inf or nan means dt is too large.
     # A failure names the `what` of the batch position in `ids`, when given.
     # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        norm2 = _sum_rows((proposal.conj() * proposal).real)
+        square = np.conjugate(proposal, out=rng.scratch(ws, "norm2", proposal.shape))
+        norm2 = _sum_rows(np.multiply(square, proposal, out=square).real)
     # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
     low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
     if not 0.01 <= low <= high < np.inf:
@@ -259,7 +274,7 @@ def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
             f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
         )
     # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
-    return proposal * (1.0 / np.sqrt(norm2)), norm2
+    return np.multiply(proposal, 1.0 / np.sqrt(norm2), out=rng.scratch(ws, "psi", proposal.shape)), norm2
 
 
 def step(psi, model, dw, dt: float) -> np.ndarray:
@@ -371,19 +386,29 @@ def _block_partials(task):
     channels = np.arange(model.n_channels)[:, None]
     psi = np.repeat(psi0[:, None], b, axis=1)
     proj = np.empty((b, g, psi0.size, psi0.size), dtype=complex)
+    # Every per-step array is made once, on the first step, and written in place by every later one.
+    ws = {}
     slot = 0
     for s in range(steps + 1):
         if slot < g and grid_idx[slot] == s:
-            proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
+            conj = np.conjugate(psi, out=rng.scratch(ws, "projector conj", psi.shape))
+            # Trajectory-minor, the order einsum gives its own output, keeps its loop contiguous.
+            projector = rng.scratch(ws, "projector", (psi0.size, psi0.size, b)).transpose(2, 0, 1)
+            proj[:, slot] = np.einsum("ib,jb->bij", psi, conj, out=projector)
             slot += 1
         if s < steps:
-            dw = _wiener(key, s, channels, dt)
-            psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
+            dw = _wiener(key, s, channels, dt, ws)
+            psi = _renormalize(model.propose(psi, dw, dt, ws), s, ids, ws=ws)[0]
     # A one-trajectory block's sum is a view of `proj`, which is squared in place next.
     total = pairwise_sum(proj).copy()
     parts = proj.view(float)
     np.square(parts, out=parts)
     return total, pairwise_sum(parts).view(complex)
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _block_size(record_bytes: int) -> int:
@@ -459,17 +484,20 @@ def ensemble_densities(
         levels.append((dt, grid_idx, first, len(tasks)))
     # A forking pool starts all `max_workers` processes at once, so ask for no
     # more than can run at the same time or have a block to work on.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(threads, cpus, len(tasks))
+    workers = min(threads, available_cpus(), len(tasks))
     partials = None
     if workers > 1:
         # Longest blocks (steps x trajectories) first, so that the last to
         # finish are short; the partials go back into task order.
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][4] * (tasks[i][7] - tasks[i][6]))
+        rng.load_ndtri()  # once here, so that forked workers do not each import scipy
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 done = dict(zip(order, pool.map(_block_partials, [tasks[i] for i in order])))
             partials = [done[i] for i in range(len(tasks))]
+        except BrokenExecutor as exc:
+            # Not the serial fallback below: a worker that died may die again in this process.
+            raise OSError(f"an ensemble worker process died before returning its block: {exc}") from None
         except OSError:
             partials = None  # no subprocess support; fall through to serial
     if partials is None:

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -467,13 +468,104 @@ def test_convergence_payloads_are_byte_identical_across_threads(tmp_path):
 
 def test_convergence_runs_every_level_on_one_pool(capsys, serial_pool):
     base = ["convergence", "--trajectories", "4196", "--t-final", "0.008", "--grid-points", "2"]
-    serial = _run(capsys, base)[1]["records"]
+    serial = _run(capsys, base + ["--threads", "1"])[1]["records"]
     assert serial_pool.sizes == []
     assert _run(capsys, base + ["--threads", "2"])[1]["records"] == serial
     assert serial_pool.sizes == [2]
     # Two blocks per level, six in all: one pool is sized over every level.
     _run(capsys, base + ["--threads", "100"])
     assert serial_pool.sizes == [2, 6]
+    # By default one worker per CPU, of which the stand-in pool reports 8.
+    assert _run(capsys, base)[1]["records"] == serial
+    assert serial_pool.sizes == [2, 6, 6]
+
+
+def test_unravel_defaults_to_a_worker_per_cpu_capped_by_its_blocks(capsys, serial_pool):
+    code, report = _run(capsys, ["unravel", "--trajectories", "4196", "--t-final", "0.01"])
+    assert code == 0
+    assert report["threads"] == 8
+    assert serial_pool.sizes == [2]
+
+
+def _die(task):
+    os._exit(3)
+
+
+def test_a_dead_worker_exits_two_with_an_error_line(capsys, monkeypatch):
+    # A real pool whose worker dies: two CPUs are reported, so a pool starts on any machine.
+    monkeypatch.setattr(sse, "_block_partials", _die)
+    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli.main(["unravel", "--trajectories", "4196", "--t-final", "0.002", "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "worker process died" in err
+
+
+def _fresh_python(script):
+    # Runs the script in a new interpreter that imports the same package as this test.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_scipy_is_not_imported_by_commands_that_draw_nothing():
+    loaded = _fresh_python(
+        """
+        import contextlib, io, json, sys
+        from ssesim import cli
+
+        loaded = {"import": "scipy.special" in sys.modules}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["choi", "--grid-points", "2"]) == 0
+        loaded["choi"] = "scipy.special" in sys.modules
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                cli.main(["unravel", "--no-such-flag"])
+            except SystemExit as exc:
+                assert exc.code == 2
+        loaded["usage error"] = "scipy.special" in sys.modules
+        print(json.dumps(loaded))
+        """
+    )
+    assert loaded == {"import": False, "choi": False, "usage error": False}
+
+
+def test_scipy_is_imported_before_the_pool_starts():
+    # Forked workers then inherit it instead of each importing it again.
+    seen = _fresh_python(
+        """
+        import contextlib, io, json, sys
+        from ssesim import cli, sse
+
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append("scipy.special" in sys.modules)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        sse.ProcessPoolExecutor = SerialPool
+        sse.os.sched_getaffinity = lambda pid: {0, 1}
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["unravel", "--trajectories", "4196", "--t-final", "0.002", "--threads", "2"]) == 0
+        print(json.dumps(seen))
+        """
+    )
+    assert seen == [True]
 
 
 def test_json_payload_reruns_identically(tmp_path):

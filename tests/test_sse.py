@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,6 +621,62 @@ def test_batch_proposal_matches_each_column_bitwise(model, data):
         lone = model.propose(states[j], dw[:, j].copy(), dt)
         assert np.array_equal(batch[:, j], lone)
         assert np.array_equal(batch[:, j + k * (reps - 1)], lone)
+
+
+@pytest.mark.parametrize(
+    "model", _KERNEL_MODELS, ids=["noncp", "noncp-phase", "general", "general-complex"]
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_workspace_steps_match_fresh_arrays_bitwise(model, data):
+    # A block draws, proposes and renormalizes into one workspace, whose arrays
+    # the first step makes and every later step reuses: no bit may move.
+    states = np.array(data.draw(st.lists(_unit_states(), min_size=1, max_size=8))).T
+    psi = fresh = np.tile(states, 1 + 64 // states.shape[1])
+    key = sse._wiener_key(data.draw(st.integers(0, 2**32)), np.arange(psi.shape[1]))
+    channels = np.arange(model.n_channels)[:, None]
+    dt = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    ws = {}
+    for s in range(3):
+        dw = sse._wiener(key, s, channels, dt)
+        assert np.array_equal(sse._wiener(key, s, channels, dt, ws), dw)
+        fresh, norm2 = sse._renormalize(model.propose(fresh, dw, dt), s)
+        psi, reused_norm2 = sse._renormalize(model.propose(psi, sse._wiener(key, s, channels, dt, ws), dt, ws), s, ws=ws)
+        assert np.array_equal(psi, fresh) and np.array_equal(reused_norm2, norm2)
+
+
+def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
+    # A fresh process, such as a pool worker, has glibc's lowest mmap threshold, so
+    # per-step temporaries of 128 KiB or more would be mapped and faulted in again
+    # on every step: 194k minor faults for this block when each step allocated.
+    pytest.importorskip("resource")
+    script = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from ssesim import sse
+        from ssesim.algebra import pauli, report_indices
+
+        lower = np.array([[0.0, 0.0], [0.6, 0.0]])
+        model = sse.GeneralDiffusiveModel(
+            0.15 * pauli(1) + 0.2 * pauli(3), (lower, 0.5 * pauli(3), 0.4 * pauli(1)),
+            np.linalg.qr(np.random.default_rng(1).normal(size=(4, 3)) + 0j)[0],
+        )
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        sse._block_partials((model, psi0, 1, 1e-3, 1, report_indices(1, 1), 0, 2))  # first-use imports
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        sse._block_partials((model, psi0, 1, 1e-3, 250, report_indices(250, 32), 0, 4096))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    package_root = str(Path(sse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The block's own arrays, records included, are about 12 MB: some 3000 pages.
+    assert int(proc.stdout) < 20000
 
 
 def test_models_are_frozen():
