@@ -45,11 +45,10 @@ def _wiener_key(seed: int, trajectory) -> np.ndarray:
     return rng.hash_u64(rng.DOMAIN_WIENER, seed, trajectory)
 
 
-def _wiener(key, step, channel, dt: float, ws=None) -> np.ndarray:
+def _wiener(key, step, channel, dt: float) -> np.ndarray:
     # The one Wiener keying: the draw of (seed, trajectory, step, channel) from the
     # `_wiener_key` of (seed, trajectory); `key`, `step` and `channel` broadcast.
-    dw = rng.normals(step, channel, prefix=key, ws=ws)
-    return np.multiply(dw, np.sqrt(dt), out=None if ws is None else dw)
+    return rng.normals(step, channel, prefix=key) * np.sqrt(dt)
 
 
 def _sum_rows(x):
@@ -63,20 +62,14 @@ def _sum_rows(x):
     return total
 
 
-def _contract(matrix_t, x, ws=None, name="contract"):
+def _contract(matrix_t, x):
     # matrix @ x for component-major x of shape (k, ...), given matrix.T of
     # shape (k, m), or one matrix per column as matrix.T of shape (k, m, ...).
     # A BLAS matmul accumulates a batch column differently from the same vector
     # alone, so the k products are formed elementwise and summed in order.
     # Casting x once is cheaper than casting it inside every product.
     columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim + 1 - matrix_t.ndim))
-    if x.dtype != matrix_t.dtype:
-        cast = rng.scratch(ws, name + " cast", x.shape, matrix_t.dtype)
-        if cast is not None:
-            np.copyto(cast, x)
-        x = x.astype(matrix_t.dtype) if cast is None else cast
-    shape = matrix_t.shape[:2] + x.shape[1:]
-    return _sum_rows(np.multiply(columns, x[:, None], out=rng.scratch(ws, name, shape, matrix_t.dtype)))
+    return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,7 @@ class NonCpQubitModel:
     def n_channels(self) -> int:
         return 1
 
-    def propose(self, psi, dw, dt: float, ws=None) -> np.ndarray:
+    def propose(self, psi, dw, dt: float) -> np.ndarray:
         """Unchecked Ito proposal psi + dpsi for component-major psi (2, ...) and dw (1, ...):
 
         dpsi = -(1/2) sum_k c_k (sigma_k - n_k)^2 psi dt + sqrt(2) n_z psi_perp dW,
@@ -125,7 +118,7 @@ class NonCpQubitModel:
         amp = np.sqrt(2.0) * n3 * dw
         if self.perp_phase:
             amp = amp * np.exp(1j * self.perp_phase)
-        out = np.empty(psi.shape, dtype=complex) if ws is None else rng.scratch(ws, "proposal", psi.shape)
+        out = np.empty(psi.shape, dtype=complex)
         top, bottom = out[0:1], out[1:2]
         np.multiply(1.0 + dt * (w3 - half), a, out=top)
         top += dt_z.conj() * b
@@ -178,36 +171,29 @@ class GeneralDiffusiveModel:
     def n_channels(self) -> int:
         return self.noise_matrix.shape[0]
 
-    def propose(self, psi, dw, dt: float, ws=None) -> np.ndarray:
+    def propose(self, psi, dw, dt: float) -> np.ndarray:
         """Unchecked Ito proposal psi + dpsi for component-major psi (d, ...) and dw (N, ...):
 
         dpsi = [-iH dt + sum_kj u_kj (L_j - <L_j>) dW_k
                 - (1/2) sum_j (L_j^dag L_j - 2 <L_j>* L_j + |<L_j>|^2) dt] psi.
         """
-        return self.drive(psi, _contract(self.noise_matrix, dw, ws, "noise"), dt, ws)
+        return self.drive(psi, _contract(self.noise_matrix, dw), dt)
 
-    def drive(self, psi, xi, dt: float, ws=None) -> np.ndarray:
+    def drive(self, psi, xi, dt: float) -> np.ndarray:
         """Unchecked Ito proposal for component-major psi (d, ...) driven by the
         complex noise xi (n, ...) = u^T dW, whatever noise matrix u mixed it."""
         d = psi.shape[0]
-        stacked = _contract(self._stacked_t, psi, ws, "stacked")
+        stacked = _contract(self._stacked_t, psi)
         k_psi, l_psi = stacked[:d], stacked[d:].reshape((-1,) + psi.shape)
+        expv = _sum_rows((l_psi * psi.conj()).swapaxes(0, 1))
         # psi + [K psi + sum_j (<L_j>* L_j - |<L_j>|^2 / 2) psi] dt + sum_j xi_j (L_j - <L_j>) psi
         # = psi + K psi dt + sum_j (g_j + dt <L_j>* / 2) L_j psi - (sum_j g_j <L_j>) psi
-        # with g_j = dt <L_j>* / 2 + xi_j.  Every temporary is an `out=` array of `ws`,
-        # and one whose value is spent takes the next value of its shape.
-        spare = np.conjugate(psi, out=rng.scratch(ws, "state", psi.shape))
-        per_op = np.multiply(l_psi, spare, out=rng.scratch(ws, "per operator", l_psi.shape))
-        expv = _sum_rows(per_op.swapaxes(0, 1))
-        half_drift = np.conjugate(expv, out=rng.scratch(ws, "half drift", xi.shape))
-        half_drift = np.multiply(0.5 * dt, half_drift, out=half_drift)
-        g = np.add(half_drift, xi, out=rng.scratch(ws, "g", xi.shape))
-        out = np.multiply(k_psi, dt, out=rng.scratch(ws, "proposal", psi.shape))
-        out = np.add(psi, out, out=out)
-        weights = np.add(g, half_drift, out=half_drift)
-        mean = _sum_rows(np.multiply(g, expv, out=g))
-        out += _sum_rows(np.multiply(weights[:, None], l_psi, out=per_op))
-        out -= np.multiply(mean, psi, out=spare)
+        # with g_j = dt <L_j>* / 2 + xi_j.
+        half_drift = (0.5 * dt) * expv.conj()
+        g = half_drift + xi
+        out = psi + k_psi * dt
+        out += _sum_rows((g + half_drift)[:, None] * l_psi)
+        out -= _sum_rows(g * expv) * psi
         return out
 
 
@@ -257,13 +243,12 @@ def increment(psi, model, dw, dt: float) -> np.ndarray:
     return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
 
 
-def _renormalize(proposal, step: int, ids=None, what: str = "trajectory", ws=None):
+def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
     # The only norm check of the stepping path: norm^2 below 0.01, inf or nan means dt is too large.
     # A failure names the `what` of the batch position in `ids`, when given.
     # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        square = np.conjugate(proposal, out=rng.scratch(ws, "norm2", proposal.shape))
-        norm2 = _sum_rows(np.multiply(square, proposal, out=square).real)
+        norm2 = _sum_rows((proposal.conj() * proposal).real)
     # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
     low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
     if not 0.01 <= low <= high < np.inf:
@@ -274,7 +259,7 @@ def _renormalize(proposal, step: int, ids=None, what: str = "trajectory", ws=Non
             f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
         )
     # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
-    return np.multiply(proposal, 1.0 / np.sqrt(norm2), out=rng.scratch(ws, "psi", proposal.shape)), norm2
+    return proposal * (1.0 / np.sqrt(norm2)), norm2
 
 
 def step(psi, model, dw, dt: float) -> np.ndarray:
@@ -375,9 +360,14 @@ class EnsembleEstimate:
 
 def _block_partials(task):
     """Advance one block of trajectories and return the pairwise sums over it of
-    the projectors on the grid and of their entries' squared real + 1j * squared
-    imaginary parts.  States are component-major, shape (d, trajectories).
+    the projectors on the grid and of the squared real + 1j * squared imaginary
+    parts of their deviations from psi0's projector.  States are component-major,
+    shape (d, trajectories).
     Module-level so blocks can run in worker processes."""
+    # Freeing one 16 MiB array raises glibc's mmap threshold past it (mallopt(3)), so that the
+    # per-step temporaries of a fresh process, such as a pool worker, reuse the heap instead
+    # of being mapped and faulted in anew on every step.
+    np.empty(1 << 21)
     model, psi0, seed, dt, steps, grid_idx, lo, hi = task
     b = hi - lo
     g = grid_idx.size
@@ -386,21 +376,17 @@ def _block_partials(task):
     channels = np.arange(model.n_channels)[:, None]
     psi = np.repeat(psi0[:, None], b, axis=1)
     proj = np.empty((b, g, psi0.size, psi0.size), dtype=complex)
-    # Every per-step array is made once, on the first step, and written in place by every later one.
-    ws = {}
     slot = 0
     for s in range(steps + 1):
         if slot < g and grid_idx[slot] == s:
-            conj = np.conjugate(psi, out=rng.scratch(ws, "projector conj", psi.shape))
-            # Trajectory-minor, the order einsum gives its own output, keeps its loop contiguous.
-            projector = rng.scratch(ws, "projector", (psi0.size, psi0.size, b)).transpose(2, 0, 1)
-            proj[:, slot] = np.einsum("ib,jb->bij", psi, conj, out=projector)
+            proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
             slot += 1
         if s < steps:
-            dw = _wiener(key, s, channels, dt, ws)
-            psi = _renormalize(model.propose(psi, dw, dt, ws), s, ids, ws=ws)[0]
-    # A one-trajectory block's sum is a view of `proj`, which is squared in place next.
+            dw = _wiener(key, s, channels, dt)
+            psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
+    # A one-trajectory block's sum is a view of `proj`, which is shifted and squared in place next.
     total = pairwise_sum(proj).copy()
+    proj -= np.outer(psi0, psi0.conj())
     parts = proj.view(float)
     np.square(parts, out=parts)
     return total, pairwise_sum(parts).view(complex)
@@ -502,19 +488,22 @@ def ensemble_densities(
             partials = None  # no subprocess support; fall through to serial
     if partials is None:
         partials = [_block_partials(t) for t in tasks]
+    center = np.outer(psi0, psi0.conj())
     return [
-        _estimate(partials[first:last], grid_idx, dt, n_traj) for dt, grid_idx, first, last in levels
+        _estimate(partials[first:last], grid_idx, dt, n_traj, center) for dt, grid_idx, first, last in levels
     ]
 
 
-def _estimate(partials, grid_idx, dt: float, n_traj: int) -> EnsembleEstimate:
+def _estimate(partials, grid_idx, dt: float, n_traj: int, center) -> EnsembleEstimate:
     # One level's blocks, reduced in block order by the fixed pairwise tree; the float views
     # of the complex sums give each entry's real and imaginary parts their own variance.
+    # The squares are of deviations from `center`, psi0's projector, so that a spread far
+    # below an entry's size keeps its digits: var = (S(x - c)^2 - (Sx - n c)^2 / n) / (n - 1).
     proj_sum = pairwise_sum(np.stack([p[0] for p in partials]))
     square_sum = pairwise_sum(np.stack([p[1] for p in partials]))
     if n_traj > 1:
-        parts = proj_sum.view(float)
-        var = np.clip((square_sum.view(float) - parts * parts / n_traj) / (n_traj - 1), 0.0, None)
+        shift = (proj_sum - n_traj * center).view(float)
+        var = np.clip((square_sum.view(float) - shift * shift / n_traj) / (n_traj - 1), 0.0, None)
         se = np.sqrt(var / n_traj).view(complex)
     else:
         se = np.full(proj_sum.shape, complex(np.inf, np.inf))

@@ -560,14 +560,19 @@ def test_qutrit_ensemble_matches_lindblad_integration_and_ignores_threads():
         est.standard_error
 
 
-@pytest.mark.parametrize("model", [NonCpQubitModel(), _GENERAL], ids=["noncp", "general"])
-def test_bloch_standard_error_is_the_sample_error_of_trajectory_bloch_vectors(model):
-    # The ensemble takes the variance from summed squares, which loses a few
-    # ulps of E[n^2]: 2e-15 on n_3, whose spread stays small at the pole.
+@pytest.mark.parametrize(
+    "model, psi0, t_final",
+    [(NonCpQubitModel(), POLE, 0.2), (_GENERAL, POLE, 0.2), (NonCpQubitModel(), np.array([0.8, 0.6j]), 0.01)],
+    ids=["noncp", "general", "noncp-narrow-spread"],
+)
+def test_bloch_standard_error_is_the_sample_error_of_trajectory_bloch_vectors(model, psi0, t_final):
+    # The ensemble squares deviations from psi0's projector, which loses a few ulps:
+    # 8e-16 on n_3 at the pole.  From (0.8, 0.6i), n_3 = 0.28 spreads by about 3e-4
+    # at t = 0.01, and squares summed about zero were off there by 4.8e-14.
     dt, n = 1e-3, 40
-    est = ensemble_density(model, POLE, 0.2, dt, n, seed=4, grid_points=4)
+    est = ensemble_density(model, psi0, t_final, dt, n, seed=4, grid_points=4)
     idx = np.round(est.times / dt).astype(int)
-    paths = [simulate_trajectory(model, POLE, 0.2, dt, seed=4, trajectory_id=i) for i in range(n)]
+    paths = [simulate_trajectory(model, psi0, t_final, dt, seed=4, trajectory_id=i) for i in range(n)]
     bloch = bloch_from_state(np.array([p.states[idx] for p in paths]))
     expected = np.std(bloch, axis=0, ddof=1) / np.sqrt(n)
     assert np.max(np.abs(est.standard_error - expected)) <= 1e-14
@@ -623,32 +628,11 @@ def test_batch_proposal_matches_each_column_bitwise(model, data):
         assert np.array_equal(batch[:, j + k * (reps - 1)], lone)
 
 
-@pytest.mark.parametrize(
-    "model", _KERNEL_MODELS, ids=["noncp", "noncp-phase", "general", "general-complex"]
-)
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_workspace_steps_match_fresh_arrays_bitwise(model, data):
-    # A block draws, proposes and renormalizes into one workspace, whose arrays
-    # the first step makes and every later step reuses: no bit may move.
-    states = np.array(data.draw(st.lists(_unit_states(), min_size=1, max_size=8))).T
-    psi = fresh = np.tile(states, 1 + 64 // states.shape[1])
-    key = sse._wiener_key(data.draw(st.integers(0, 2**32)), np.arange(psi.shape[1]))
-    channels = np.arange(model.n_channels)[:, None]
-    dt = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
-    ws = {}
-    for s in range(3):
-        dw = sse._wiener(key, s, channels, dt)
-        assert np.array_equal(sse._wiener(key, s, channels, dt, ws), dw)
-        fresh, norm2 = sse._renormalize(model.propose(fresh, dw, dt), s)
-        psi, reused_norm2 = sse._renormalize(model.propose(psi, sse._wiener(key, s, channels, dt, ws), dt, ws), s, ws=ws)
-        assert np.array_equal(psi, fresh) and np.array_equal(reused_norm2, norm2)
-
-
 def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
     # A fresh process, such as a pool worker, has glibc's lowest mmap threshold, so
     # per-step temporaries of 128 KiB or more would be mapped and faulted in again
-    # on every step: 194k minor faults for this block when each step allocated.
+    # on every step: 187k minor faults for this block without the 16 MiB array that
+    # `_block_partials` frees first to raise that threshold.
     pytest.importorskip("resource")
     script = textwrap.dedent(
         """
