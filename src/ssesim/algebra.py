@@ -29,10 +29,25 @@ def pauli(k: int) -> np.ndarray:
     return _SIGMA[k - 1].copy()
 
 
-def max_abs(a) -> float:
-    """Largest entrywise magnitude."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def max_abs(a, axis=None):
+    """Largest entrywise magnitude, as a float, or as an array along `axis`; NaN if any entry is NaN."""
+    m = np.abs(np.asarray(a)).max(axis=axis, initial=0.0)
+    return float(m) if axis is None else m
+
+
+def require_within(dev, tol: float, error: type, message: str) -> None:
+    """Raise `error` unless every deviation in `dev` is <= tol, so that NaN fails too.
+
+    `dev` is a scalar for one matrix, or holds one deviation per matrix of a
+    stack.  `message` is formatted with `dev`, the first failing deviation,
+    and `at`: empty for a scalar, else " i" naming that matrix's stack index.
+    """
+    dev = np.asarray(dev)
+    bad = ~(dev <= tol)
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), dev.shape)
+        at = "" if not index else f" {int(index[0])}" if len(index) == 1 else f" {tuple(map(int, index))}"
+        raise error(message.format(at=at, dev=dev[index]))
 
 
 def require_hermitian(a, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
@@ -40,8 +55,7 @@ def require_hermitian(a, tol: float = 1e-12, what: str = "matrix") -> np.ndarray
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} must be square, got shape {a.shape}")
     dev = max_abs(a - a.conj().T)
-    if dev > tol:
-        raise ValidationError(f"{what} is not Hermitian (max |A - A^dag| = {dev:.3e})")
+    require_within(dev, tol, ValidationError, what + " is not Hermitian (max |A - A^dag| = {dev:.3e})")
     return a
 
 
@@ -49,21 +63,19 @@ def require_normalized(psi, tol: float = 1e-8, what: str = "state") -> np.ndarra
     psi = np.asarray(psi, dtype=complex)
     norm2 = np.einsum("...i,...i->...", psi.conj(), psi).real
     dev = max_abs(norm2 - 1.0)
-    if dev > tol:
-        raise ValidationError(f"{what} is not normalized (max ||psi||^2 - 1| = {dev:.3e})")
+    require_within(dev, tol, ValidationError, what + " is not normalized (max ||psi||^2 - 1| = {dev:.3e})")
     return psi
 
 
 def require_isometry(u, what: str = "noise matrix") -> np.ndarray:
-    """An N x n matrix with N >= n >= 1 and u^dag u = I_n, as a complex array."""
+    """An N x n matrix with N >= n >= 1 and u^dag u = I_n, or a stack (..., N, n) of them, as a complex array."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[1] < 1:
+    if u.ndim < 2 or u.shape[-1] < 1:
         raise DimensionError(f"{what} must be N x n with n >= 1, got shape {u.shape}")
-    if u.shape[0] < u.shape[1]:
+    if u.shape[-2] < u.shape[-1]:
         raise ValidationError(f"{what} needs N >= n rows, got shape {u.shape}")
-    dev = max_abs(u.conj().T @ u - np.eye(u.shape[1]))
-    if dev > 1e-10:
-        raise ValidationError(f"{what} is not an isometry (max |u^dag u - I| = {dev:.3e})")
+    dev = max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+    require_within(dev, 1e-10, ValidationError, what + "{at} is not an isometry (max |u^dag u - I| = {dev:.3e})")
     return u
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .algebra import bloch_from_density, bloch_from_state, pauli, random_state, report_indices, resolve_steps
+from .algebra import bloch_from_density, bloch_from_state, max_abs, pauli, random_state, report_indices, resolve_steps
 from .algebra import state_from_bloch
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
@@ -208,8 +208,6 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
             raise ValidationError(f"{key} must be >= {least}")
     if "dt" in cfg and cfg["dt"] <= 0:
         raise ValidationError("dt must be positive")
-    if "n_wiener" in cfg and cfg["n_wiener"] < cfg["n_lindblad"]:
-        raise ValidationError("n_wiener must be >= n_lindblad")
     return cfg
 
 
@@ -401,31 +399,33 @@ def cmd_param(cfg: dict):
     n_w = cfg["n_wiener"]
     if n > len(_WITNESS_LINDBLADS):
         raise ValidationError(f"n_lindblad must be <= {len(_WITNESS_LINDBLADS)}")
+    if n_w < n:
+        raise ValidationError("n_wiener must be >= n_lindblad")
     cases = _record_count(cfg, "cases")
     if cases * n_w * n_w > MAX_ORTHOGONAL_ENTRIES:
         raise ValidationError(f"cases * n_wiener^2 must be <= {MAX_ORTHOGONAL_ENTRIES}, one orthogonal matrix per case")
     seed = cfg["seed"]
     dt = cfg["dt"]
-    rows = []
-    for case in range(cases):
-        s = random_correlation(seed, n, case)
-        u = noise_from_correlation(s)
-        rt_err = np.max(np.abs(correlation_from_noise(u) - s))
-        iso_err = np.max(np.abs(u.conj().T @ u - np.eye(n)))
-        rows.append([case, float(rt_err), float(iso_err)])
+    case_ids = np.arange(cases)
+    s = random_correlation(seed, n, case_ids)
+    u = noise_from_correlation(s)
+    round_trip = max_abs(correlation_from_noise(u) - s, axis=(-2, -1))
+    isometry = max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(n), axis=(-2, -1))
     witnesses = redundancy_witnesses(
-        [random_isometry(seed, n_w, n, case) for case in range(cases)],
-        [random_orthogonal(seed, n_w, case) for case in range(cases)],
+        random_isometry(seed, n_w, n, case_ids),
+        random_orthogonal(seed, n_w, case_ids),
         _WITNESS_HAMILTONIAN,
         _WITNESS_LINDBLADS[:n],
-        random_state(seed, 2, np.arange(cases)),
+        random_state(seed, 2, case_ids),
         cfg["witness_steps"] * dt,
         dt,
         seed,
-        np.arange(cases),
+        case_ids,
     )
-    for row, witness in zip(rows, witnesses):
-        row += [witness.s_deviation, witness.max_pathwise_deviation]
+    rows = [
+        [case, float(rt), float(iso), w.s_deviation, w.max_pathwise_deviation]
+        for case, (rt, iso, w) in enumerate(zip(round_trip, isometry, witnesses))
+    ]
     columns = ["case", "round_trip_error", "isometry_error", "s_deviation", "pathwise_deviation"]
     maxima = np.max([row[1:] for row in rows], axis=0)
 

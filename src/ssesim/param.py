@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import max_abs, require_isometry, require_normalized, resolve_steps
+from .algebra import max_abs, require_isometry, require_normalized, require_within, resolve_steps
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener, _wiener_key
 
@@ -26,25 +26,26 @@ _NOISE_ENTRIES = 1 << 8
 
 def _require_symmetric(s, tol: float = 1e-10) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DimensionError(f"correlation matrix must be square, got shape {s.shape}")
-    dev = max_abs(s - s.T)
-    if dev > tol:
-        raise ValidationError(f"correlation matrix is not symmetric (max |s - s^T| = {dev:.3e})")
+    dev = max_abs(s - s.swapaxes(-1, -2), axis=(-2, -1))
+    message = "correlation matrix{at} is not symmetric (max |s - s^T| = {dev:.3e})"
+    require_within(dev, tol, ValidationError, message)
     return s
 
 
 def correlation_from_noise(u) -> np.ndarray:
-    """Correlation matrix s with conj(s)_jl = sum_k u_kj u_kl."""
+    """Correlation matrix s with conj(s)_jl = sum_k u_kj u_kl, of one isometry or a stack (..., N, n)."""
     u = require_isometry(u)
-    s = np.conj(u.T @ u)
-    if np.linalg.norm(s, 2) > 1.0 + 1e-10:
-        raise ValidationError("correlation matrix exceeds unit spectral norm; isometry input is inconsistent")
+    s = np.conj(u.swapaxes(-1, -2) @ u)
+    norm = np.linalg.svd(s, compute_uv=False)[..., 0]
+    message = "correlation matrix{at} exceeds unit spectral norm; isometry input is inconsistent"
+    require_within(norm, 1.0 + 1e-10, ValidationError, message)
     return s
 
 
 def takagi(s) -> tuple[np.ndarray, np.ndarray]:
-    """Takagi factorization s = w diag(sigma) w^T of a complex symmetric matrix.
+    """Takagi factorization s = w diag(sigma) w^T of a complex symmetric matrix, or of each of a stack.
 
     s conj(w_j) = sigma_j w_j with w_j = x + iy says that (x, y) is an
     eigenvector of the real symmetric embedding [[Re s, Im s], [Im s, -Re s]]
@@ -54,20 +55,25 @@ def takagi(s) -> tuple[np.ndarray, np.ndarray]:
     completes w to a unitary.
     """
     s = _require_symmetric(s)
-    n = s.shape[0]
+    n = s.shape[-1]
     lam, vec = np.linalg.eigh(np.block([[s.real, s.imag], [s.imag, -s.real]]))
-    sigma, vec = lam[: n - 1 : -1], vec[:, : n - 1 : -1]
-    kept = int(np.count_nonzero(sigma > _DEGENERACY_TOL))
+    sigma, vec = lam[..., : n - 1 : -1], vec[..., : n - 1 : -1]
+    kept = sigma > _DEGENERACY_TOL
     # A QR completes w and restores orthonormality lost where sigma_j is
     # barely above the threshold and so close to its -sigma_j partner; the
-    # phases of its diagonal are put back, since w_j and e^{i phi} w_j differ.
-    w, r = np.linalg.qr(vec[:n, :kept] + 1j * vec[n:, :kept], mode="complete")
-    w[:, :kept] *= np.diagonal(r) / np.abs(np.diagonal(r))
-    return np.where(sigma > _DEGENERACY_TOL, sigma, 0.0), w
+    # phases of its diagonal are put back on the kept columns, since w_j and
+    # e^{i phi} w_j differ.  The dropped columns, the trailing ones, are zeroed
+    # so that the QR leaves the kept ones as it would factor them alone.
+    vectors = np.where(kept[..., None, :], vec[..., :n, :] + 1j * vec[..., n:, :], 0.0)
+    w, r = np.linalg.qr(vectors, mode="complete")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = np.divide(d, np.abs(d), out=np.ones_like(d), where=kept)
+    np.multiply(w, phase[..., None, :], out=w, where=kept[..., None, :])
+    return np.where(kept, sigma, 0.0), w
 
 
 def noise_from_correlation(s) -> np.ndarray:
-    """Canonical 2n x n isometry u with conj(u^T u) = s.
+    """Canonical 2n x n isometry u with conj(u^T u) = s, or a stack (..., 2n, n) of them for (..., n, n).
 
     Takagi-factorize conj(s) = v diag(sigma) v^T, set p_j = sqrt((1+sigma_j)/2)
     and q_j = sqrt((1-sigma_j)/2), stack diag(p) over i*diag(q), and rotate by
@@ -75,14 +81,16 @@ def noise_from_correlation(s) -> np.ndarray:
     """
     s = _require_symmetric(s)
     sigma, v = takagi(np.conj(s))
-    if sigma.size and sigma[0] > 1.0 + 1e-10:
-        raise InfeasibleError(f"correlation matrix has spectral norm {sigma[0]:.12g} > 1")
-    p = np.sqrt((1.0 + sigma) / 2.0)
-    q = np.sqrt(np.clip(1.0 - sigma, 0.0, None) / 2.0)
-    stacked = np.vstack([np.diag(p), 1j * np.diag(q)]).astype(complex)
-    u = require_isometry(stacked @ v.T)
-    if max_abs(np.conj(u.T @ u) - s) > 1e-10:
-        raise ValidationError("Takagi construction failed to reproduce the correlation matrix")
+    message = "correlation matrix{at} has spectral norm {dev:.12g} > 1"
+    require_within(sigma.max(axis=-1, initial=0.0), 1.0 + 1e-10, InfeasibleError, message)
+    n = s.shape[-1]
+    stacked = np.zeros(s.shape[:-2] + (2 * n, n), dtype=complex)
+    diagonal = np.arange(n)
+    stacked[..., diagonal, diagonal] = np.sqrt((1.0 + sigma) / 2.0)
+    stacked[..., n + diagonal, diagonal] = 1j * np.sqrt(np.clip(1.0 - sigma, 0.0, None) / 2.0)
+    u = require_isometry(stacked @ v.swapaxes(-1, -2))
+    dev = max_abs(np.conj(u.swapaxes(-1, -2) @ u) - s, axis=(-2, -1))
+    require_within(dev, 1e-10, ValidationError, "Takagi construction failed to reproduce correlation matrix{at}")
     return u
 
 
@@ -125,18 +133,17 @@ def redundancy_witnesses(
     shape of u.  Every rotated and plain path steps in one component-major
     block, and only the running maximum of their distance is kept.
     """
-    us = [require_isometry(u) for u in noise_matrices]
-    orths = [np.asarray(o, dtype=float) for o in orthogonals]
-    cases = len(us)
-    if len({u.shape for u in us}) != 1 or len(orths) != cases or len(case_ids) != cases:
+    us = require_isometry(noise_matrices)
+    orths = np.asarray(orthogonals, dtype=float)
+    ids = np.asarray(case_ids)
+    if us.ndim != 3 or ids.shape != us.shape[:1]:
         raise DimensionError("need one noise matrix, orthogonal matrix and case id per case, all of one shape")
-    n_rows = us[0].shape[0]
-    for orth in orths:
-        if orth.shape != (n_rows, n_rows):
-            raise DimensionError(f"orthogonal matrix must be {n_rows} x {n_rows}, got {orth.shape}")
-        require_isometry(orth, "orthogonal matrix")
-    rotated = [orth @ u for orth, u in zip(orths, us)]
-    s_deviations = [max_abs(correlation_from_noise(r) - correlation_from_noise(u)) for r, u in zip(rotated, us)]
+    cases, n_rows = us.shape[:2]
+    if orths.shape != (cases, n_rows, n_rows):
+        raise DimensionError(f"need one {n_rows} x {n_rows} orthogonal matrix per case, got shape {orths.shape}")
+    require_isometry(orths, "orthogonal matrix")
+    rotated = orths @ us
+    s_deviations = max_abs(correlation_from_noise(rotated) - correlation_from_noise(us), axis=(-2, -1))
 
     model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), us[0])
     psi0 = require_normalized(np.asarray(initial_states, dtype=complex))
@@ -148,9 +155,8 @@ def redundancy_witnesses(
     # kernels, so each case rounds as it would stepped alone.  The noise of up
     # to _NOISE_ENTRIES / (N^2 C) steps is drawn, keyed per step, and mapped at
     # once, so memory is bounded whatever the number of steps.
-    noise_t = np.stack(rotated + us, axis=-1)[:, :, None]
-    orth_t = np.stack(orths, axis=-1)[:, :, None]
-    ids = np.asarray(case_ids)
+    noise_t = np.concatenate([rotated, us]).transpose(1, 2, 0)[:, :, None].copy()
+    orth_t = orths.transpose(1, 2, 0)[:, :, None].copy()
     key = _wiener_key(seed, ids)
     block = max(1, _NOISE_ENTRIES // (n_rows * n_rows * cases))
     channels = np.arange(n_rows)[:, None, None]
@@ -169,34 +175,33 @@ def redundancy_witnesses(
     ]
 
 
-def _param_normals(seed: int, tag: int, case: int, rows: int, cols: int, comp: int) -> np.ndarray:
-    return rng.normals(
-        rng.DOMAIN_PARAM, seed, tag, case, np.arange(rows)[:, None], np.arange(cols), comp
-    )
+def _param_normals(seed: int, tag: int, case, rows: int, cols: int, comp: int) -> np.ndarray:
+    case = np.asarray(case)[..., None, None]
+    return rng.normals(rng.DOMAIN_PARAM, seed, tag, case, np.arange(rows)[:, None], np.arange(cols), comp)
 
 
-def random_isometry(seed: int, n_rows: int, n_cols: int, case: int = 0) -> np.ndarray:
-    """Deterministic Haar-ish N x n isometry (QR of counter-based Gaussians)."""
+def _diagonal(r) -> np.ndarray:
+    return np.diagonal(r, axis1=-2, axis2=-1)[..., None, :]
+
+
+def random_isometry(seed: int, n_rows: int, n_cols: int, case=0) -> np.ndarray:
+    """Deterministic Haar-ish N x n isometry (QR of counter-based Gaussians), or (..., N, n) for an array of cases."""
     if n_rows < n_cols or n_cols < 1:
         raise DimensionError(f"need N >= n >= 1, got N = {n_rows}, n = {n_cols}")
-    g = _param_normals(seed, 1, case, n_rows, n_cols, 0) + 1j * _param_normals(
-        seed, 1, case, n_rows, n_cols, 1
-    )
+    g = _param_normals(seed, 1, case, n_rows, n_cols, 0) + 1j * _param_normals(seed, 1, case, n_rows, n_cols, 1)
     q, r = np.linalg.qr(g)
-    phase = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phase
+    return q * (_diagonal(r) / np.abs(_diagonal(r)))
 
 
-def random_orthogonal(seed: int, n: int, case: int = 0) -> np.ndarray:
-    """Deterministic random N x N real orthogonal matrix."""
-    g = _param_normals(seed, 2, case, n, n, 0)
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r))
+def random_orthogonal(seed: int, n: int, case=0) -> np.ndarray:
+    """Deterministic random N x N real orthogonal matrix, or (..., N, N) for an array of cases."""
+    q, r = np.linalg.qr(_param_normals(seed, 2, case, n, n, 0))
+    return q * np.sign(_diagonal(r))
 
 
-def random_correlation(seed: int, n: int, case: int = 0, target_norm: float = 0.9) -> np.ndarray:
-    """Deterministic random feasible correlation matrix of spectral norm `target_norm`."""
+def random_correlation(seed: int, n: int, case=0, target_norm: float = 0.9) -> np.ndarray:
+    """Deterministic random feasible correlation matrix of spectral norm `target_norm`, or (..., n, n) of them."""
     g = _param_normals(seed, 3, case, n, n, 0) + 1j * _param_normals(seed, 3, case, n, n, 1)
-    s = (g + g.T) / 2.0
-    norm = np.linalg.svd(s, compute_uv=False)[0]
+    s = (g + g.swapaxes(-1, -2)) / 2.0
+    norm = np.linalg.svd(s, compute_uv=False)[..., :1, None]
     return s * (target_norm / norm)

@@ -12,11 +12,13 @@ from ssesim.algebra import (
     pauli,
     random_state,
     report_indices,
+    require_normalized,
     resolve_steps,
     state_from_bloch,
 )
 from ssesim.errors import DimensionError, ValidationError
 from ssesim.master import analytic_pauli_solution, pauli_generator
+from ssesim.param import noise_from_correlation
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -304,3 +306,27 @@ _RATE_USERS = {
 def test_every_rate_vector_user_refuses_non_finite_rates(user, rates):
     with pytest.raises(ValidationError, match="rates must be finite"):
         _RATE_USERS[user](rates)
+
+
+# Each shared checker through a caller that once let NaN through: a NaN
+# deviation compares False with any tolerance, so every check raises unless
+# the deviation is <= its tolerance.
+_NAN_INPUTS = {
+    "require_isometry": (
+        lambda: sse.GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(3),), np.full((2, 1), np.nan)),
+        "noise matrix is not an isometry",
+    ),
+    "require_hermitian": (lambda: hermitian_eigen(np.full((2, 2), np.nan)), "eigensolver input is not Hermitian"),
+    "require_normalized": (lambda: require_normalized([np.nan, 0.0]), "state is not normalized"),
+    "_require_symmetric": (
+        lambda: noise_from_correlation(np.full((2, 2), np.nan)),
+        "correlation matrix is not symmetric",
+    ),
+}
+
+
+@pytest.mark.parametrize("checker", list(_NAN_INPUTS))
+def test_every_checker_refuses_nan(checker):
+    call, message = _NAN_INPUTS[checker]
+    with pytest.raises(ValidationError, match=message):
+        call()

@@ -77,10 +77,10 @@ _FORCED_FAILURES = {
         lambda real: lambda states, rates: real(states, rates) + 1e-9,
         ["identity", "--trajectories", "100"],
     ),
-    # Scaling s to spectral norm 1 makes 2I feasible, so it is no longer rejected.
+    # Scaling each s of the stack to spectral norm 1 makes 2I feasible, so it is no longer rejected.
     "param": (
         "noise_from_correlation",
-        lambda real: lambda s: real(s / max(1.0, np.linalg.norm(s, 2))),
+        lambda real: lambda s: real(s / np.maximum(1.0, np.linalg.norm(s, 2, axis=(-2, -1)))[..., None, None]),
         ["param", "--cases", "3", "--witness-steps", "2"],
     ),
     "convergence": (
@@ -403,6 +403,32 @@ def test_param_orthogonal_entries_above_the_ceiling_exit_two(capsys, monkeypatch
     assert cli.main(["param", "--n-wiener", "100000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"<= {cli.MAX_ORTHOGONAL_ENTRIES}" in err
+
+
+def test_param_n_lindblad_above_the_witness_operators_names_that_bound(capsys):
+    # The bound on n_lindblad is checked before n_wiener >= n_lindblad, which the default n_wiener fails.
+    assert cli.main(["param", "--n-lindblad", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_lindblad must be <= 4" in err
+
+
+def test_param_makes_as_many_linalg_calls_for_3_cases_as_for_30(capsys, monkeypatch):
+    # Every stage runs once over the stack of cases: a per-case loop would show as more calls.
+    calls = {}
+    for name in ("qr", "eigh", "svd"):
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for cases in ("3", "30"):
+        calls.clear()
+        assert cli.main(["param", "--cases", cases, "--witness-steps", "2"]) == 0
+        counts.append(dict(calls))
+    capsys.readouterr()
+    assert counts[0] == counts[1] and set(counts[0]) == {"qr", "eigh", "svd"}
 
 
 def test_param_collapse_exits_two_naming_the_case(capsys):

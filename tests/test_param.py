@@ -47,8 +47,10 @@ def test_correlation_balanced_column_vanishes():
 
 
 def test_correlation_rejects_non_isometry():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^noise matrix is not an isometry"):
         correlation_from_noise(np.array([[0.9], [0.1]]))
+    with pytest.raises(ValidationError, match="^noise matrix is not an isometry"):
+        correlation_from_noise(np.full((2, 1), np.nan))
 
 
 # sse._contract(u, dw) is the noise map dxi*_j = sum_k dW_k u_kj of component-major
@@ -175,7 +177,7 @@ def test_validate_correlation_identity():
 
 
 def test_validate_correlation_infeasible():
-    with pytest.raises(InfeasibleError, match="spectral norm 2 > 1"):
+    with pytest.raises(InfeasibleError, match="^correlation matrix has spectral norm 2 > 1$"):
         noise_from_correlation(2.0 * np.eye(2))
 
 
@@ -295,3 +297,86 @@ def test_random_helpers_are_deterministic():
     assert np.array_equal(random_correlation(1, 3, 3), random_correlation(1, 3, 3))
     orth = random_orthogonal(1, 5, 0)
     assert np.max(np.abs(orth.T @ orth - np.eye(5))) <= 1e-12
+
+
+
+# A lone matrix is a stack with no batch axes: each param function applied to
+# a stack gives every matrix the bits it gets alone.
+
+
+def _lone(fn, stack, core: int):
+    """fn of each entry of `stack` (its last `core` axes) alone, restacked over the batch axes."""
+    batch = stack.shape[: stack.ndim - core]
+    out = np.stack([fn(entry) for entry in stack.reshape((-1,) + stack.shape[len(batch):])])
+    return out.reshape(batch + out.shape[1:])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Takagi spectra of full rank, rank 1, rank 0, rank n - 1 and with gaps about the 1e-12 threshold.
+_SPECTRA = (
+    lambda n: np.full(n, 0.7),
+    lambda n: np.r_[0.9, np.zeros(n - 1)],
+    lambda n: np.zeros(n),
+    lambda n: np.r_[np.full(n - 1, 0.9), 0.0],
+    lambda n: 0.9 + np.r_[4e-12, 2e-12, 0.0, 0.0][:n],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 4),
+    extra_rows=st.integers(0, 3),
+    shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+    data=st.data(),
+)
+def test_stacked_calls_keep_each_cases_bits(seed, n, extra_rows, shape, data):
+    size = int(np.prod(shape))
+    ids = st.lists(st.integers(0, 10**6), min_size=size, max_size=size)
+    cases = np.array(data.draw(ids), dtype=int).reshape(shape)
+    for draw in (
+        lambda c: random_isometry(seed, n + extra_rows, n, c),
+        lambda c: random_orthogonal(seed, n + extra_rows, c),
+        lambda c: random_correlation(seed, n, c),
+    ):
+        assert _same_bits(draw(cases), _lone(lambda c: draw(int(c)), cases, 0))
+
+    # Generic correlations and degenerate spectra, mixed entry by entry (-1 keeps the generic one).
+    s = random_correlation(seed, n, cases)
+    kinds = data.draw(st.lists(st.integers(-1, len(_SPECTRA) - 1), min_size=size, max_size=size))
+    flat = s.reshape(-1, n, n)
+    for i, kind in enumerate(kinds):
+        if kind >= 0:
+            v = random_isometry(seed, n, n, i)
+            flat[i] = v @ np.diag(_SPECTRA[kind](n)) @ v.T
+    sigma, w = takagi(s)
+    assert _same_bits(sigma, _lone(lambda m: takagi(m)[0], s, 2))
+    assert _same_bits(w, _lone(lambda m: takagi(m)[1], s, 2))
+    u = noise_from_correlation(s)
+    assert _same_bits(u, _lone(noise_from_correlation, s, 2))
+    assert _same_bits(correlation_from_noise(u), _lone(correlation_from_noise, u, 2))
+
+
+def test_a_stack_names_its_infeasible_entry():
+    s = random_correlation(6, 2, np.arange(5))
+    s[3] = 2.0 * np.eye(2)
+    with pytest.raises(InfeasibleError, match="correlation matrix 3 has spectral norm 2 > 1"):
+        noise_from_correlation(s)
+
+
+def test_a_stack_names_its_non_isometric_entries():
+    u = random_isometry(6, 4, 2, np.arange(5))
+    u[2] *= 0.5
+    with pytest.raises(ValidationError, match="noise matrix 2 is not an isometry"):
+        correlation_from_noise(u)
+    orth = random_orthogonal(6, 4, np.arange(5))
+    orth[4] *= 0.5
+    with pytest.raises(ValidationError, match="orthogonal matrix 4 is not an isometry"):
+        redundancy_witnesses(
+            random_isometry(6, 4, 2, np.arange(5)), orth, H_TEST, L_TEST, random_state(6, 2, np.arange(5)),
+            0.01, 1e-3, seed=6, case_ids=np.arange(5),
+        )
+
