@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -538,6 +539,36 @@ def _jsonable_config(cfg: dict) -> dict:
     return out
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+_RECORDS_ANCHOR = '\n  "records": '
+
+
+def _dumps(report: dict) -> str:
+    """Exactly `json.dumps(report, indent=2, sort_keys=True)`, with flat records encoded at C speed.
+
+    Any `indent` selects json's pure-Python encoder.  A non-empty `records`
+    list of non-empty dicts of scalars is instead encoded in one C-encoder
+    call with NUL as item separator, which can only be a separator since
+    strings escape NUL as \\u0000, and is spliced in for the encoded empty
+    list with NUL replaced by the indent-2 layout.  Other reports go to
+    `json.dumps` itself.
+    """
+    records = report.get("records")
+    if not (
+        type(records) is list
+        and records
+        and set(map(type, records)) == {dict}
+        and all(records)
+        and set(map(type, chain.from_iterable(map(dict.values, records)))) <= _SCALARS
+    ):
+        return json.dumps(report, indent=2, sort_keys=True)
+    # A raw newline and two spaces open only a top-level key, so the anchor is unique.
+    head, tail = json.dumps({**report, "records": []}, indent=2, sort_keys=True).split(_RECORDS_ANCHOR + "[]")
+    flat = json.dumps(records, separators=("\0", ": "), sort_keys=True)[2:-2]
+    body = flat.replace("}\0{", "\n    },\n    {\n      ").replace("\0", ",\n      ")
+    return f"{head}{_RECORDS_ANCHOR}[\n    {{\n      {body}\n    }}\n  ]{tail}"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -556,11 +587,7 @@ def main(argv=None) -> int:
             if cfg["format"] == "csv":
                 text = _csv_text(columns, rows)
             else:
-                text = json.dumps(
-                    {**payload, "records": records},
-                    indent=2,
-                    sort_keys=True,
-                ) + "\n"
+                text = _dumps({**payload, "records": records}) + "\n"
             with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         report = dict(payload)
@@ -570,7 +597,7 @@ def main(argv=None) -> int:
             report["records"] = records
         # choi, identity and param start no workers.
         report["threads"] = cfg.get("threads", 1)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_dumps(report))
         return 1 if verdict == "FAIL" else 0
     except (ValidationError, DimensionError, InfeasibleError, StepSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

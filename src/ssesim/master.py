@@ -21,6 +21,7 @@ from .algebra import (
     random_state,
     require_hermitian,
     require_rates,
+    require_within,
     resolve_steps,
 )
 from .errors import DimensionError, ValidationError
@@ -122,12 +123,10 @@ class DynamicalMap:
         self.superoperator = s
         self.dim = d
         tvec = np.eye(d, dtype=complex).reshape(-1)
-        if max_abs(tvec @ s - tvec) > 1e-9:
-            raise ValidationError("dynamical map is not trace preserving")
+        require_within(max_abs(tvec @ s - tvec), 1e-9, ValidationError, "dynamical map is not trace preserving")
         # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
         c = choi_matrix(self)
-        if max_abs(c - c.conj().T) > 1e-9:
-            raise ValidationError("dynamical map is not Hermiticity preserving")
+        require_within(max_abs(c - c.conj().T), 1e-9, ValidationError, "dynamical map is not Hermiticity preserving")
 
 
 def apply_map(m: DynamicalMap, mats) -> np.ndarray:

@@ -20,8 +20,10 @@ from .errors import DimensionError, InfeasibleError, ValidationError
 from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener, _wiener_key
 
 _DEGENERACY_TOL = 1e-12
-# Entries of the largest temporary of the witness noise map, N^2 per case and step.
+# Entries of the largest temporary of the witness noise map, N^2 per case and
+# step: at most _NOISE_ENTRIES per case, and _NOISE_STACK_ENTRIES in all.
 _NOISE_ENTRIES = 1 << 8
+_NOISE_STACK_ENTRIES = 1 << 20
 
 
 def _require_symmetric(s, tol: float = 1e-10) -> np.ndarray:
@@ -153,12 +155,13 @@ def redundancy_witnesses(
     # Column c < C of the (d, 2C) block takes O u and dW, column C + c takes u
     # and O^T dW.  Both noise maps are the ordered contraction of the ensemble
     # kernels, so each case rounds as it would stepped alone.  The noise of up
-    # to _NOISE_ENTRIES / (N^2 C) steps is drawn, keyed per step, and mapped at
-    # once, so memory is bounded whatever the number of steps.
+    # to _NOISE_ENTRIES / N^2 steps is drawn, keyed per step, and mapped at
+    # once, fewer where the stack bound is reached first, so memory is bounded
+    # whatever the number of steps.
     noise_t = np.concatenate([rotated, us]).transpose(1, 2, 0)[:, :, None].copy()
     orth_t = orths.transpose(1, 2, 0)[:, :, None].copy()
     key = _wiener_key(seed, ids)
-    block = max(1, _NOISE_ENTRIES // (n_rows * n_rows * cases))
+    block = max(1, min(_NOISE_ENTRIES, _NOISE_STACK_ENTRIES // cases) // n_rows**2)
     channels = np.arange(n_rows)[:, None, None]
     psi, labels = np.tile(psi0.T, 2), np.tile(ids, 2)
     pathwise = np.zeros(cases)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import _bloch_components, bloch_from_density, bloch_from_state, pauli, report_indices
+from .algebra import _SIGMA, _bloch_components, bloch_from_density, bloch_from_state, report_indices
 from .algebra import require_hermitian, require_isometry, require_normalized, require_rates, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
@@ -522,13 +522,10 @@ def identity_residual(psi, rates=_SIGNED_RATES):
         raise DimensionError(f"identity check requires qubit states, got dim {psi.shape[-1]}")
     c = require_rates(rates)
     n = bloch_from_state(psi)
-    proj = np.einsum("...i,...j->...ij", psi, psi.conj())
     perp = np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())
-    eye = np.eye(2, dtype=complex)
-    rhs = np.zeros_like(proj)
-    for k in range(3):
-        m_k = pauli(k + 1) - n[..., k, None, None] * eye
-        rhs = rhs + c[k] * (m_k @ proj @ m_k)
+    # sigma_k - n_k is Hermitian, so each term is v_k v_k^dag with v_k = sigma_k psi - n_k psi.
+    v = np.einsum("kij,...j->...ki", _SIGMA, psi) - n[..., None] * psi[..., None, :]
+    rhs = sum(c[k] * np.einsum("...i,...j->...ij", v[..., k, :], v[..., k, :].conj()) for k in range(3))
     res = np.max(np.abs(lhs - rhs), axis=(-2, -1))
     return float(res) if res.ndim == 0 else res

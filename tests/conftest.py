@@ -1,8 +1,14 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from ssesim import sse
+
+# Examples run numerical kernels whose first call loads scipy or fills caches,
+# so a per-example deadline would fail on timing alone.
+settings.register_profile("ssesim", deadline=None)
+settings.load_profile("ssesim")
 
 
 @pytest.fixture

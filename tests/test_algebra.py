@@ -225,7 +225,7 @@ def test_resolve_steps_refuses_an_infinite_dt():
             resolve_steps(t, np.inf)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(steps=st.integers(0, 10**6), grid_points=st.integers(1, 10**4))
 def test_report_indices_strictly_increase_to_steps(steps, grid_points):
     idx = report_indices(steps, grid_points)
@@ -240,7 +240,7 @@ def test_report_indices_strictly_increase_to_steps(steps, grid_points):
 _U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=_U64,
     trajectories=st.lists(_U64, min_size=1, max_size=6),
@@ -265,7 +265,7 @@ def test_normals_depend_only_on_their_coordinates(seed, trajectories, steps, cha
         assert value == grid[i, j] == single
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=_U64,
     trajectories=st.lists(st.integers(min_value=0, max_value=2**63), min_size=1, max_size=6),

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssesim import cli, rng, sse
 from ssesim.master import DynamicalMap
@@ -205,6 +207,14 @@ def test_readme_documents_every_subcommand():
 @pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
 def test_readme_command_line_parses(argv):
     cli._build_parser().parse_args(argv)
+
+
+def test_negative_exponent_values_need_the_equals_form(capsys):
+    assert cli._build_parser().parse_args(["identity", "--c3=-1e0"]).c3 == -1.0
+    with pytest.raises(SystemExit) as info:
+        cli._build_parser().parse_args(["identity", "--c3", "-1e0"])
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_readme_flag_lists_match_the_parser():
@@ -607,6 +617,58 @@ def test_json_payload_reruns_identically(tmp_path):
     assert blobs[0] == blobs[1]
     payload = json.loads(blobs[0])
     assert "records" in payload and "threads" not in payload["config"]
+
+
+# Text that a writer keyed on separators or on the records anchor could misread.
+_TRICKY_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(['"', ",", "\0", "\n", " ", "{", "}", ":", "\\", "é", "\u2603", "a"])),
+    st.sampled_from(['"records": []', '\n  "records": []', "}\0{", "\0"]),
+)
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True, allow_infinity=True), _TRICKY_TEXT
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(_TRICKY_TEXT, st.one_of(_SCALAR, st.dictionaries(_TRICKY_TEXT, _SCALAR, max_size=3)), max_size=4),
+    st.lists(st.dictionaries(_TRICKY_TEXT, _SCALAR, min_size=1, max_size=4), min_size=1, max_size=5),
+)
+def test_report_writer_matches_json_dumps_on_flat_records(rest, records):
+    report = {**rest, "records": records}
+    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [[], [{}], [{"a": 1}, {}], [{"a": [1, 2]}], [{"a": {"b": 1}}], [{"a": ()}], [1, 2], [[("a", 1)]], "ab", None],
+)
+def test_report_writer_falls_back_on_records_that_are_not_flat(records):
+    report = {"verdict": "PASS", "records": records}
+    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+    del report["records"]
+    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unravel", "--trajectories", "200", "--t-final", "0.05"],
+        ["choi", "--t-final", "0.1", "--grid-points", "4"],
+        ["identity", "--trajectories", "100"],
+        ["param", "--cases", "3", "--witness-steps", "2"],
+        ["convergence", "--trajectories", "200", "--t-final", "0.016", "--grid-points", "4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_and_json_payloads_are_indent_2_sorted_json(argv, tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    for extra in ([], ["--format", "json", "--output", str(path)]):
+        assert cli.main(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_floats_survive_round_trip(tmp_path):

@@ -256,6 +256,11 @@ def test_dynamical_map_validates_trace_preservation():
         DynamicalMap(skewed)
 
 
+def test_dynamical_map_refuses_nan():
+    with pytest.raises(ValidationError, match="not trace preserving"):
+        DynamicalMap(np.full((4, 4), np.nan))
+
+
 def test_choi_of_identity_map():
     verdict = cp_verdict(choi_matrix(extract_map(pauli_generator(SIGNED), 0.0, 1e-3)))
     assert verdict.cp

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from ssesim import cli, sse
+from ssesim import cli, param, sse
 from ssesim.algebra import pauli, random_state
 from ssesim.errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from ssesim.param import (
@@ -109,7 +109,7 @@ def test_takagi_handles_degenerate_spectra():
 _GAPS = (0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-9)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     n=st.integers(2, 4),
     top=st.floats(0.0, 0.99),
@@ -264,6 +264,32 @@ def test_witness_memory_does_not_grow_with_steps():
     assert peak(4000) <= peak(40) + 16384
 
 
+def test_witness_draws_a_bounded_block_of_steps_per_call(monkeypatch):
+    # 100 cases of N = 4 over 100 steps, as `param` runs them by default.
+    cases = np.arange(100)
+    args = (
+        random_isometry(5, 4, 2, cases), random_orthogonal(5, 4, cases), H_TEST, L_TEST,
+        random_state(5, 2, cases), 0.1, 1e-3, 5, cases,
+    )
+    expected = redundancy_witnesses(*args)
+    sizes = []
+
+    def counted(*a):
+        dw = sse._wiener(*a)
+        sizes.append(dw.size)
+        return dw
+
+    monkeypatch.setattr(param, "_wiener", counted)
+    # The per-case bound: 256 / N^2 = 16 steps of every case per draw.
+    assert redundancy_witnesses(*args) == expected
+    assert sizes == [4 * 16 * 100] * 6 + [4 * 4 * 100]
+    # The stack bound, where it is reached first: one step per draw.
+    sizes.clear()
+    monkeypatch.setattr(param, "_NOISE_STACK_ENTRIES", 1 << 10)
+    assert redundancy_witnesses(*args) == expected
+    assert sizes == [4 * 100] * 100
+
+
 def test_witness_collapse_names_the_case():
     # With H = 0 and L = sigma_z, dt = 2 maps |+> to xi sigma_z |+>: the step
     # collapses where |dW| < 0.1, which among trajectories 40-59 of seed 3 is 48 only.
@@ -325,7 +351,7 @@ _SPECTRA = (
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**31 - 1),
     n=st.integers(1, 4),

@@ -101,7 +101,7 @@ def _unit_states(draw, kinds=("any", "north", "south"), pole_offset=1e-6):
     return np.exp(1j * gamma) * np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(psi=_unit_states(kinds=("north", "south"), pole_offset=4e-7))
 def test_perp_state_at_the_poles_is_the_unit_orthogonal_fallback(psi):
     # Within 4e-7 of a pole, 1 - n_z^2 <= 6.4e-13 is below the 1e-12 pole tolerance.
@@ -366,7 +366,7 @@ def test_pairwise_sum_matches_exact_sum():
     assert np.allclose(pairwise_sum(values), values.sum(axis=0), atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
     log_block=st.integers(min_value=0, max_value=8),
@@ -605,7 +605,7 @@ _KERNEL_MODELS = [NonCpQubitModel(), NonCpQubitModel(perp_phase=0.9), _GENERAL, 
 @pytest.mark.parametrize(
     "model", _KERNEL_MODELS, ids=["noncp", "noncp-phase", "general", "general-complex"]
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_batch_proposal_matches_each_column_bitwise(model, data):
     # A block steps component-major (d, B) states; a lone trajectory steps (d,).
@@ -689,6 +689,32 @@ def test_identity_residual_haar_sweep():
     psi = random_state(7, 2, np.arange(1000))
     residuals = identity_residual(psi, (1, 1, -1))
     assert np.max(residuals) <= 1e-12
+
+
+def _identity_residual_oracle(psi, rates):
+    # The stacked-matmul form: each term is (sigma_k - n_k) |psi><psi| (sigma_k - n_k) formed as matrices.
+    n = bloch_from_state(psi)
+    proj = _projectors(psi)
+    perp = perp_state(psi)
+    lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * _projectors(perp)
+    rhs = np.zeros_like(proj)
+    for k in range(3):
+        m_k = pauli(k + 1) - n[..., k, None, None] * np.eye(2)
+        rhs = rhs + rates[k] * (m_k @ proj @ m_k)
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("rates", [(1.0, 1.0, -1.0), (1.0, 1.0, 1.0), (0.7, 0.3, 0.2)])
+def test_identity_residual_matches_the_matrix_form(rates):
+    # The vector form v_k v_k^dag rounds differently from the matrix products,
+    # by a few ulps of the O(1) terms; 1e-15 is 4.5 ulps of 1.
+    for seed in (1, 7, 42):
+        psi = random_state(seed, 2, np.arange(10000))
+        assert np.max(np.abs(identity_residual(psi, rates) - _identity_residual_oracle(psi, rates))) <= 1e-15
+    for state in (POLE, PLUS):
+        assert identity_residual(state, rates) == _identity_residual_oracle(state, rates)
+    if rates == (1.0, 1.0, -1.0):
+        assert identity_residual(POLE, rates) == identity_residual(PLUS, rates) == 0.0
 
 
 def test_identity_fails_for_other_rate_patterns():
