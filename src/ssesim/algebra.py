@@ -51,12 +51,21 @@ def require_within(dev, tol: float, error: type, message: str) -> None:
 
 
 def require_hermitian(a, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
+    """A Hermitian n x n matrix, or a stack (..., n, n) of them, as a complex array."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{what} must be square, got shape {a.shape}")
-    dev = max_abs(a - a.conj().T)
-    require_within(dev, tol, ValidationError, what + " is not Hermitian (max |A - A^dag| = {dev:.3e})")
+    dev = max_abs(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
+    require_within(dev, tol, ValidationError, what + "{at} is not Hermitian (max |A - A^dag| = {dev:.3e})")
     return a
+
+
+def require_hamiltonian(h) -> np.ndarray:
+    """One Hermitian d x d matrix, as a complex array."""
+    h = require_hermitian(h, tol=1e-12, what="Hamiltonian")
+    if h.ndim != 2:
+        raise DimensionError(f"Hamiltonian must be one d x d matrix, got shape {h.shape}")
+    return h
 
 
 def require_normalized(psi, tol: float = 1e-8, what: str = "state") -> np.ndarray:
@@ -132,10 +141,10 @@ def state_from_bloch(n) -> np.ndarray:
 
 
 def hermitian_eigen(a):
-    """Eigendecomposition of a complex Hermitian matrix (LAPACK through numpy's eigh).
+    """Eigendecomposition of a complex Hermitian matrix or a stack (..., n, n) of them (LAPACK through numpy's eigh).
 
     Returns (w, v) with eigenvalues w ascending and unitary v satisfying
-    a @ v = v @ diag(w).
+    a @ v = v @ diag(w), each with the stack's batch axes in front.
     """
     return np.linalg.eigh(require_hermitian(a, tol=1e-12, what="eigensolver input"))
 

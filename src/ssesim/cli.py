@@ -17,6 +17,7 @@ config or numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,6 +60,7 @@ from .sse import (
 _FLOAT_FMT = "{:.17g}"
 
 _VERDICT_INCONCLUSIVE = "INCONCLUSIVE (N too small for 3sigma test)"
+_VERDICT_NO_POSITIVE_TIME = "INCONCLUSIVE (no positive report time)"
 
 # Ceiling of `identity --trajectories` and `param --cases`.
 MAX_RECORDS = 10**6
@@ -143,7 +145,10 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call, not at import, and shared by later calls:
+    # `parse_args` leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="ssesim",
         description="Diffusive stochastic Schrodinger equation simulator and verification suite.",
@@ -256,8 +261,7 @@ def _initial_state(cfg: dict) -> np.ndarray:
 
 
 def _master_bloch_on_grid(gen: MasterGenerator, psi0: np.ndarray, times, dt: float) -> np.ndarray:
-    rho = np.outer(psi0, psi0.conj())
-    return bloch_from_density([apply_map(m, rho) for m in map_grid(gen, times, dt)])
+    return bloch_from_density(apply_map(map_grid(gen, times, dt), np.outer(psi0, psi0.conj())))
 
 
 _BLOCH_COLUMNS = ["t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
@@ -329,25 +333,22 @@ def cmd_choi(cfg: dict):
     gen = pauli_generator(rates)
     dt = cfg["dt"]
     times = report_indices(resolve_steps(cfg["t_final"], dt), _record_count(cfg, "grid_points")) * dt
-    verdicts = [cp_verdict(choi_matrix(m)) for m in map_grid(gen, times, dt)]
+    verdicts = cp_verdict(choi_matrix(map_grid(gen, times, dt)))
 
     columns = ["t", "min_choi_eig", "min_choi_eig_raw", "cp"]
-    rows = [
-        [float(t), float(v.min_eigenvalue), float(v.min_eigenvalue_raw), bool(v.cp)]
-        for t, v in zip(times, verdicts)
-    ]
-    positive_times = [v for t, v in zip(times, verdicts) if t > 0]
-    cp_everywhere = all(v.cp for v in verdicts)
-    negative_at_positive_times = all(v.min_eigenvalue < 0 for v in positive_times)
-    if min(rates) >= 0:
-        ok = cp_everywhere
-    else:
-        ok = negative_at_positive_times
+    minima, raw, cp = verdicts.min_eigenvalue, verdicts.min_eigenvalue_raw, verdicts.cp
+    rows = list(zip(times.tolist(), minima.tolist(), raw.tolist(), cp.tolist()))
+    cp_everywhere = bool(np.all(cp))
+    negative_at_positive_times = bool(np.all(minima[times > 0] < 0))
     summary = {
-        "min_choi_eigenvalue": float(min(v.min_eigenvalue for v in verdicts)),
-        "cp_everywhere": bool(cp_everywhere),
-        "negative_at_all_positive_times": bool(negative_at_positive_times),
+        "min_choi_eigenvalue": float(np.min(minima)),
+        "cp_everywhere": cp_everywhere,
+        "negative_at_all_positive_times": negative_at_positive_times,
     }
+    if not np.any(times > 0):
+        # Only the identity map at t = 0 was checked, and it is CP for any rates.
+        return _VERDICT_NO_POSITIVE_TIME, summary, columns, rows
+    ok = cp_everywhere if min(rates) >= 0 else negative_at_positive_times
     return ("PASS" if ok else "FAIL"), summary, columns, rows
 
 
@@ -582,7 +583,8 @@ def main(argv=None) -> int:
             "verdict": verdict,
             "summary": summary,
         }
-        records = [dict(zip(columns, row)) for row in rows]
+        # Only the stdout report without --output and the JSON payload read the record dicts.
+        records = [dict(zip(columns, row)) for row in rows] if cfg["format"] == "json" or not cfg["output"] else None
         if cfg["output"]:
             if cfg["format"] == "csv":
                 text = _csv_text(columns, rows)

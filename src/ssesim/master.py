@@ -19,6 +19,7 @@ from .algebra import (
     hermitian_eigen,
     max_abs,
     random_state,
+    require_hamiltonian,
     require_hermitian,
     require_rates,
     require_within,
@@ -42,7 +43,7 @@ class MasterGenerator:
     channels: tuple = ()
 
     def __post_init__(self):
-        h = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
+        h = require_hamiltonian(self.hamiltonian)
         d = h.shape[0]
         eye = np.eye(d)
         superop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
@@ -81,15 +82,16 @@ def _rk4_step(gen: MasterGenerator, dt: float) -> np.ndarray:
 
 
 def require_density(rho, what: str = "density matrix") -> np.ndarray:
-    rho = require_hermitian(np.asarray(rho, dtype=complex), tol=1e-11, what=what)
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-11:
-        raise ValidationError(f"{what} must have unit trace, got {tr}")
+    """A Hermitian unit-trace matrix, or a stack (..., d, d) of them, as a complex array."""
+    rho = require_hermitian(rho, tol=1e-11, what=what)
+    dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    require_within(dev, 1e-11, ValidationError, what + "{at} must have unit trace (|tr - 1| = {dev:.3e})")
     return rho
 
 
 def integrate_master(rho0, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
-    """Evolve a density matrix to time t, a whole multiple of dt: the RK4 map `extract_map` applied to it."""
+    """Evolve a density matrix, or a stack (..., d, d) of them, to time t, a whole multiple of dt:
+    the RK4 map `extract_map` applied to it."""
     return apply_map(extract_map(gen, t, dt), require_density(rho0))
 
 
@@ -109,64 +111,81 @@ def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
 
 @dataclass
 class DynamicalMap:
-    """Superoperator acting on row-major vectorized d x d matrices."""
+    """Superoperator acting on row-major vectorized d x d matrices: one d^2 x d^2
+    map, or a stack (..., d^2, d^2) of them, checked as one array."""
 
     superoperator: np.ndarray
     dim: int = field(init=False)
 
     def __post_init__(self):
         s = np.asarray(self.superoperator, dtype=complex)
-        d2 = s.shape[0]
-        d = int(round(math.sqrt(d2)))
-        if s.shape != (d2, d2) or d * d != d2:
-            raise DimensionError(f"superoperator must be d^2 x d^2, got shape {s.shape}")
+        d = math.isqrt(s.shape[-1]) if s.ndim else 0
+        if s.shape[-2:] != (d * d, d * d):
+            raise DimensionError(f"superoperator must be d^2 x d^2, or a stack of them, got shape {s.shape}")
         self.superoperator = s
         self.dim = d
         tvec = np.eye(d, dtype=complex).reshape(-1)
-        require_within(max_abs(tvec @ s - tvec), 1e-9, ValidationError, "dynamical map is not trace preserving")
+        dev = max_abs(tvec @ s - tvec, axis=-1)
+        require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not trace preserving")
         # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
         c = choi_matrix(self)
-        require_within(max_abs(c - c.conj().T), 1e-9, ValidationError, "dynamical map is not Hermiticity preserving")
+        dev = max_abs(c - c.conj().swapaxes(-1, -2), axis=(-2, -1))
+        require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not Hermiticity preserving")
+
+
+def _one_map(m: DynamicalMap) -> DynamicalMap:
+    # A stack would broadcast against the operand's batch axes and pair its maps with them.
+    if m.superoperator.ndim != 2:
+        raise DimensionError(f"need one map, got a stack of shape {m.superoperator.shape[:-2]}")
+    return m
 
 
 def apply_map(m: DynamicalMap, mats) -> np.ndarray:
-    """Apply the map to a matrix or a batch of matrices of shape (..., d, d)."""
+    """Apply the map to a matrix or a batch of matrices of shape (..., d, d).
+
+    The map's stack axes broadcast against the operand's batch axes by numpy's
+    rule: one map applies to every operand, a stack of g maps applied to one
+    matrix gives g outputs, and a (g,) stack applied to (g, d, d) pairs them.
+    """
     d = m.dim
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[-2:] != (d, d):
         raise DimensionError(f"operand shape {mats.shape} does not match map dimension {d}")
-    vecs = mats.reshape(*mats.shape[:-2], d * d)
-    out = np.einsum("ab,...b->...a", m.superoperator, vecs)
-    return out.reshape(*mats.shape[:-2], d, d)
+    out = np.einsum("...ab,...b->...a", m.superoperator, mats.reshape(*mats.shape[:-2], d * d))
+    return out.reshape(*out.shape[:-1], d, d)
 
 
 def extract_map(gen: MasterGenerator, t: float, dt: float) -> DynamicalMap:
-    """Dynamical map of the generator at time t: the RK4 propagator over [0, t]."""
-    return map_grid(gen, [t], dt)[0]
+    """Dynamical map of the generator at time t: the RK4 propagator over [0, t], bitwise the `map_grid` entry at t."""
+    return DynamicalMap(map_grid(gen, [t], dt).superoperator[0])
 
 
-def map_grid(gen: MasterGenerator, times, dt: float) -> list[DynamicalMap]:
-    """Maps at an ascending grid of times, integrated cumulatively.
+def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
+    """Maps at an ascending grid of times, as one stack of shape (len(times), d^2, d^2).
 
     Each time must be a whole multiple of dt, and the grid's step counts must
-    strictly increase, so every map matches its own extraction exactly.
+    strictly increase.  The map at n steps is P^n of the one-step propagator
+    P, by binary powering: one running square P, P^2, P^4, ... multiplies,
+    from the left, the entries whose n has that bit.  An entry depends on its
+    n alone, so it is bitwise the map `extract_map` gives at its time, and a
+    grid of n steps costs O(log n) matrix products.
     """
-    gaps = np.diff([resolve_steps(t, dt) for t in times], prepend=0)
-    if np.any(gaps[1:] <= 0):
+    steps = np.array([resolve_steps(t, dt) for t in times], dtype=np.int64)
+    if np.any(np.diff(steps) <= 0):
         raise ValidationError("grid times must resolve to strictly increasing step counts of dt")
-    step = _rk4_step(gen, dt)
-    s = np.eye(gen.dim**2, dtype=complex)
-    maps = []
-    for gap in gaps:
-        for _ in range(gap):
-            s = step @ s
-        maps.append(DynamicalMap(s))
-    return maps
+    power = _rk4_step(gen, dt)
+    s = np.tile(np.eye(gen.dim**2, dtype=complex), (len(steps), 1, 1))
+    for bit in range(int(steps.max(initial=0)).bit_length()):
+        if bit:
+            power = power @ power
+        odd = (steps >> bit) & 1 == 1
+        s[odd] = power @ s[odd]
+    return DynamicalMap(s)
 
 
 def bloch_block(m: DynamicalMap) -> np.ndarray:
-    """3x3 real Bloch block B_kl = tr(sigma_k Lambda(sigma_l)) / 2 of a qubit map."""
-    return 0.5 * bloch_from_density(apply_map(m, _SIGMA)).T
+    """3x3 real Bloch block B_kl = tr(sigma_k Lambda(sigma_l)) / 2 of one qubit map."""
+    return 0.5 * bloch_from_density(apply_map(_one_map(m), _SIGMA)).T
 
 
 def pauli_channel_map(lambdas) -> DynamicalMap:
@@ -187,10 +206,10 @@ def pauli_channel_map(lambdas) -> DynamicalMap:
 
 
 def choi_matrix(m: DynamicalMap) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij E_ij (x) Lambda(E_ij) of a checked map: Hermitian, trace d."""
+    """Unnormalized Choi matrix sum_ij E_ij (x) Lambda(E_ij) of a checked map, or the stack of them: Hermitian, trace d."""
     # Choi-Jamiolkowski reshuffle: C[(i, k), (j, l)] = Lambda(E_ij)[k, l] = S[k d + l, i d + j].
-    d = m.dim
-    return m.superoperator.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    d, s = m.dim, m.superoperator
+    return np.einsum("...klij->...ikjl", s.reshape(*s.shape[:-2], d, d, d, d)).reshape(s.shape)
 
 
 # Eigenvalues down to -_VERDICT_TOL count as nonnegative in both verdicts.
@@ -199,17 +218,19 @@ _VERDICT_TOL = 1e-9
 
 @dataclass
 class CpVerdict:
-    cp: bool
-    min_eigenvalue: float  # divided by d (spectrum summing to 1)
-    min_eigenvalue_raw: float
+    """Per map of the stack, so each field has the stack's batch shape: () for one map."""
+
+    cp: np.ndarray
+    min_eigenvalue: np.ndarray  # divided by d (spectrum summing to 1)
+    min_eigenvalue_raw: np.ndarray
 
 
 def cp_verdict(choi) -> CpVerdict:
-    """Complete-positivity test: the d^2 x d^2 Choi matrix must be positive semidefinite."""
+    """Complete-positivity test: each d^2 x d^2 Choi matrix of (..., d^2, d^2) must be positive semidefinite."""
     values = hermitian_eigen(choi)[0]
-    raw = float(values[0])
-    normalized = raw / math.isqrt(len(values))
-    return CpVerdict(cp=bool(normalized >= -_VERDICT_TOL), min_eigenvalue=normalized, min_eigenvalue_raw=raw)
+    raw = values[..., 0]
+    normalized = raw / math.isqrt(values.shape[-1])
+    return CpVerdict(cp=normalized >= -_VERDICT_TOL, min_eigenvalue=normalized, min_eigenvalue_raw=raw)
 
 
 @dataclass
@@ -219,11 +240,11 @@ class PositivityVerdict:
 
 
 def positivity_verdict(m: DynamicalMap, samples: int, seed: int) -> PositivityVerdict:
-    """Apply the map to Haar-random pure states and report the worst output eigenvalue."""
+    """Apply one map to Haar-random pure states and report the worst output eigenvalue."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     psi = random_state(seed, m.dim, np.arange(samples))
     rho = np.einsum("...i,...j->...ij", psi, psi.conj())
-    out = apply_map(m, rho)
+    out = apply_map(_one_map(m), rho)
     min_eig = float(np.min(np.linalg.eigvalsh(out)))
     return PositivityVerdict(positive_on_samples=bool(min_eig >= -_VERDICT_TOL), min_output_eigenvalue=min_eig)

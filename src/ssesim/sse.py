@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .algebra import _SIGMA, _bloch_components, bloch_from_density, bloch_from_state, report_indices
-from .algebra import require_hermitian, require_isometry, require_normalized, require_rates, resolve_steps
+from .algebra import require_hamiltonian, require_isometry, require_normalized, require_rates, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
@@ -142,7 +142,7 @@ class GeneralDiffusiveModel:
     noise_matrix: np.ndarray
 
     def __post_init__(self):
-        h = require_hermitian(self.hamiltonian, tol=1e-12, what="Hamiltonian")
+        h = require_hamiltonian(self.hamiltonian)
         d = h.shape[0]
         ops = [np.asarray(op, dtype=complex) for op in self.lindblads]
         if not ops:

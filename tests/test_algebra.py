@@ -17,7 +17,7 @@ from ssesim.algebra import (
     state_from_bloch,
 )
 from ssesim.errors import DimensionError, ValidationError
-from ssesim.master import analytic_pauli_solution, pauli_generator
+from ssesim.master import MasterGenerator, analytic_pauli_solution, pauli_generator
 from ssesim.param import noise_from_correlation
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -129,6 +129,33 @@ def test_eigen_choi_of_identity():
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eigen_of_a_stack_is_each_matrix_own_and_names_a_failing_one():
+    rng_np = np.random.default_rng(14)
+    g = rng_np.normal(size=(2, 3, 4, 4)) + 1j * rng_np.normal(size=(2, 3, 4, 4))
+    a = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    w, v = hermitian_eigen(a)
+    assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(w[i, j], hermitian_eigen(a[i, j])[0])
+    a[1, 2, 0, 1] += 1e-6
+    with pytest.raises(ValidationError, match=r"eigensolver input \(1, 2\) is not Hermitian"):
+        hermitian_eigen(a)
+
+
+_HAMILTONIAN_USERS = {
+    "MasterGenerator": lambda h: MasterGenerator(h, ((1.0, pauli(1)),)),
+    "GeneralDiffusiveModel": lambda h: sse.GeneralDiffusiveModel(h, (pauli(1),), np.eye(1)),
+}
+
+
+@pytest.mark.parametrize("user", list(_HAMILTONIAN_USERS))
+def test_every_hamiltonian_user_refuses_a_stack(user):
+    # The Hermiticity check takes stacks; a model takes one Hamiltonian.
+    with pytest.raises(DimensionError, match="Hamiltonian must be one d x d matrix"):
+        _HAMILTONIAN_USERS[user](np.zeros((2, 2, 2)))
 
 
 def test_eigen_diagonalizes_large_dimensions():

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssesim import cli, rng, sse
+from ssesim import cli, master, rng, sse
 from ssesim.master import DynamicalMap
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -72,7 +73,11 @@ def _drifting_reference(real):
 # one, and an argv that then gives a FAIL verdict.
 _FORCED_FAILURES = {
     # Identity maps are CP, so the signed-rate map is not negative at positive times.
-    "choi": ("map_grid", lambda real: lambda gen, times, dt: [DynamicalMap(np.eye(4)) for _ in times], ["choi"]),
+    "choi": (
+        "map_grid",
+        lambda real: lambda gen, times, dt: DynamicalMap(np.tile(np.eye(4), (len(times), 1, 1))),
+        ["choi"],
+    ),
     # Every residual moves by 1e-9, above the 1e-12 bound.
     "identity": (
         "identity_residual",
@@ -209,6 +214,25 @@ def test_readme_command_line_parses(argv):
     cli._build_parser().parse_args(argv)
 
 
+def test_the_shared_parser_carries_no_value_between_calls(capsys):
+    _, first = _run(capsys, ["choi", "--c3", "1"])
+    _, second = _run(capsys, ["choi"])
+    assert first["config"]["c3"] == 1.0 and second["config"]["c3"] == -1.0
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    built = _fresh_python(
+        """
+        import json
+        from ssesim import cli
+
+        print(json.dumps(cli._build_parser.cache_info().currsize))
+        """
+    )
+    assert built == 0
+
+
 def test_negative_exponent_values_need_the_equals_form(capsys):
     assert cli._build_parser().parse_args(["identity", "--c3=-1e0"]).c3 == -1.0
     with pytest.raises(SystemExit) as info:
@@ -309,10 +333,39 @@ def test_choi_cp_case_passes(capsys):
 
 
 def test_choi_zero_time_grid(capsys):
+    # The identity map at t = 0 is the only one checked, so the signed-rate verdict tested nothing.
     code, report = _run(capsys, ["choi", "--t-final", "0"])
     assert code == 0
+    assert report["verdict"] == "INCONCLUSIVE (no positive report time)"
     assert report["records"][0]["cp"] is True
     assert abs(report["records"][0]["min_choi_eig"]) <= 1e-12
+
+
+def test_choi_zero_time_grid_of_cp_rates_is_inconclusive(capsys):
+    code, report = _run(capsys, ["choi", "--t-final", "0", "--c3", "1"])
+    assert code == 0
+    assert report["verdict"] == "INCONCLUSIVE (no positive report time)"
+
+
+@pytest.mark.parametrize("grid_points", [1, 32, 64])
+def test_choi_makes_one_eigensolver_call_per_run(grid_points, capsys, monkeypatch):
+    shapes = []
+
+    def counted(a, _real=master.hermitian_eigen):
+        shapes.append(np.shape(a))
+        return _real(a)
+
+    monkeypatch.setattr(master, "hermitian_eigen", counted)
+    assert cli.main(["choi", "--grid-points", str(grid_points)]) == 0
+    capsys.readouterr()
+    assert shapes == [(grid_points, 4, 4)]
+
+
+def test_choi_reaches_ten_million_steps(capsys):
+    # Binary powering takes 23 squarings here, where a product per step would take 10^7.
+    code, report = _run(capsys, ["choi", "--t-final", "10000", "--grid-points", "4"])
+    assert code == 0 and report["verdict"] == "PASS"
+    assert abs(report["summary"]["min_choi_eigenvalue"] + 0.25) <= 1e-9
 
 
 def test_identity_command_passes(capsys):
@@ -322,6 +375,16 @@ def test_identity_command_passes(capsys):
     assert report["summary"]["max_identity_residual"] <= 1e-12
     kinds = {r["kind"] for r in report["records"]}
     assert kinds == {"haar", "pole"}
+
+
+def test_identity_csv_output_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    # sha256 of the stdout report and the CSV payload, as written when every run built its record dicts.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["identity", "--trajectories", "100", "--output", "x.csv"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == "3406d834ae4739ba61bc741b2be52635904cc846892598a8ab955e0644037da4"
+    csv = (tmp_path / "x.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == "27700fe7e405a2960ee77e77fe1f8cc6a1c00baec797738dfcd8efb397869a4f"
 
 
 def test_identity_informational_for_other_rates(capsys):

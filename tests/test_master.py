@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ssesim.algebra import MAX_STEPS, pauli
+from ssesim.algebra import MAX_STEPS, pauli, report_indices, resolve_steps
 from ssesim.errors import DimensionError, ValidationError
 from ssesim.master import (
     DynamicalMap,
@@ -224,9 +224,40 @@ def test_extract_map_bloch_block_isotropic():
 def test_map_grid_matches_per_time_extraction():
     gen = pauli_generator(SIGNED)
     times = [0.05, 0.1, 0.25]
-    for grid_map, t in zip(map_grid(gen, times, 1e-3), times):
-        single = extract_map(gen, t, 1e-3)
-        assert np.max(np.abs(grid_map.superoperator - single.superoperator)) <= 1e-13
+    grid = map_grid(gen, times, 1e-3).superoperator
+    assert grid.shape == (3, 4, 4)
+    for k, t in enumerate(times):
+        assert np.array_equal(grid[k], extract_map(gen, t, 1e-3).superoperator)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_map_grid_entries_are_bitwise_their_own_extraction(seed):
+    # An entry's products depend on its step count alone, whatever else the grid holds.
+    rng = np.random.default_rng(seed)
+    gen = _random_generator(30 + seed) if seed % 2 else pauli_generator(rng.uniform(-1, 1, 3))
+    steps = np.sort(rng.choice(np.arange(1, 300), size=7, replace=False))
+    grid = map_grid(gen, steps * 1e-3, 1e-3).superoperator
+    for k in (0, 3, 6):
+        assert np.array_equal(grid[k], extract_map(gen, steps[k] * 1e-3, 1e-3).superoperator)
+
+
+def _rk4_stability(z):
+    return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+
+@pytest.mark.parametrize(
+    "rates, t_final, grid_points", [((1.0, 1.0, -1.0), 1.0, 32), ((1.0, 1.0, 1.0), 1.0, 32), ((1.0, 1.0, -1.0), 4.0, 64)]
+)
+def test_grid_maps_match_the_rk4_pauli_channel_closed_form(rates, t_final, grid_points):
+    # The Pauli generator is normal with Bloch eigenvalues mu_k = -2 (C - c_k), so n RK4 steps
+    # multiply n_k by R(mu_k dt)^n, R the RK4 stability function.
+    dt = 1e-3
+    steps = report_indices(resolve_steps(t_final, dt), grid_points)
+    grid = map_grid(pauli_generator(rates), steps * dt, dt).superoperator
+    mu = -2.0 * (np.sum(rates) - np.array(rates))
+    for n, s in zip(steps, grid):
+        closed = pauli_channel_map(_rk4_stability(mu * dt) ** n).superoperator
+        assert np.max(np.abs(s - closed)) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -259,6 +290,66 @@ def test_dynamical_map_validates_trace_preservation():
 def test_dynamical_map_refuses_nan():
     with pytest.raises(ValidationError, match="not trace preserving"):
         DynamicalMap(np.full((4, 4), np.nan))
+
+
+def test_a_map_stack_is_refused_naming_its_first_failing_index():
+    eye = np.eye(4, dtype=complex)
+    bad = eye.copy()
+    bad[0, 0] = 1.5
+    nan = np.full((4, 4), np.nan)
+    with pytest.raises(ValidationError, match="dynamical map 2 is not trace preserving"):
+        DynamicalMap(np.stack([eye, eye, bad, nan]))
+    with pytest.raises(ValidationError, match="dynamical map 1 is not trace preserving"):
+        DynamicalMap(np.stack([eye, nan, bad]))
+    with pytest.raises(ValidationError, match=r"dynamical map \(1, 0\) is not trace preserving"):
+        DynamicalMap(np.stack([[eye, eye], [nan, eye]]))
+    skewed = eye.copy()
+    skewed[1, 1] = 2.0
+    with pytest.raises(ValidationError, match="dynamical map 1 is not Hermiticity preserving"):
+        DynamicalMap(np.stack([eye, skewed]))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 3), (4, 4, 2)])
+def test_dynamical_map_refuses_shapes_that_are_not_square_d2(shape):
+    with pytest.raises(DimensionError):
+        DynamicalMap(np.zeros(shape))
+
+
+def test_one_map_views_refuse_a_stack():
+    # A stack of 3 maps would otherwise be paired with the 3 Pauli matrices, or with 3 samples.
+    stack = map_grid(pauli_generator(SIGNED), [0.1, 0.2, 0.3], 1e-3)
+    with pytest.raises(DimensionError, match="need one map"):
+        bloch_block(stack)
+    with pytest.raises(DimensionError, match="need one map"):
+        positivity_verdict(stack, 3, seed=1)
+
+
+def test_apply_map_broadcasts_stack_axes_against_operand_batch_axes():
+    gen = _random_generator(25)
+    times = [0.1, 0.2, 0.3]
+    stack = map_grid(gen, times, 1e-3)
+    lone = [extract_map(gen, t, 1e-3) for t in times]
+    rng = np.random.default_rng(26)
+    rhos = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+    one_each = apply_map(stack, rhos)
+    every_map = apply_map(stack, rhos[0])
+    assert one_each.shape == every_map.shape == (3, 3, 3)
+    for k, m in enumerate(lone):
+        assert np.max(np.abs(one_each[k] - apply_map(m, rhos[k]))) <= 1e-15
+        assert np.max(np.abs(every_map[k] - apply_map(m, rhos[0]))) <= 1e-15
+    assert apply_map(lone[0], rhos).shape == (3, 3, 3)
+
+
+def test_integrate_master_takes_a_stack_of_densities():
+    gen = pauli_generator(SIGNED)
+    rhos = np.stack([_bloch_density(n) for n in ([0.3, -0.4, 0.5], [0.0, 0.0, 1.0])]).astype(complex)
+    out = integrate_master(rhos, gen, 0.2, 1e-3)
+    for k in range(2):
+        assert np.max(np.abs(out[k] - integrate_master(rhos[k], gen, 0.2, 1e-3))) <= 1e-15
+    rhos[1, 0, 0] += 0.5
+    with pytest.raises(ValidationError, match="density matrix 1 must have unit trace"):
+        integrate_master(rhos, gen, 0.2, 1e-3)
+
 
 
 def test_choi_of_identity_map():
@@ -314,18 +405,27 @@ def test_choi_minimum_curve_frozen_values():
     # (e^{-4t} - 1)/4 at t = 0.1, 0.25, 0.5.
     expected = [-0.0824199884910902, -0.1580301397071394, -0.2161661791908468]
     maps = map_grid(pauli_generator(SIGNED), [0.1, 0.25, 0.5], 1e-3)
-    for m, want in zip(maps, expected):
-        got = cp_verdict(choi_matrix(m)).min_eigenvalue
+    for got, want in zip(cp_verdict(choi_matrix(maps)).min_eigenvalue, expected):
         assert abs(got - want) <= 1e-5
 
 
 def test_choi_minimum_is_decreasing_in_time():
     times = np.round(np.arange(1, 11) * 0.1, 10)
-    minima = [
-        cp_verdict(choi_matrix(m)).min_eigenvalue
-        for m in map_grid(pauli_generator(SIGNED), times, 1e-3)
-    ]
+    minima = cp_verdict(choi_matrix(map_grid(pauli_generator(SIGNED), times, 1e-3))).min_eigenvalue
     assert all(b < a for a, b in zip(minima, minima[1:]))
+
+
+def test_stacked_cp_verdict_matches_each_maps_own():
+    gen = _random_generator(27)
+    times = np.round(np.arange(1, 6) * 0.05, 10)
+    stacked = cp_verdict(choi_matrix(map_grid(gen, times, 1e-3)))
+    assert stacked.cp.shape == stacked.min_eigenvalue.shape == stacked.min_eigenvalue_raw.shape == (5,)
+    for k, t in enumerate(times):
+        lone = cp_verdict(choi_matrix(extract_map(gen, t, 1e-3)))
+        assert np.shape(lone.min_eigenvalue) == ()
+        assert stacked.cp[k] == lone.cp
+        assert stacked.min_eigenvalue[k] == lone.min_eigenvalue
+        assert stacked.min_eigenvalue_raw[k] == lone.min_eigenvalue_raw
 
 
 def test_positivity_of_identity_map():
