@@ -68,11 +68,11 @@ def require_hamiltonian(h) -> np.ndarray:
     return h
 
 
-def require_normalized(psi, tol: float = 1e-8, what: str = "state") -> np.ndarray:
+def require_normalized(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     norm2 = np.einsum("...i,...i->...", psi.conj(), psi).real
     dev = max_abs(norm2 - 1.0)
-    require_within(dev, tol, ValidationError, what + " is not normalized (max ||psi||^2 - 1| = {dev:.3e})")
+    require_within(dev, 1e-8, ValidationError, "state is not normalized (max ||psi||^2 - 1| = {dev:.3e})")
     return psi
 
 

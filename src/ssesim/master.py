@@ -81,11 +81,11 @@ def _rk4_step(gen: MasterGenerator, dt: float) -> np.ndarray:
     return eye + hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
 
 
-def require_density(rho, what: str = "density matrix") -> np.ndarray:
+def require_density(rho) -> np.ndarray:
     """A Hermitian unit-trace matrix, or a stack (..., d, d) of them, as a complex array."""
-    rho = require_hermitian(rho, tol=1e-11, what=what)
+    rho = require_hermitian(rho, tol=1e-11, what="density matrix")
     dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    require_within(dev, 1e-11, ValidationError, what + "{at} must have unit trace (|tr - 1| = {dev:.3e})")
+    require_within(dev, 1e-11, ValidationError, "density matrix{at} must have unit trace (|tr - 1| = {dev:.3e})")
     return rho
 
 
@@ -175,11 +175,15 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
         raise ValidationError("grid times must resolve to strictly increasing step counts of dt")
     power = _rk4_step(gen, dt)
     s = np.tile(np.eye(gen.dim**2, dtype=complex), (len(steps), 1, 1))
-    for bit in range(int(steps.max(initial=0)).bit_length()):
-        if bit:
-            power = power @ power
-        odd = (steps >> bit) & 1 == 1
-        s[odd] = power @ s[odd]
+    # A growing map may overflow: the check below refuses it, with no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit in range(int(steps.max(initial=0)).bit_length()):
+            if bit:
+                power = power @ power
+            odd = (steps >> bit) & 1 == 1
+            s[odd] = power @ s[odd]
+    bad = np.sum(~np.isfinite(s), axis=(-2, -1))
+    require_within(bad, 0, ValidationError, "dynamical map{at} overflowed: {dev} of its entries are not finite")
     return DynamicalMap(s)
 
 

@@ -26,13 +26,13 @@ _NOISE_ENTRIES = 1 << 8
 _NOISE_STACK_ENTRIES = 1 << 20
 
 
-def _require_symmetric(s, tol: float = 1e-10) -> np.ndarray:
+def _require_symmetric(s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DimensionError(f"correlation matrix must be square, got shape {s.shape}")
     dev = max_abs(s - s.swapaxes(-1, -2), axis=(-2, -1))
     message = "correlation matrix{at} is not symmetric (max |s - s^T| = {dev:.3e})"
-    require_within(dev, tol, ValidationError, message)
+    require_within(dev, 1e-10, ValidationError, message)
     return s
 
 
@@ -202,9 +202,9 @@ def random_orthogonal(seed: int, n: int, case=0) -> np.ndarray:
     return q * np.sign(_diagonal(r))
 
 
-def random_correlation(seed: int, n: int, case=0, target_norm: float = 0.9) -> np.ndarray:
-    """Deterministic random feasible correlation matrix of spectral norm `target_norm`, or (..., n, n) of them."""
+def random_correlation(seed: int, n: int, case=0) -> np.ndarray:
+    """Deterministic random feasible correlation matrix of spectral norm 0.9, or (..., n, n) of them."""
     g = _param_normals(seed, 3, case, n, n, 0) + 1j * _param_normals(seed, 3, case, n, n, 1)
     s = (g + g.swapaxes(-1, -2)) / 2.0
     norm = np.linalg.svd(s, compute_uv=False)[..., :1, None]
-    return s * (target_norm / norm)
+    return s * (0.9 / norm)

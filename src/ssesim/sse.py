@@ -72,22 +72,18 @@ def _contract(matrix_t, x):
     return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NonCpQubitModel:
-    """Qubit diffusion with drift -(1/2) sum_k c_k (sigma_k - n_k)^2 psi and
-    noise sqrt(2) n_z psi_perp dW.
+    """The paper's qubit diffusion at the signed rates c = (1, 1, -1): drift
+    -(1/2) sum_k c_k (sigma_k - n_k)^2 psi and noise sqrt(2) n_z psi_perp dW.
 
-    The default rates (1, 1, -1) make the ensemble average follow a master
-    equation whose dynamical map is positive but not completely positive.
-    `perp_phase` multiplies psi_perp by a fixed phase; the ensemble law is
-    insensitive to it, individual paths are not.
+    The rates are fixed: only at them does this noise unravel the drift's master
+    equation, whose map is positive but not completely positive, and (c, c, -c)
+    with noise sqrt(2c) is just the time rescaling t -> ct.  `perp_phase` turns
+    psi_perp by a fixed phase, which moves single paths but not the ensemble law.
     """
 
-    rates: tuple = _SIGNED_RATES
     perp_phase: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "_c", require_rates(self.rates))
 
     @property
     def dim(self) -> int:
@@ -103,17 +99,16 @@ class NonCpQubitModel:
         dpsi = -(1/2) sum_k c_k (sigma_k - n_k)^2 psi dt + sqrt(2) n_z psi_perp dW,
         with all coefficients evaluated at the pre-step state.
         """
-        c1, c2, c3 = self._c
         # Slices keep a lone state's components arrays, shape (1,): numpy's scalar
         # complex arithmetic rounds differently from the array loops a batch runs.
         a, b = psi[0:1], psi[1:2]
         n1, n2, n3 = _bloch_components(a, b)
         # (sigma_k - n_k)^2 = (1 + n_k^2) I - 2 n_k sigma_k, so the drift step is
         # I + dt (-half I + sum_k c_k n_k sigma_k): diagonal 1 + dt (-half +- c_3 n_3),
-        # off-diagonal dt z* and dt z with z = c_1 n_1 + i c_2 n_2.
-        half = 0.5 * (c1 * (1.0 + n1 * n1) + c2 * (1.0 + n2 * n2) + c3 * (1.0 + n3 * n3))
-        w3 = c3 * n3
-        dt_z = dt * (c1 * n1) + 1j * (dt * (c2 * n2))
+        # off-diagonal dt z* and dt z with z = c_1 n_1 + i c_2 n_2; the fixed c are written out.
+        half = 0.5 * ((1.0 + n1 * n1) + (1.0 + n2 * n2) - (1.0 + n3 * n3))
+        w3 = -n3
+        dt_z = dt * n1 + 1j * (dt * n2)
         up, down = _perp(a, b, n1, n2)
         amp = np.sqrt(2.0) * n3 * dw
         if self.perp_phase:

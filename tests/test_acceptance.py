@@ -66,7 +66,7 @@ def test_criterion_1_projector_identity():
 def test_criterion_2_ensemble_reproduces_noncp_master_equation():
     dt, n_traj = 1e-3, 20000
     start = time.perf_counter()
-    est = ensemble_density(NonCpQubitModel(SIGNED), GROUND, 0.25, dt, n_traj, seed=42)
+    est = ensemble_density(NonCpQubitModel(), GROUND, 0.25, dt, n_traj, seed=42)
     elapsed = time.perf_counter() - start
     mean = est.bloch()[-1]
     se = est.standard_error[-1]
@@ -164,9 +164,9 @@ def test_criterion_8_gauge_invariance():
     def gauge(psi, dw, dt):
         return 1.3 * float(dw[0]) + 0.21 + float(np.abs(psi[1]))
 
-    plain = simulate_trajectory(NonCpQubitModel(SIGNED), psi0, 0.25, 1e-3, seed=3, trajectory_id=1)
+    plain = simulate_trajectory(NonCpQubitModel(), psi0, 0.25, 1e-3, seed=3, trajectory_id=1)
     gauged = simulate_trajectory(
-        NonCpQubitModel(SIGNED), psi0, 0.25, 1e-3, seed=3, trajectory_id=1, gauge=gauge
+        NonCpQubitModel(), psi0, 0.25, 1e-3, seed=3, trajectory_id=1, gauge=gauge
     )
     proj_plain = np.einsum("si,sj->sij", plain.states, plain.states.conj())
     proj_gauged = np.einsum("si,sj->sij", gauged.states, gauged.states.conj())
@@ -200,8 +200,8 @@ def test_criterion_9_discretization_validity(tmp_path):
 
 
 def test_criterion_10_thread_count_determinism(tmp_path):
-    est_serial = ensemble_density(NonCpQubitModel(SIGNED), GROUND, 0.25, 1e-3, 20000, seed=42, threads=1)
-    est_parallel = ensemble_density(NonCpQubitModel(SIGNED), GROUND, 0.25, 1e-3, 20000, seed=42, threads=4)
+    est_serial = ensemble_density(NonCpQubitModel(), GROUND, 0.25, 1e-3, 20000, seed=42, threads=1)
+    est_parallel = ensemble_density(NonCpQubitModel(), GROUND, 0.25, 1e-3, 20000, seed=42, threads=4)
     api_ok = (
         est_serial.mean_density.tobytes() == est_parallel.mean_density.tobytes()
         and est_serial.standard_error.tobytes() == est_parallel.standard_error.tobytes()

@@ -324,7 +324,6 @@ _RATE_USERS = {
     "pauli_generator": pauli_generator,
     "analytic_pauli_solution": lambda c: analytic_pauli_solution([0.0, 0.0, 1.0], c, 0.25),
     "identity_residual": lambda c: sse.identity_residual(np.array([1.0, 0.0]), c),
-    "NonCpQubitModel": sse.NonCpQubitModel,
 }
 
 

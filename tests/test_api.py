@@ -30,6 +30,13 @@ _REMOVED_MEMBERS = {
     ("param", "RedundancyWitness"): ["s_equal"],
     ("sse", "EnsembleEstimate"): ["trajectories"],
     ("sse", "Trajectory"): ["times"],
+    # The non-CP model is the paper's at the fixed rates (1, 1, -1).
+    ("sse", "NonCpQubitModel"): ["rates"],
+    ("algebra", "require_normalized"): ["tol", "what"],
+    ("master", "require_density"): ["what"],
+    ("param", "_require_symmetric"): ["tol"],
+    ("param", "random_correlation"): ["target_norm"],
+    ("cli", "_pole_states"): ["count"],
 }
 
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +41,10 @@ def test_unravel_passes_and_exits_zero(capsys):
 
 
 def test_unravel_zero_time_has_zero_deviation(capsys):
+    # Only t = 0 is compared, so nothing was tested.
     code, report = _run(capsys, ["unravel", "--trajectories", "10", "--t-final", "0"])
     assert code == 0
-    assert report["verdict"] == "PASS"
+    assert report["verdict"] == "INCONCLUSIVE (no positive report time)"
     assert report["summary"]["max_abs_deviation"] == 0.0
 
 
@@ -50,6 +52,14 @@ def test_unravel_single_trajectory_is_inconclusive(capsys):
     code, report = _run(capsys, ["unravel", "--trajectories", "1", "--t-final", "0.05"])
     assert code == 0
     assert report["verdict"].startswith("INCONCLUSIVE")
+
+
+def test_unravel_with_every_bound_at_least_two_is_inconclusive(capsys):
+    # 3 se + 2 dt >= 20 at every positive time, while no Bloch deviation exceeds 2.
+    code, report = _run(capsys, ["unravel", "--dt", "10", "--t-final", "10", "--trajectories", "10"])
+    assert code == 0
+    assert report["verdict"] == "INCONCLUSIVE (every deviation bound >= 2)"
+    assert report["summary"]["max_standard_error"] <= 0.5
 
 
 def test_unravel_failure_exit_code(capsys, monkeypatch):
@@ -172,6 +182,8 @@ def test_unknown_flag_exits_two():
         ["identity", "--dt", "0.01"],
         ["param", "--c1", "7"],
         ["param", "--init-bloch", "1,0,0"],
+        ["unravel", "--c1", "2"],
+        ["convergence", "--c3", "1"],
     ],
 )
 def test_flag_the_subcommand_ignores_exits_two(argv, capsys):
@@ -265,6 +277,14 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert cli.main(["unravel", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["unravel", "convergence"])
+def test_the_noncp_commands_take_no_rate_config_key(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"c1": 2.0}))
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'c1'\n"
+
+
 def test_non_utf8_config_exits_two(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b'\xff\xfe{"seed": 1}')
@@ -330,6 +350,7 @@ def test_choi_cp_case_passes(capsys):
     )
     assert code == 0
     assert report["summary"]["cp_everywhere"] is True
+    assert [report["config"][k] for k in ("c1", "c2", "c3")] == [1.0, 1.0, 1.0]
 
 
 def test_choi_zero_time_grid(capsys):
@@ -359,6 +380,16 @@ def test_choi_makes_one_eigensolver_call_per_run(grid_points, capsys, monkeypatc
     assert cli.main(["choi", "--grid-points", str(grid_points)]) == 0
     capsys.readouterr()
     assert shapes == [(grid_points, 4, 4)]
+
+
+def test_overflowing_map_exits_two_with_one_error_line(capsys):
+    # lambda_1 = e^{4t} at rates (1, -1, -1): the map at t = 1000 overflows, and no numpy warning may escape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["choi", "--c2", "-1", "--c3", "-1", "--t-final", "1000", "--grid-points", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: dynamical map 0 overflowed") and err.count("\n") == 1
 
 
 def test_choi_reaches_ten_million_steps(capsys):
@@ -392,6 +423,7 @@ def test_identity_informational_for_other_rates(capsys):
     assert code == 0
     assert report["verdict"] == "INFO"
     assert report["summary"]["max_identity_residual"] > 1e-3
+    assert [report["config"][k] for k in ("c1", "c2", "c3")] == [1.0, 1.0, 1.0]
 
 
 def test_identity_pass_fail_only_for_the_exact_signed_rates(capsys):
@@ -536,12 +568,45 @@ def test_convergence_runs_at_default_times(capsys):
 
 
 def test_convergence_zero_time_has_zero_biases(capsys):
+    # Only t = 0 is compared, so nothing was tested.
     code, report = _run(
         capsys, ["convergence", "--t-final", "0", "--trajectories", "20"]
     )
     assert code == 0
-    assert report["verdict"] == "PASS"
+    assert report["verdict"] == "INCONCLUSIVE (no positive report time)"
     assert report["summary"]["biases"] == [0.0, 0.0, 0.0]
+
+
+def test_convergence_single_trajectory_is_inconclusive(capsys):
+    # Every noise floor is infinite, so no bias can exceed one.
+    argv = ["convergence", "--trajectories", "1", "--t-final", "0.016", "--grid-points", "4"]
+    code, report = _run(capsys, argv)
+    assert code == 0
+    assert report["verdict"] == "INCONCLUSIVE (N too small for 3sigma test)"
+    assert report["summary"]["noise_floors"] == [float("inf")] * 3
+
+
+# sha256 of CSV payloads written before the non-CP model lost its rate knob.
+_NONCP_PAYLOADS = {
+    "unravel": (["unravel"], "240820c2876a71de2797086979644857ada48e65d50810958050e0aa78deb614"),
+    "unravel-seed-7": (
+        ["unravel", "--seed", "7", "--init-bloch", "0.6,0,0.8"],
+        "8ad74635db879cfef7835ea7fa500d16db5f084023bb4d0d63339c9ba261ea82",
+    ),
+    "convergence": (
+        ["convergence", "--t-final", "0.256"],
+        "1f27257577fc4238a3ba1ef70ec91c89239dfcedcebb03262126282612df2c88",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_NONCP_PAYLOADS))
+def test_noncp_payloads_keep_their_bytes(name, tmp_path, capsys):
+    argv, digest = _NONCP_PAYLOADS[name]
+    path = tmp_path / "payload.csv"
+    assert cli.main(argv + ["--threads", "1", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_payloads_are_byte_identical_across_threads(tmp_path):

@@ -296,17 +296,18 @@ def test_trajectory_step_failure_reports_index():
 
 
 @pytest.mark.parametrize(
-    "model",
+    "model, noise",
     [
-        NonCpQubitModel(rates=(1e200, 1.0, -1.0)),
-        GeneralDiffusiveModel(1e200 * pauli(1), (pauli(3),), np.eye(1)),
+        # At the pole the increment sqrt(2) n_z psi_perp dW carries the whole overflow.
+        (NonCpQubitModel(), np.array([[1e200]])),
+        (GeneralDiffusiveModel(1e200 * pauli(1), (pauli(3),), np.eye(1)), np.zeros((2, 1))),
     ],
     ids=["noncp", "general"],
 )
-def test_overflowing_norm_fails_at_its_step(model):
+def test_overflowing_norm_fails_at_its_step(model, noise):
     # norm^2 overflows to inf at step 0; dividing by it would leave a zero state.
     with pytest.raises(StepSizeError, match="step 0"):
-        simulate_with_noise(model, POLE, 1e-3, np.zeros((2, 1)))
+        simulate_with_noise(model, POLE, 1e-3, noise)
 
 
 def test_trajectory_rejects_non_multiple_horizon():
@@ -666,11 +667,19 @@ def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
 def test_models_are_frozen():
     # Derived arrays are cached at construction, so the defining fields cannot change.
     with pytest.raises(dataclasses.FrozenInstanceError):
-        NonCpQubitModel().rates = (5.0, 5.0, 5.0)
+        NonCpQubitModel().perp_phase = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         _GENERAL.hamiltonian = np.zeros((2, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         MasterGenerator(np.zeros((2, 2))).channels = ((5.0, pauli(1)),)
+
+
+def test_noncp_model_takes_no_rates():
+    # Its rates are the fixed (1, 1, -1), so a rate vector is refused, positional or named.
+    with pytest.raises(TypeError):
+        NonCpQubitModel((1.0, 1.0, -1.0))
+    with pytest.raises(TypeError):
+        NonCpQubitModel(rates=(1.0, 1.0, -1.0))
 
 
 # ---------------------------------------------------------------- identity
