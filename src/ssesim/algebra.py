@@ -50,13 +50,18 @@ def require_within(dev, tol: float, error: type, message: str) -> None:
         raise error(message.format(at=at, dev=dev[index]))
 
 
+def hermiticity_deviation(a) -> np.ndarray:
+    """max |A - A^dag| / max(1, max |A|) per matrix (..., n, n): a large matrix's rounding is no defect."""
+    return max_abs(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.abs(a).max(axis=(-2, -1), initial=1.0)
+
+
 def require_hermitian(a, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
     """A Hermitian n x n matrix, or a stack (..., n, n) of them, as a complex array."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{what} must be square, got shape {a.shape}")
-    dev = max_abs(a - a.conj().swapaxes(-1, -2), axis=(-2, -1))
-    require_within(dev, tol, ValidationError, what + "{at} is not Hermitian (max |A - A^dag| = {dev:.3e})")
+    dev = hermiticity_deviation(a)
+    require_within(dev, tol, ValidationError, what + "{at} is not Hermitian (scaled max |A - A^dag| = {dev:.3e})")
     return a
 
 

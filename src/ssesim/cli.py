@@ -10,8 +10,9 @@ payload (CSV records or the full JSON report) to `--output`.  Payloads
 carry no timestamps and are byte-identical for a fixed config and seed,
 independent of `--threads`.  Each command returns its verdict, and `main`
 sets the exit code by one rule: 1 for the verdict FAIL and only for it, 0
-for every other verdict (PASS, INFO, INCONCLUSIVE), and 2 for a usage,
-config or numerical error.
+for every other verdict (PASS, INCONCLUSIVE), and 2 for a usage, config or
+numerical error.  Only `choi` takes channel rates: the non-CP model and the
+projector identity exist only at the paper's signed rates (1, 1, -1).
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ _KEYS = {
 
 # The keys each subcommand reads, with their defaults; every subcommand also
 # takes the seed (the payload header carries it) and the payload settings.
-_RATES = dict(zip(("c1", "c2", "c3"), _SIGNED_RATES))
 _PAYLOAD = {"seed": 42, "format": "csv", "output": None}
 _ENSEMBLE = {
     "dt": 1e-3,
@@ -138,8 +138,8 @@ _DEFAULTS = {
         "noise_matrix": None,
         **_PAYLOAD,
     },
-    "choi": {**_RATES, "t_final": 1.0, "dt": 1e-3, "grid_points": 32, **_PAYLOAD},
-    "identity": {**_RATES, "trajectories": 10000, **_PAYLOAD},
+    "choi": {**dict(zip(("c1", "c2", "c3"), _SIGNED_RATES)), "t_final": 1.0, "dt": 1e-3, "grid_points": 32, **_PAYLOAD},
+    "identity": {"trajectories": 10000, **_PAYLOAD},
     "param": {"dt": 1e-3, "n_lindblad": 2, "n_wiener": 4, "cases": 100, "witness_steps": 100, **_PAYLOAD},
     # 0.256 is a whole multiple of the coarsest level, 4 dt.
     "convergence": {**_ENSEMBLE, "t_final": 0.256, **_PAYLOAD},
@@ -374,22 +374,17 @@ def _record_count(cfg: dict, key: str) -> int:
 
 def cmd_identity(cfg: dict):
     """Projector-identity residual sweep."""
-    rates = (cfg["c1"], cfg["c2"], cfg["c3"])
     haar = random_state(cfg["seed"], 2, np.arange(_record_count(cfg, "trajectories")))
     poles = _pole_states()
     states = np.concatenate([haar, poles])
     kinds = ["haar"] * len(haar) + ["pole"] * len(poles)
-    residuals = identity_residual(states, rates)
+    residuals = identity_residual(states)
     max_residual = float(np.max(residuals))
 
     columns = ["index", "kind", "residual"]
     rows = [[i, kinds[i], float(residuals[i])] for i in range(len(states))]
     summary = {"max_identity_residual": max_residual, "states": len(states)}
-    if rates == _SIGNED_RATES:
-        return ("PASS" if max_residual <= 1e-12 else "FAIL"), summary, columns, rows
-    # The identity is specific to the signed-rate pattern; other rates are
-    # reported without pass/fail semantics.
-    return "INFO", summary, columns, rows
+    return ("PASS" if max_residual <= 1e-12 else "FAIL"), summary, columns, rows
 
 
 _WITNESS_HAMILTONIAN = np.array([[0.15, 0.2], [0.2, -0.15]], dtype=complex)

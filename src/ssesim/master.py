@@ -17,6 +17,7 @@ from .algebra import (
     _SIGMA,
     bloch_from_density,
     hermitian_eigen,
+    hermiticity_deviation,
     max_abs,
     random_state,
     require_hamiltonian,
@@ -128,8 +129,7 @@ class DynamicalMap:
         dev = max_abs(tvec @ s - tvec, axis=-1)
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not trace preserving")
         # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
-        c = choi_matrix(self)
-        dev = max_abs(c - c.conj().swapaxes(-1, -2), axis=(-2, -1))
+        dev = hermiticity_deviation(choi_matrix(self))
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not Hermiticity preserving")
 
 

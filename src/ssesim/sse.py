@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .algebra import _SIGMA, _bloch_components, bloch_from_density, bloch_from_state, report_indices
-from .algebra import require_hamiltonian, require_isometry, require_normalized, require_rates, resolve_steps
+from .algebra import require_hamiltonian, require_isometry, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
@@ -72,18 +72,15 @@ def _contract(matrix_t, x):
     return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class NonCpQubitModel:
     """The paper's qubit diffusion at the signed rates c = (1, 1, -1): drift
     -(1/2) sum_k c_k (sigma_k - n_k)^2 psi and noise sqrt(2) n_z psi_perp dW.
 
     The rates are fixed: only at them does this noise unravel the drift's master
     equation, whose map is positive but not completely positive, and (c, c, -c)
-    with noise sqrt(2c) is just the time rescaling t -> ct.  `perp_phase` turns
-    psi_perp by a fixed phase, which moves single paths but not the ensemble law.
+    with noise sqrt(2c) is just the time rescaling t -> ct.
     """
-
-    perp_phase: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -111,8 +108,6 @@ class NonCpQubitModel:
         dt_z = dt * n1 + 1j * (dt * n2)
         up, down = _perp(a, b, n1, n2)
         amp = np.sqrt(2.0) * n3 * dw
-        if self.perp_phase:
-            amp = amp * np.exp(1j * self.perp_phase)
         out = np.empty(psi.shape, dtype=complex)
         top, bottom = out[0:1], out[1:2]
         np.multiply(1.0 + dt * (w3 - half), a, out=top)
@@ -505,22 +500,22 @@ def _estimate(partials, grid_idx, dt: float, n_traj: int, center) -> EnsembleEst
     return EnsembleEstimate(times=grid_idx * dt, mean_density=proj_sum / n_traj, density_standard_error=se)
 
 
-def identity_residual(psi, rates=_SIGNED_RATES):
+def identity_residual(psi):
     """Max-abs residual of 2 n_z^2 |perp><perp| = sum_k c_k (sigma_k - n_k) |psi><psi| (sigma_k - n_k).
 
-    The identity holds exactly for rates (1, 1, -1) and any pure qubit state;
-    for other rates the residual is simply reported.  Accepts a batch of
-    states of shape (..., 2) and returns matching residuals.
+    The rates are the paper's c = (1, 1, -1), the only ones at which the
+    identity holds for every pure qubit state; it is why one real Wiener noise
+    unravels their map.
+    Accepts a batch of states of shape (..., 2) and returns matching residuals.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[-1] != 2:
         raise DimensionError(f"identity check requires qubit states, got dim {psi.shape[-1]}")
-    c = require_rates(rates)
     n = bloch_from_state(psi)
     perp = np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())
     # sigma_k - n_k is Hermitian, so each term is v_k v_k^dag with v_k = sigma_k psi - n_k psi.
     v = np.einsum("kij,...j->...ki", _SIGMA, psi) - n[..., None] * psi[..., None, :]
-    rhs = sum(c[k] * np.einsum("...i,...j->...ij", v[..., k, :], v[..., k, :].conj()) for k in range(3))
-    res = np.max(np.abs(lhs - rhs), axis=(-2, -1))
+    t0, t1, t2 = (np.einsum("...i,...j->...ij", v[..., k, :], v[..., k, :].conj()) for k in range(3))
+    res = np.max(np.abs(lhs - (t0 + t1 - t2)), axis=(-2, -1))
     return float(res) if res.ndim == 0 else res

@@ -56,7 +56,7 @@ def _pole_states() -> np.ndarray:
 def test_criterion_1_projector_identity():
     start = time.perf_counter()
     states = np.concatenate([random_state(7, 2, np.arange(10000)), _pole_states()])
-    worst = float(np.max(identity_residual(states, SIGNED)))
+    worst = float(np.max(identity_residual(states)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     print(f"  residual {worst:.3e} over {len(states)} states in {elapsed:.2f} s")

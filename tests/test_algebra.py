@@ -145,6 +145,22 @@ def test_eigen_of_a_stack_is_each_matrix_own_and_names_a_failing_one():
         hermitian_eigen(a)
 
 
+def test_hermiticity_cutoff_is_absolute_up_to_one_and_relative_above():
+    a = np.array([[0.5, 0.25], [0.25, -0.5]], dtype=complex)
+    a[0, 1] += 2e-12
+    with pytest.raises(ValidationError, match="eigensolver input is not Hermitian"):
+        hermitian_eigen(a)
+    a[0, 1] -= 1.5e-12
+    hermitian_eigen(a)
+    # Entries of 1e170 round at about 1e154, and a deviation is taken relative to them.
+    big = 1e170 * np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+    big[0, 1] *= 1.0 + 1e-15
+    assert np.allclose(hermitian_eigen(big)[0], 1e170 * np.sqrt(1.25) * np.array([-1.0, 1.0]))
+    big[0, 1] *= 1.0 + 1e-9
+    with pytest.raises(ValidationError, match="eigensolver input is not Hermitian"):
+        hermitian_eigen(big)
+
+
 _HAMILTONIAN_USERS = {
     "MasterGenerator": lambda h: MasterGenerator(h, ((1.0, pauli(1)),)),
     "GeneralDiffusiveModel": lambda h: sse.GeneralDiffusiveModel(h, (pauli(1),), np.eye(1)),
@@ -323,7 +339,6 @@ def test_wiener_key_prefix_gives_the_same_draws(seed, trajectories, steps, chann
 _RATE_USERS = {
     "pauli_generator": pauli_generator,
     "analytic_pauli_solution": lambda c: analytic_pauli_solution([0.0, 0.0, 1.0], c, 0.25),
-    "identity_residual": lambda c: sse.identity_residual(np.array([1.0, 0.0]), c),
 }
 
 

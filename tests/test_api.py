@@ -31,12 +31,14 @@ _REMOVED_MEMBERS = {
     ("sse", "EnsembleEstimate"): ["trajectories"],
     ("sse", "Trajectory"): ["times"],
     # The non-CP model is the paper's at the fixed rates (1, 1, -1).
-    ("sse", "NonCpQubitModel"): ["rates"],
+    ("sse", "NonCpQubitModel"): ["rates", "perp_phase"],
     ("algebra", "require_normalized"): ["tol", "what"],
     ("master", "require_density"): ["what"],
     ("param", "_require_symmetric"): ["tol"],
     ("param", "random_correlation"): ["target_norm"],
     ("cli", "_pole_states"): ["count"],
+    # The projector identity holds only at the paper's rates (1, 1, -1).
+    ("sse", "identity_residual"): ["rates"],
 }
 
 

@@ -287,6 +287,18 @@ def test_dynamical_map_validates_trace_preservation():
         DynamicalMap(skewed)
 
 
+def test_dynamical_map_checks_hermiticity_relative_to_its_size():
+    # At rates (1, -1, -1) the map at t = 100 has entries of 2.6e173, and its Choi
+    # matrix is Hermitian to rounding of about 1e160, far above an absolute 1e-9.
+    big = map_grid(pauli_generator((1.0, -1.0, -1.0)), [100.0], 1e-3).superoperator[0]
+    assert np.abs(big).max() > 1e173
+    DynamicalMap(big)
+    skewed = big.copy()
+    skewed[1, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValidationError, match="not Hermiticity preserving"):
+        DynamicalMap(skewed)
+
+
 def test_dynamical_map_refuses_nan():
     with pytest.raises(ValidationError, match="not trace preserving"):
         DynamicalMap(np.full((4, 4), np.nan))

@@ -515,20 +515,6 @@ def test_general_ensemble_matches_lindblad_integration():
     assert np.all(deviation <= 3.0 * est.standard_error + 2.0 * 1e-3)
 
 
-def test_perp_phase_choice_does_not_move_the_final_mean():
-    # A fixed phase on psi_perp reroutes individual paths but not the ensemble
-    # law; at finite dt the two runs differ by independent discretization bias,
-    # so the comparison carries the usual 2 dt allowance.
-    dt = 1e-3
-    plain = ensemble_density(NonCpQubitModel(), POLE, 0.25, dt, 20000, seed=42, threads=2)
-    rotated = ensemble_density(
-        NonCpQubitModel(perp_phase=0.9), POLE, 0.25, dt, 20000, seed=42, threads=2
-    )
-    diff = np.abs(plain.bloch()[-1] - rotated.bloch()[-1])
-    bound = 3.0 * np.sqrt(2.0) * plain.standard_error[-1] + 2.0 * dt
-    assert np.all(diff <= bound)
-
-
 def test_ensemble_rejects_zero_trajectories():
     with pytest.raises(ValidationError):
         ensemble_density(NonCpQubitModel(), POLE, 0.1, 1e-3, 0, seed=1)
@@ -600,12 +586,10 @@ _GENERAL_COMPLEX = GeneralDiffusiveModel(
         np.random.default_rng(5).normal(size=(5, 4)) + 1j * np.random.default_rng(6).normal(size=(5, 4))
     )[0],
 )
-_KERNEL_MODELS = [NonCpQubitModel(), NonCpQubitModel(perp_phase=0.9), _GENERAL, _GENERAL_COMPLEX]
+_KERNEL_MODELS = [NonCpQubitModel(), _GENERAL, _GENERAL_COMPLEX]
 
 
-@pytest.mark.parametrize(
-    "model", _KERNEL_MODELS, ids=["noncp", "noncp-phase", "general", "general-complex"]
-)
+@pytest.mark.parametrize("model", _KERNEL_MODELS, ids=["noncp", "general", "general-complex"])
 @settings(max_examples=30)
 @given(data=st.data())
 def test_batch_proposal_matches_each_column_bitwise(model, data):
@@ -666,8 +650,7 @@ def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
 
 def test_models_are_frozen():
     # Derived arrays are cached at construction, so the defining fields cannot change.
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        NonCpQubitModel().perp_phase = 0.5
+    assert dataclasses.fields(NonCpQubitModel) == ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         _GENERAL.hamiltonian = np.zeros((2, 2))
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -675,57 +658,52 @@ def test_models_are_frozen():
 
 
 def test_noncp_model_takes_no_rates():
-    # Its rates are the fixed (1, 1, -1), so a rate vector is refused, positional or named.
+    # It is the paper's model at the fixed (1, 1, -1), with no field: a rate vector or phase is refused.
     with pytest.raises(TypeError):
         NonCpQubitModel((1.0, 1.0, -1.0))
     with pytest.raises(TypeError):
         NonCpQubitModel(rates=(1.0, 1.0, -1.0))
+    with pytest.raises(TypeError):
+        NonCpQubitModel(perp_phase=0.9)
 
 
 # ---------------------------------------------------------------- identity
 
 
 def test_identity_residual_at_pole():
-    assert identity_residual(POLE, (1, 1, -1)) <= 1e-12
+    assert identity_residual(POLE) <= 1e-12
 
 
 def test_identity_residual_on_equator():
     # n_z = 0 kills the left side and the right side cancels entrywise.
-    assert identity_residual(PLUS, (1, 1, -1)) <= 1e-15
+    assert identity_residual(PLUS) <= 1e-15
 
 
 def test_identity_residual_haar_sweep():
     psi = random_state(7, 2, np.arange(1000))
-    residuals = identity_residual(psi, (1, 1, -1))
+    residuals = identity_residual(psi)
     assert np.max(residuals) <= 1e-12
 
 
-def _identity_residual_oracle(psi, rates):
+def _identity_residual_oracle(psi):
     # The stacked-matmul form: each term is (sigma_k - n_k) |psi><psi| (sigma_k - n_k) formed as matrices.
     n = bloch_from_state(psi)
     proj = _projectors(psi)
     perp = perp_state(psi)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * _projectors(perp)
     rhs = np.zeros_like(proj)
-    for k in range(3):
+    for k, rate in enumerate((1.0, 1.0, -1.0)):
         m_k = pauli(k + 1) - n[..., k, None, None] * np.eye(2)
-        rhs = rhs + rates[k] * (m_k @ proj @ m_k)
+        rhs = rhs + rate * (m_k @ proj @ m_k)
     return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
-@pytest.mark.parametrize("rates", [(1.0, 1.0, -1.0), (1.0, 1.0, 1.0), (0.7, 0.3, 0.2)])
-def test_identity_residual_matches_the_matrix_form(rates):
+def test_identity_residual_matches_the_matrix_form():
     # The vector form v_k v_k^dag rounds differently from the matrix products,
     # by a few ulps of the O(1) terms; 1e-15 is 4.5 ulps of 1.
     for seed in (1, 7, 42):
         psi = random_state(seed, 2, np.arange(10000))
-        assert np.max(np.abs(identity_residual(psi, rates) - _identity_residual_oracle(psi, rates))) <= 1e-15
+        assert np.max(np.abs(identity_residual(psi) - _identity_residual_oracle(psi))) <= 1e-15
     for state in (POLE, PLUS):
-        assert identity_residual(state, rates) == _identity_residual_oracle(state, rates)
-    if rates == (1.0, 1.0, -1.0):
-        assert identity_residual(POLE, rates) == identity_residual(PLUS, rates) == 0.0
-
-
-def test_identity_fails_for_other_rate_patterns():
-    psi = np.array([0.8, 0.6], dtype=complex)
-    assert identity_residual(psi, (1.0, 1.0, 1.0)) > 1e-3
+        assert identity_residual(state) == _identity_residual_oracle(state)
+    assert identity_residual(POLE) == identity_residual(PLUS) == 0.0
