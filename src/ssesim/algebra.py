@@ -50,9 +50,15 @@ def require_within(dev, tol: float, error: type, message: str) -> None:
         raise error(message.format(at=at, dev=dev[index]))
 
 
+def matrix_scale(a) -> np.ndarray:
+    """max(1, max |A|) per matrix (..., n, n): deviations divided by it make a large matrix's rounding no defect."""
+    return np.abs(a).max(axis=(-2, -1), initial=1.0)
+
+
 def hermiticity_deviation(a) -> np.ndarray:
-    """max |A - A^dag| / max(1, max |A|) per matrix (..., n, n): a large matrix's rounding is no defect."""
-    return max_abs(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) / np.abs(a).max(axis=(-2, -1), initial=1.0)
+    """max |A - A^dag| / matrix_scale(A) per matrix (..., n, n); NaN, with no warning, for an infinite entry."""
+    with np.errstate(invalid="ignore"):
+        return max_abs(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) / matrix_scale(a)
 
 
 def require_hermitian(a, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:

@@ -276,10 +276,20 @@ def _bloch_rows(times, mean, se, reference, *prefix) -> list:
     ]
 
 
-def _safe_ratio(dev: np.ndarray, se: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(dev == 0, 0.0, dev / se)
-    return ratio
+def _ensemble_check(est, reference, dt: float):
+    """One step size's Bloch deviation |mean - reference|, its bound 3 se + 2 dt, and the
+    INCONCLUSIVE verdict when no deviation could exceed its bound, else None."""
+    se = est.standard_error
+    dev = np.abs(est.bloch() - reference)
+    bound = 3.0 * se + 2.0 * dt
+    positive = est.times > 0
+    if not positive.any():
+        return dev, bound, _VERDICT_NO_POSITIVE_TIME
+    if np.max(se) > 0.5:
+        return dev, bound, _VERDICT_INCONCLUSIVE
+    if np.all(bound[positive] >= 2.0):
+        return dev, bound, _VERDICT_UNBOUNDED
+    return dev, bound, None
 
 
 def cmd_unravel(cfg: dict):
@@ -309,23 +319,14 @@ def cmd_unravel(cfg: dict):
         reference = _master_bloch_on_grid(gen, psi0, est.times, dt)
         rk4 = reference
 
-    dev = np.abs(mean - reference)
-    bound = 3.0 * se + 2.0 * dt
-    max_se = float(np.max(se))
-    positive = est.times > 0
-    if not positive.any():
-        verdict = _VERDICT_NO_POSITIVE_TIME
-    elif max_se > 0.5:
-        verdict = _VERDICT_INCONCLUSIVE
-    elif np.all(bound[positive] >= 2.0):
-        verdict = _VERDICT_UNBOUNDED
-    else:
-        verdict = "PASS" if np.all(dev <= bound) else "FAIL"
-
+    dev, bound, reason = _ensemble_check(est, reference, dt)
+    verdict = reason or ("PASS" if np.all(dev <= bound) else "FAIL")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se_units = np.where(dev == 0, 0.0, dev / se)
     summary = {
         "max_abs_deviation": float(np.max(dev)),
-        "max_deviation_se_units": float(np.max(_safe_ratio(dev, se))),
-        "max_standard_error": max_se,
+        "max_deviation_se_units": float(np.max(se_units)),
+        "max_standard_error": float(np.max(se)),
         "deviation_bound": float(np.max(bound)),
         "master_vs_reference": float(np.max(np.abs(rk4 - reference))),
         "final_bloch_mean": [float(x) for x in mean[-1]],
@@ -472,28 +473,21 @@ def cmd_convergence(cfg: dict):
         grid_points=_record_count(cfg, "grid_points"),
         threads=cfg["threads"],
     )
-    rows = []
-    biases, floors = [], []
+    rows, biases, floors, reasons = [], [], [], []
     for level, est in zip(levels, estimates):
-        mean = est.bloch()
         reference = analytic_pauli_solution(n0, _SIGNED_RATES, est.times)
-        dev = np.abs(mean - reference)
+        dev, _, reason = _ensemble_check(est, reference, level)
         biases.append(float(np.max(dev)))
-        finite_se = est.standard_error[np.isfinite(est.standard_error)]
-        floors.append(float(3.0 * np.max(finite_se)) if finite_se.size else float("inf"))
-        rows += _bloch_rows(est.times, mean, est.standard_error, reference, float(level))
+        floors.append(float(3.0 * np.max(est.standard_error)))
+        reasons.append(reason)
+        rows += _bloch_rows(est.times, est.bloch(), est.standard_error, reference, float(level))
 
     ok = all(
         biases[i] <= biases[i - 1] * (1.0 + 1e-12) or biases[i] <= floors[i]
         for i in range(1, len(levels))
     )
-    if not np.any(estimates[-1].times > 0):
-        verdict = _VERDICT_NO_POSITIVE_TIME
-    elif min(floors[1:]) >= 2.0:
-        # Infinite for one trajectory: a bias can then never exceed its floor.
-        verdict = _VERDICT_INCONCLUSIVE
-    else:
-        verdict = "PASS" if ok else "FAIL"
+    # The first step size whose bound tests nothing makes the study INCONCLUSIVE.
+    verdict = next(filter(None, reasons), "PASS" if ok else "FAIL")
     exponent = None
     if all(b > f for b, f in zip(biases, floors)) and all(b > 0 for b in biases):
         ratios = [np.log2(biases[i - 1] / biases[i]) for i in range(1, len(levels))]

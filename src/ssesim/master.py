@@ -18,6 +18,7 @@ from .algebra import (
     bloch_from_density,
     hermitian_eigen,
     hermiticity_deviation,
+    matrix_scale,
     max_abs,
     random_state,
     require_hamiltonian,
@@ -126,7 +127,7 @@ class DynamicalMap:
         self.superoperator = s
         self.dim = d
         tvec = np.eye(d, dtype=complex).reshape(-1)
-        dev = max_abs(tvec @ s - tvec, axis=-1)
+        dev = max_abs(tvec @ s - tvec, axis=-1) / matrix_scale(s)
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not trace preserving")
         # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
         dev = hermiticity_deviation(choi_matrix(self))

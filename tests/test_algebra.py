@@ -161,6 +161,16 @@ def test_hermiticity_cutoff_is_absolute_up_to_one_and_relative_above():
         hermitian_eigen(big)
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_an_infinite_entry_is_refused_without_a_warning(entry):
+    # inf - inf in A - A^dag is NaN, which the Hermiticity check refuses; numpy's
+    # warning about it would otherwise fail under `error::RuntimeWarning`.
+    a = np.zeros((2, 2))
+    a[entry] = np.inf
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        hermitian_eigen(a)
+
+
 _HAMILTONIAN_USERS = {
     "MasterGenerator": lambda h: MasterGenerator(h, ((1.0, pauli(1)),)),
     "GeneralDiffusiveModel": lambda h: sse.GeneralDiffusiveModel(h, (pauli(1),), np.eye(1)),

@@ -590,6 +590,38 @@ def test_convergence_single_trajectory_is_inconclusive(capsys):
     assert report["summary"]["noise_floors"] == [float("inf")] * 3
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--t-final", "0"], cli._VERDICT_NO_POSITIVE_TIME),
+        (["--trajectories", "1"], cli._VERDICT_INCONCLUSIVE),
+        # RK4 is unstable at dt = 10, but its map stays trace preserving to rounding.
+        (["--dt", "10", "--t-final", "40", "--trajectories", "10"], cli._VERDICT_UNBOUNDED),
+    ],
+    ids=["no-positive-time", "one-trajectory", "unbounded"],
+)
+def test_unravel_and_convergence_share_their_inconclusive_rules(flags, reason, capsys):
+    for command in ("unravel", "convergence"):
+        code, report = _run(capsys, [command, *flags])
+        assert (code, report["verdict"]) == (0, reason), command
+
+
+def test_convergence_with_a_standard_error_above_half_is_inconclusive(capsys):
+    # The biases stay below their noise floors, but two trajectories give a
+    # standard error above 0.5, and a step size with one tests nothing.
+    argv = ["convergence", "--trajectories", "2", "--t-final", "2", "--dt", "0.01", "--grid-points", "4", "--seed", "0"]
+    code, report = _run(capsys, argv)
+    assert (code, report["verdict"]) == (0, cli._VERDICT_INCONCLUSIVE)
+    assert max(max(r["se1"], r["se2"], r["se3"]) for r in report["records"]) > 0.5
+
+
+def test_readme_quotes_every_verdict_string():
+    verdicts = [value for name, value in vars(cli).items() if name.startswith("_VERDICT_")]
+    assert verdicts
+    for verdict in verdicts:
+        assert verdict in README, verdict
+
+
 # sha256 of CSV payloads written before the non-CP model lost its rate knob.
 _NONCP_PAYLOADS = {
     "unravel": (["unravel"], "240820c2876a71de2797086979644857ada48e65d50810958050e0aa78deb614"),

@@ -299,6 +299,18 @@ def test_dynamical_map_checks_hermiticity_relative_to_its_size():
         DynamicalMap(skewed)
 
 
+def test_dynamical_map_checks_trace_relative_to_its_size():
+    # RK4 at dt = 10 is unstable: after 4 steps the map has entries of 4.4e19, and
+    # the 1 of tr Lambda(rho) = 1 is lost to rounding in the sums of its trace row.
+    big = map_grid(pauli_generator(SIGNED), [40.0], 10.0).superoperator[0]
+    assert np.abs(big).max() > 1e19
+    DynamicalMap(big)
+    skewed = big.copy()
+    skewed[0, 0] *= 1.0 + 1e-6
+    with pytest.raises(ValidationError, match="not trace preserving"):
+        DynamicalMap(skewed)
+
+
 def test_dynamical_map_refuses_nan():
     with pytest.raises(ValidationError, match="not trace preserving"):
         DynamicalMap(np.full((4, 4), np.nan))
