@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -268,12 +267,9 @@ def _master_bloch_on_grid(gen: MasterGenerator, psi0: np.ndarray, times, dt: flo
 _BLOCH_COLUMNS = ["t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
 
 
-def _bloch_rows(times, mean, se, reference, *prefix) -> list:
-    """Rows of `_BLOCH_COLUMNS`, each led by the values of `prefix`."""
-    return [
-        [*prefix, float(t), *map(float, m), *map(float, s), *map(float, r)]
-        for t, m, s, r in zip(times, mean, se, reference)
-    ]
+def _bloch_columns(times, mean, se, reference) -> dict:
+    """The `_BLOCH_COLUMNS` records of a time grid, as one list per column."""
+    return dict(zip(_BLOCH_COLUMNS, [times.tolist(), *mean.T.tolist(), *se.T.tolist(), *reference.T.tolist()]))
 
 
 def _ensemble_check(est, reference, dt: float):
@@ -313,7 +309,12 @@ def cmd_unravel(cfg: dict):
     se = est.standard_error
     if isinstance(model, NonCpQubitModel):
         reference = analytic_pauli_solution(bloch_from_state(psi0), _SIGNED_RATES, est.times)
-        rk4 = _master_bloch_on_grid(pauli_generator(_SIGNED_RATES), psi0, est.times, dt)
+        try:
+            rk4 = _master_bloch_on_grid(pauli_generator(_SIGNED_RATES), psi0, est.times, dt)
+        except ValidationError:
+            # The verdict reads the analytic reference; a refused RK4 map (one
+            # that overflowed, say) only leaves its cross-check unreported.
+            rk4 = None
     else:
         gen = MasterGenerator(model.hamiltonian, tuple((1.0, op) for op in model.lindblads))
         reference = _master_bloch_on_grid(gen, psi0, est.times, dt)
@@ -328,10 +329,10 @@ def cmd_unravel(cfg: dict):
         "max_deviation_se_units": float(np.max(se_units)),
         "max_standard_error": float(np.max(se)),
         "deviation_bound": float(np.max(bound)),
-        "master_vs_reference": float(np.max(np.abs(rk4 - reference))),
+        "master_vs_reference": None if rk4 is None else float(np.max(np.abs(rk4 - reference))),
         "final_bloch_mean": [float(x) for x in mean[-1]],
     }
-    return verdict, summary, _BLOCH_COLUMNS, _bloch_rows(est.times, mean, se, reference)
+    return verdict, summary, _bloch_columns(est.times, mean, se, reference)
 
 
 def cmd_choi(cfg: dict):
@@ -342,9 +343,9 @@ def cmd_choi(cfg: dict):
     times = report_indices(resolve_steps(cfg["t_final"], dt), _record_count(cfg, "grid_points")) * dt
     verdicts = cp_verdict(choi_matrix(map_grid(gen, times, dt)))
 
-    columns = ["t", "min_choi_eig", "min_choi_eig_raw", "cp"]
     minima, raw, cp = verdicts.min_eigenvalue, verdicts.min_eigenvalue_raw, verdicts.cp
-    rows = list(zip(times.tolist(), minima.tolist(), raw.tolist(), cp.tolist()))
+    names = ("t", "min_choi_eig", "min_choi_eig_raw", "cp")
+    records = dict(zip(names, (times.tolist(), minima.tolist(), raw.tolist(), cp.tolist())))
     cp_everywhere = bool(np.all(cp))
     negative_at_positive_times = bool(np.all(minima[times > 0] < 0))
     summary = {
@@ -354,9 +355,9 @@ def cmd_choi(cfg: dict):
     }
     if not np.any(times > 0):
         # Only the identity map at t = 0 was checked, and it is CP for any rates.
-        return _VERDICT_NO_POSITIVE_TIME, summary, columns, rows
+        return _VERDICT_NO_POSITIVE_TIME, summary, records
     ok = cp_everywhere if min(rates) >= 0 else negative_at_positive_times
-    return ("PASS" if ok else "FAIL"), summary, columns, rows
+    return ("PASS" if ok else "FAIL"), summary, records
 
 
 def _pole_states() -> np.ndarray:
@@ -382,10 +383,9 @@ def cmd_identity(cfg: dict):
     residuals = identity_residual(states)
     max_residual = float(np.max(residuals))
 
-    columns = ["index", "kind", "residual"]
-    rows = [[i, kinds[i], float(residuals[i])] for i in range(len(states))]
+    records = {"index": list(range(len(states))), "kind": kinds, "residual": residuals.tolist()}
     summary = {"max_identity_residual": max_residual, "states": len(states)}
-    return ("PASS" if max_residual <= 1e-12 else "FAIL"), summary, columns, rows
+    return ("PASS" if max_residual <= 1e-12 else "FAIL"), summary, records
 
 
 _WITNESS_HAMILTONIAN = np.array([[0.15, 0.2], [0.2, -0.15]], dtype=complex)
@@ -426,12 +426,13 @@ def cmd_param(cfg: dict):
         seed,
         case_ids,
     )
-    rows = [
-        [case, float(rt), float(iso), w.s_deviation, w.max_pathwise_deviation]
-        for case, (rt, iso, w) in enumerate(zip(round_trip, isometry, witnesses))
-    ]
-    columns = ["case", "round_trip_error", "isometry_error", "s_deviation", "pathwise_deviation"]
-    maxima = np.max([row[1:] for row in rows], axis=0)
+    errors = {
+        "round_trip_error": round_trip,
+        "isometry_error": isometry,
+        "s_deviation": np.array([w.s_deviation for w in witnesses]),
+        "pathwise_deviation": np.array([w.max_pathwise_deviation for w in witnesses]),
+    }
+    maxima = [float(np.max(e)) for e in errors.values()]
 
     try:
         noise_from_correlation(2.0 * np.eye(n))
@@ -447,13 +448,14 @@ def cmd_param(cfg: dict):
         and rejected
     )
     summary = {
-        "max_round_trip_error": float(maxima[0]),
-        "max_isometry_error": float(maxima[1]),
-        "max_s_deviation": float(maxima[2]),
-        "max_pathwise_deviation": float(maxima[3]),
+        "max_round_trip_error": maxima[0],
+        "max_isometry_error": maxima[1],
+        "max_s_deviation": maxima[2],
+        "max_pathwise_deviation": maxima[3],
         "infeasible_rejected": bool(rejected),
     }
-    return ("PASS" if ok else "FAIL"), summary, columns, rows
+    records = {"case": case_ids.tolist(), **{name: e.tolist() for name, e in errors.items()}}
+    return ("PASS" if ok else "FAIL"), summary, records
 
 
 def cmd_convergence(cfg: dict):
@@ -473,14 +475,16 @@ def cmd_convergence(cfg: dict):
         grid_points=_record_count(cfg, "grid_points"),
         threads=cfg["threads"],
     )
-    rows, biases, floors, reasons = [], [], [], []
+    blocks, biases, floors, reasons = [], [], [], []
     for level, est in zip(levels, estimates):
         reference = analytic_pauli_solution(n0, _SIGNED_RATES, est.times)
         dev, _, reason = _ensemble_check(est, reference, level)
         biases.append(float(np.max(dev)))
         floors.append(float(3.0 * np.max(est.standard_error)))
         reasons.append(reason)
-        rows += _bloch_rows(est.times, est.bloch(), est.standard_error, reference, float(level))
+        blocks.append((np.full(len(est.times), level), est.times, est.bloch(), est.standard_error, reference))
+    # One record per step size and report time, the step sizes in turn.
+    dts, *grid = map(np.concatenate, zip(*blocks))
 
     ok = all(
         biases[i] <= biases[i - 1] * (1.0 + 1e-12) or biases[i] <= floors[i]
@@ -498,7 +502,7 @@ def cmd_convergence(cfg: dict):
         "noise_floors": floors,
         "weak_order_exponent": exponent,
     }
-    return verdict, summary, ["dt", *_BLOCH_COLUMNS], rows
+    return verdict, summary, {"dt": dts.tolist(), **_bloch_columns(*grid)}
 
 
 _COMMANDS = {
@@ -524,11 +528,20 @@ def _format_value(value) -> str:
     return _FLOAT_FMT.format(float(value))
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _weave(leads, cells) -> str:
+    """Equal-length columns of text laid out row by row, with leads[j] before each row's cell j."""
+    width = 2 * len(cells)
+    parts = [None] * (width * len(cells[0]) if cells else 0)
+    for j, (lead, column) in enumerate(zip(leads, cells)):
+        parts[2 * j :: width] = [lead] * len(column)
+        parts[2 * j + 1 :: width] = column
+    return "".join(parts)
+
+
+def _csv_text(records: dict) -> str:
+    """A header line of the column names, then one line per record; each column is formatted once."""
+    cells = [list(map(_format_value, column)) for column in records.values()]
+    return ",".join(records) + _weave(["\n"] + [","] * (len(cells) - 1), cells) + "\n"
 
 
 def _jsonable_config(cfg: dict) -> dict:
@@ -542,33 +555,34 @@ def _jsonable_config(cfg: dict) -> dict:
     return out
 
 
-_SCALARS = {str, int, float, bool, type(None)}
 _RECORDS_ANCHOR = '\n  "records": '
+_RECORD_BREAK = "\n    },\n    {\n      "
 
 
 def _dumps(report: dict) -> str:
-    """Exactly `json.dumps(report, indent=2, sort_keys=True)`, with flat records encoded at C speed.
+    """Exactly `json.dumps(report, indent=2, sort_keys=True)`, but with the
+    `records` of a report, a mapping of column name to equal-length column of
+    scalars, written as the list of one record dict per row.
 
-    Any `indent` selects json's pure-Python encoder.  A non-empty `records`
-    list of non-empty dicts of scalars is instead encoded in one C-encoder
-    call with NUL as item separator, which can only be a separator since
-    strings escape NUL as \\u0000, and is spliced in for the encoded empty
-    list with NUL replaced by the indent-2 layout.  Other reports go to
-    `json.dumps` itself.
+    Any `indent` selects json's pure-Python encoder.  Each column is instead
+    encoded in one C-encoder call with NUL as item separator, which can only be
+    a separator since strings escape NUL as \\u0000.  The cells are woven into
+    records after the sorted, encoded keys, and spliced in for the encoded
+    empty list.
     """
     records = report.get("records")
-    if not (
-        type(records) is list
-        and records
-        and set(map(type, records)) == {dict}
-        and all(records)
-        and set(map(type, chain.from_iterable(map(dict.values, records)))) <= _SCALARS
-    ):
+    if records is None:
         return json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps({**report, "records": []}, indent=2, sort_keys=True)
+    names = sorted(records)
+    if not names or not records[names[0]]:
+        return text
     # A raw newline and two spaces open only a top-level key, so the anchor is unique.
-    head, tail = json.dumps({**report, "records": []}, indent=2, sort_keys=True).split(_RECORDS_ANCHOR + "[]")
-    flat = json.dumps(records, separators=("\0", ": "), sort_keys=True)[2:-2]
-    body = flat.replace("}\0{", "\n    },\n    {\n      ").replace("\0", ",\n      ")
+    head, tail = text.split(_RECORDS_ANCHOR + "[]")
+    cells = [json.dumps(records[name], separators=("\0", ": "))[1:-1].split("\0") for name in names]
+    keys = [json.dumps(name) + ": " for name in names]
+    leads = [_RECORD_BREAK + keys[0]] + [",\n      " + key for key in keys[1:]]
+    body = _weave(leads, cells)[len(_RECORD_BREAK) :]
     return f"{head}{_RECORDS_ANCHOR}[\n    {{\n      {body}\n    }}\n  ]{tail}"
 
 
@@ -576,7 +590,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args, _DEFAULTS[args.command])
-        verdict, summary, columns, rows = _COMMANDS[args.command](cfg)
+        verdict, summary, records = _COMMANDS[args.command](cfg)
         payload = {
             "command": args.command,
             "version": __version__,
@@ -585,11 +599,9 @@ def main(argv=None) -> int:
             "verdict": verdict,
             "summary": summary,
         }
-        # Only the stdout report without --output and the JSON payload read the record dicts.
-        records = [dict(zip(columns, row)) for row in rows] if cfg["format"] == "json" or not cfg["output"] else None
         if cfg["output"]:
             if cfg["format"] == "csv":
-                text = _csv_text(columns, rows)
+                text = _csv_text(records)
             else:
                 text = _dumps({**payload, "records": records}) + "\n"
             with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:

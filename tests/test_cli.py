@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -60,6 +61,31 @@ def test_unravel_with_every_bound_at_least_two_is_inconclusive(capsys):
     assert code == 0
     assert report["verdict"] == "INCONCLUSIVE (every deviation bound >= 2)"
     assert report["summary"]["max_standard_error"] <= 0.5
+
+
+def test_noncp_unravel_leaves_an_overflowed_rk4_cross_check_unreported(capsys):
+    # dt = 10 is far past RK4's stability limit, so its map overflows, while the
+    # verdict reads only the analytic reference.
+    argv = ["unravel", "--dt", "10", "--t-final", "10000", "--trajectories", "10", "--grid-points", "2"]
+    code, report = _run(capsys, argv)
+    assert (code, report["verdict"]) == (0, cli._VERDICT_UNBOUNDED)
+    assert report["summary"]["master_vs_reference"] is None
+
+
+def test_general_unravel_refuses_an_overflowed_reference_map(tmp_path, capsys):
+    # The general model's verdict needs its RK4 reference, so an overflow stays an error.
+    cfg = {
+        "model": "general",
+        "hamiltonian": [[0, 0], [0, 0]],
+        "lindblads": [[[0, 1], [1, 0]], [[0, [0, -1]], [[0, 1], 0]], [[1, 0], [0, -1]]],
+        "noise_matrix": np.eye(3).tolist(),
+    }
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["unravel", "--config", str(path), "--dt", "10", "--t-final", "10000", "--trajectories", "10", "--grid-points", "2"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "overflowed" in err and err.count("\n") == 1
 
 
 def test_unravel_failure_exit_code(capsys, monkeypatch):
@@ -783,48 +809,66 @@ def test_json_payload_reruns_identically(tmp_path):
     assert "records" in payload and "threads" not in payload["config"]
 
 
-# Text that a writer keyed on separators or on the records anchor could misread.
+# Text that a writer keyed on separators, on the records anchor or on a `%`
+# or `str.format` template could misread.
 _TRICKY_TEXT = st.one_of(
-    st.text(alphabet=st.sampled_from(['"', ",", "\0", "\n", " ", "{", "}", ":", "\\", "é", "\u2603", "a"])),
-    st.sampled_from(['"records": []', '\n  "records": []', "}\0{", "\0"]),
+    st.text(alphabet=st.sampled_from(['"', ",", "\0", "\n", " ", "{", "}", "%", ":", "\\", "é", "\u2603", "a"])),
+    st.sampled_from(['"records": []', '\n  "records": []', "}\0{", "\0", "%s", "%%", "{0}", "{}"]),
 )
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
 _SCALAR = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True, allow_infinity=True), _TRICKY_TEXT
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True, allow_infinity=True), _SPECIAL_FLOATS, _TRICKY_TEXT
 )
+
+
+def _table(cell):
+    """Unique column names and rows of `cell` values, one per name; no rows without a name."""
+    return st.lists(_TRICKY_TEXT, unique=True, max_size=4).flatmap(
+        lambda names: st.tuples(st.just(names), st.lists(st.tuples(*[cell] * len(names)), max_size=5 if names else 0))
+    )
+
+
+def _columns(names, rows) -> dict:
+    return {name: [row[j] for row in rows] for j, name in enumerate(names)}
 
 
 @settings(max_examples=300)
 @given(
     st.dictionaries(_TRICKY_TEXT, st.one_of(_SCALAR, st.dictionaries(_TRICKY_TEXT, _SCALAR, max_size=3)), max_size=4),
-    st.lists(st.dictionaries(_TRICKY_TEXT, _SCALAR, min_size=1, max_size=4), min_size=1, max_size=5),
+    _table(_SCALAR),
 )
-def test_report_writer_matches_json_dumps_on_flat_records(rest, records):
-    report = {**rest, "records": records}
-    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+def test_report_writer_matches_json_dumps_on_flat_records(rest, table):
+    names, rows = table
+    rest.pop("records", None)
+    expected = json.dumps({**rest, "records": [dict(zip(names, row)) for row in rows]}, indent=2, sort_keys=True)
+    assert cli._dumps({**rest, "records": _columns(names, rows)}) == expected
+    assert cli._dumps(rest) == json.dumps(rest, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "records",
-    [[], [{}], [{"a": 1}, {}], [{"a": [1, 2]}], [{"a": {"b": 1}}], [{"a": ()}], [1, 2], [[("a", 1)]], "ab", None],
-)
-def test_report_writer_falls_back_on_records_that_are_not_flat(records):
-    report = {"verdict": "PASS", "records": records}
-    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
-    del report["records"]
-    assert cli._dumps(report) == json.dumps(report, indent=2, sort_keys=True)
+def _csv_reference(names, rows) -> str:
+    """The row-wise CSV layout: a header line, then each row's values formatted in turn."""
+    lines = [",".join(names)] + [",".join(map(cli._format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["unravel", "--trajectories", "200", "--t-final", "0.05"],
-        ["choi", "--t-final", "0.1", "--grid-points", "4"],
-        ["identity", "--trajectories", "100"],
-        ["param", "--cases", "3", "--witness-steps", "2"],
-        ["convergence", "--trajectories", "200", "--t-final", "0.016", "--grid-points", "4"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@settings(max_examples=300)
+@given(_table(st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=True, allow_infinity=True), _SPECIAL_FLOATS, _TRICKY_TEXT)))
+def test_csv_writer_lays_out_columns_as_the_row_wise_reference(table):
+    names, rows = table
+    assert cli._csv_text(_columns(names, rows)) == _csv_reference(names, rows)
+
+
+# One small run of each command.
+_SMALL_RUNS = [
+    ["unravel", "--trajectories", "200", "--t-final", "0.05"],
+    ["choi", "--t-final", "0.1", "--grid-points", "4"],
+    ["identity", "--trajectories", "100"],
+    ["param", "--cases", "3", "--witness-steps", "2"],
+    ["convergence", "--trajectories", "200", "--t-final", "0.016", "--grid-points", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
 def test_reports_and_json_payloads_are_indent_2_sorted_json(argv, tmp_path, capsys):
     path = tmp_path / "payload.json"
     for extra in ([], ["--format", "json", "--output", str(path)]):
@@ -833,6 +877,42 @@ def test_reports_and_json_payloads_are_indent_2_sorted_json(argv, tmp_path, caps
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
+def test_commands_return_their_records_as_equal_length_columns_of_python_scalars(argv):
+    args = cli._build_parser().parse_args(argv)
+    _, _, records = cli._COMMANDS[args.command](cli._resolve_config(args, cli._DEFAULTS[args.command]))
+    assert type(records) is dict and records
+    assert len({len(column) for column in records.values()}) == 1
+    for column in records.values():
+        assert type(column) is list and column
+        assert set(map(type, column)) <= {int, float, str, bool}
+
+
+# sha256 of the records' JSON layout in the stdout report and in the JSON
+# payloads of `_SMALL_RUNS`, pinned so that any change to their bytes shows.
+_IDENTITY_STDOUT = "31d579a452ae8acbba4b529d8cd65d86b5f2e45af13d6e8c66f6153df180db0c"
+_JSON_PAYLOADS = {
+    "unravel": "2aa1db2df8b299aacc149fd5a64b16e047bb1df100b2ef6381e67b742ddfe014",
+    "choi": "b2e5d8f6a9024130d4ce8ab3b09bd54b6a8da9b74f5768b71e32e68ad6ec22a2",
+    "identity": "7b40d1eb03c65958ebfab57aeb61775e16ab2f96e94dbc81a2de3a7e460f14b7",
+    "param": "04cd82b559a440b6a4e980eaf923854c4d891830fb9e49b5e675adfd096fca3c",
+    "convergence": "aa1e5e3d2a0e7ae069b41f66aa2c3e3203fd41b153dd4c638e8df442319968fd",
+}
+
+
+def test_identity_stdout_records_keep_their_bytes(capsys):
+    assert cli.main(["identity", "--trajectories", "100"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _IDENTITY_STDOUT
+
+
+@pytest.mark.parametrize("argv", _SMALL_RUNS, ids=lambda argv: argv[0])
+def test_json_payloads_keep_their_bytes(argv, tmp_path, capsys):
+    path = tmp_path / "payload.json"
+    assert cli.main(argv + ["--format", "json", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _JSON_PAYLOADS[argv[0]]
 
 
 def test_csv_floats_survive_round_trip(tmp_path):
