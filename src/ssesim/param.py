@@ -81,7 +81,7 @@ def noise_from_correlation(s) -> np.ndarray:
     and q_j = sqrt((1-sigma_j)/2), stack diag(p) over i*diag(q), and rotate by
     v^T.  Rejects spectral norm above 1 + 1e-10.
     """
-    s = _require_symmetric(s)
+    s = np.asarray(s, dtype=complex)
     sigma, v = takagi(np.conj(s))
     message = "correlation matrix{at} has spectral norm {dev:.12g} > 1"
     require_within(sigma.max(axis=-1, initial=0.0), 1.0 + 1e-10, InfeasibleError, message)
@@ -98,8 +98,10 @@ def noise_from_correlation(s) -> np.ndarray:
 
 @dataclass
 class RedundancyWitness:
-    s_deviation: float
-    max_pathwise_deviation: float
+    """Floats for the one case of `redundancy_witness`, (cases,) arrays for the stack of `redundancy_witnesses`."""
+
+    s_deviation: np.ndarray
+    max_pathwise_deviation: np.ndarray
 
 
 def redundancy_witness(
@@ -119,15 +121,14 @@ def redundancy_witness(
     with increments dW equals, pathwise, driving u with O^T dW, because
     sum_k (O u)_kj dW_k = sum_k u_kj (O^T dW)_k.
     """
-    return redundancy_witnesses(
-        [u], [orthogonal], hamiltonian, lindblads, [psi0], t_final, dt, seed, [trajectory_id]
-    )[0]
+    stack = redundancy_witnesses([u], [orthogonal], hamiltonian, lindblads, [psi0], t_final, dt, seed, [trajectory_id])
+    return RedundancyWitness(float(stack.s_deviation[0]), float(stack.max_pathwise_deviation[0]))
 
 
 def redundancy_witnesses(
     noise_matrices, orthogonals, hamiltonian, lindblads, initial_states, t_final, dt, seed, case_ids
-) -> list[RedundancyWitness]:
-    """`redundancy_witness` for many cases at once, one per entry of `case_ids`.
+) -> RedundancyWitness:
+    """`redundancy_witness` for many cases at once: each field has one entry per entry of `case_ids`.
 
     Case c pairs the N x n isometry noise_matrices[c], the N x N orthogonal
     orthogonals[c] and the initial state initial_states[c], and draws its
@@ -172,10 +173,7 @@ def redundancy_witnesses(
         for j, s in enumerate(span):
             psi = _renormalize(model.drive(psi, xi[:, j], dt), s, labels, "witness case")[0]
             np.maximum(pathwise, np.abs(psi[:, :cases] - psi[:, cases:]).max(axis=0), out=pathwise)
-    return [
-        RedundancyWitness(s_deviation=float(dev), max_pathwise_deviation=float(path))
-        for dev, path in zip(s_deviations, pathwise)
-    ]
+    return RedundancyWitness(s_deviation=s_deviations, max_pathwise_deviation=pathwise)
 
 
 def _param_normals(seed: int, tag: int, case, rows: int, cols: int, comp: int) -> np.ndarray:

@@ -143,6 +143,21 @@ def test_verdict_failure_exits_one(capsys, monkeypatch, command):
     assert report["verdict"] == "FAIL"
 
 
+def test_param_fails_on_a_witness_column_alone(capsys, monkeypatch):
+    # 2I is still refused; only s_deviation moves by 1e-9, above its 1e-12 bound.
+    real = cli.redundancy_witnesses
+
+    def shifted(*args):
+        witness = real(*args)
+        witness.s_deviation += 1e-9
+        return witness
+
+    monkeypatch.setattr(cli, "redundancy_witnesses", shifted)
+    code, report = _run(capsys, ["param", "--cases", "3", "--witness-steps", "2"])
+    assert (code, report["verdict"]) == (1, "FAIL")
+    assert report["summary"]["infeasible_rejected"] is True
+
+
 def test_invalid_config_value_exits_two(capsys):
     assert cli.main(["unravel", "--dt", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -322,6 +337,23 @@ def test_non_utf8_config_exits_two(tmp_path, capsys):
     path.write_bytes(b'\xff\xfe{"seed": 1}')
     assert cli.main(["choi", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_noncp_unravel_refuses_operators_in_its_config(tmp_path, capsys):
+    # The noncp model is the paper's fixed SSE: operators meant for the general model must not be dropped silently.
+    cfg = {
+        "hamiltonian": [[0, 0], [0, 0]],
+        "lindblads": [[[0, 1], [1, 0]]],
+        "noise_matrix": [[1]],
+        "trajectories": 200,
+        "t_final": 0.01,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["unravel", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+    assert all(key in err for key in ("hamiltonian", "lindblads", "noise_matrix", "--model general"))
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

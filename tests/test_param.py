@@ -163,8 +163,35 @@ def test_feasibility_boundary():
 
 
 def test_noise_from_correlation_rejects_asymmetric_input():
-    with pytest.raises(ValidationError):
-        noise_from_correlation(np.array([[0.1, 0.5], [0.2, 0.1]]))
+    asymmetric = np.array([[0.1, 0.5], [0.2, 0.1]])
+    with pytest.raises(ValidationError, match="correlation matrix is not symmetric"):
+        noise_from_correlation(asymmetric)
+    with pytest.raises(ValidationError, match="correlation matrix 1 is not symmetric"):
+        noise_from_correlation(np.stack([np.eye(2), asymmetric]))
+
+
+def _missing_round_trip(monkeypatch):
+    # Each Takagi value scaled by 1 + 1e-8 keeps u an isometry but moves u^T u off s by about 1e-8.
+    real = param.takagi
+
+    def scaled(s):
+        sigma, w = real(s)
+        return sigma * (1.0 + 1e-8), w
+
+    monkeypatch.setattr(param, "takagi", scaled)
+
+
+def test_noise_from_correlation_refuses_a_construction_that_misses_its_round_trip(monkeypatch):
+    _missing_round_trip(monkeypatch)
+    with pytest.raises(ValidationError, match="Takagi construction failed to reproduce correlation matrix 0"):
+        noise_from_correlation(random_correlation(3, 2, np.arange(3)))
+
+
+def test_param_exits_two_when_the_construction_misses_its_round_trip(monkeypatch, capsys):
+    _missing_round_trip(monkeypatch)
+    assert cli.main(["param", "--cases", "3", "--witness-steps", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Takagi construction failed") and err.count("\n") == 1
 
 
 # noise_from_correlation is the feasibility check: it realizes a feasible s and
@@ -279,14 +306,18 @@ def test_witness_draws_a_bounded_block_of_steps_per_call(monkeypatch):
         sizes.append(dw.size)
         return dw
 
+    def same(witness):
+        fields = ("s_deviation", "max_pathwise_deviation")
+        return all(np.array_equal(getattr(witness, f), getattr(expected, f)) for f in fields)
+
     monkeypatch.setattr(param, "_wiener", counted)
     # The per-case bound: 256 / N^2 = 16 steps of every case per draw.
-    assert redundancy_witnesses(*args) == expected
+    assert same(redundancy_witnesses(*args))
     assert sizes == [4 * 16 * 100] * 6 + [4 * 4 * 100]
     # The stack bound, where it is reached first: one step per draw.
     sizes.clear()
     monkeypatch.setattr(param, "_NOISE_STACK_ENTRIES", 1 << 10)
-    assert redundancy_witnesses(*args) == expected
+    assert same(redundancy_witnesses(*args))
     assert sizes == [4 * 100] * 100
 
 
