@@ -32,13 +32,14 @@ from .errors import DimensionError, ValidationError
 
 @dataclass(frozen=True)
 class MasterGenerator:
-    """Generator -i[H, rho] + sum_k c_k (A_k rho A_k^dag - {A_k^dag A_k, rho}/2).
+    """Generator L(rho) = K rho + rho K^dag + sum_k c_k A_k rho A_k^dag, whose drift
+    operator K = -iH - (1/2) sum_k c_k A_k^dag A_k, kept as `drift`, also drives its SSEs.
 
-    `channels` is a sequence of (rate, operator) pairs; rates may be negative.
-    The generator is built once as the d^2 x d^2 matrix L acting on
-    row-major vectorized matrices, where vec(A rho B) = (A (x) B^T) vec(rho):
-    L = -i (H (x) I - I (x) H^T) + sum_k c_k (A_k (x) conj(A_k) - G_k (x) I / 2 - I (x) G_k^T / 2)
-    with G_k = A_k^dag A_k.
+    `channels` is a sequence of (rate, operator) pairs; rates may be negative.  H,
+    the operators' shapes and the finiteness of rates and operators are checked here.
+    L is built once as the d^2 x d^2 matrix acting on row-major vectorized
+    matrices, where vec(A rho B) = (A (x) B^T) vec(rho):
+    L = K (x) I + I (x) conj(K) + sum_k c_k A_k (x) conj(A_k).
     """
 
     hamiltonian: np.ndarray
@@ -47,20 +48,27 @@ class MasterGenerator:
     def __post_init__(self):
         h = require_hamiltonian(self.hamiltonian)
         d = h.shape[0]
-        eye = np.eye(d)
-        superop = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        channels = []
-        for rate, op in self.channels:
-            op = np.asarray(op, dtype=complex)
+        ops = [np.asarray(op, dtype=complex) for _, op in self.channels]
+        for op in ops:
             if op.shape != (d, d):
                 raise DimensionError(f"channel operator shape {op.shape} does not match d = {d}")
-            rate = float(rate)
-            gram = op.conj().T @ op
-            superop += rate * (np.kron(op, op.conj()) - 0.5 * np.kron(gram, eye) - 0.5 * np.kron(eye, gram.T))
-            channels.append((rate, op))
+        ops = np.array(ops).reshape(-1, d, d)
+        rates = np.array([rate for rate, _ in self.channels], dtype=float)
+        require_within(~np.isfinite(rates), 0, ValidationError, "channel{at} rate is not finite")
+        bad = np.sum(~np.isfinite(ops), axis=(-2, -1))
+        require_within(bad, 0, ValidationError, "channel{at} operator has {dev} non-finite entries")
+        # Finite inputs may still overflow K or L: the check below refuses it, with no numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = -1j * h - 0.5 * sum(c * (op.conj().T @ op) for c, op in zip(rates, ops))
+            # L = sum_j w_j X_j (x) conj(Y_j) over the pairs (K, I), (I, K) and (A_k, A_k).
+            left, right = np.stack([drift, np.eye(d), *ops]), np.stack([np.eye(d), drift, *ops]).conj()
+            superop = np.einsum("j,jac,jbe->abce", np.concatenate([[1.0, 1.0], rates]), left, right)
+        bad = np.sum(~np.isfinite(superop))
+        require_within(bad, 0, ValidationError, "generator overflowed: {dev} of its entries are not finite")
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "channels", tuple(channels))
-        object.__setattr__(self, "_superop", superop)
+        object.__setattr__(self, "channels", tuple(zip(rates.tolist(), ops)))
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "_superop", superop.reshape(d * d, d * d))
 
     @property
     def dim(self) -> int:
@@ -174,10 +182,10 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
     steps = np.array([resolve_steps(t, dt) for t in times], dtype=np.int64)
     if np.any(np.diff(steps) <= 0):
         raise ValidationError("grid times must resolve to strictly increasing step counts of dt")
-    power = _rk4_step(gen, dt)
     s = np.tile(np.eye(gen.dim**2, dtype=complex), (len(steps), 1, 1))
-    # A growing map may overflow: the check below refuses it, with no numpy warning.
+    # A large dt L or a growing map may overflow: the check below refuses it, with no numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        power = _rk4_step(gen, dt)
         for bit in range(int(steps.max(initial=0)).bit_length()):
             if bit:
                 power = power @ power

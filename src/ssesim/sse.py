@@ -25,8 +25,9 @@ import numpy as np
 
 from . import rng
 from .algebra import _SIGMA, _bloch_components, bloch_from_density, bloch_from_state, report_indices
-from .algebra import require_hamiltonian, require_isometry, require_normalized, resolve_steps
+from .algebra import require_isometry, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
+from .master import MasterGenerator, pauli_generator
 
 _SIGNED_RATES = (1.0, 1.0, -1.0)
 # Where 1 - n_z^2 falls below this, psi_perp switches to its pole fallback.
@@ -87,6 +88,11 @@ class NonCpQubitModel:
         return 2
 
     @property
+    def generator(self) -> MasterGenerator:
+        """The Pauli generator at the rates (1, 1, -1), whose master equation this SSE unravels."""
+        return pauli_generator(_SIGNED_RATES)
+
+    @property
     def n_channels(self) -> int:
         return 1
 
@@ -124,7 +130,8 @@ class GeneralDiffusiveModel:
     """General diffusive model: Hamiltonian, Lindblad operators, noise matrix.
 
     The N x n noise matrix must satisfy u^dag u = I_n so that the ensemble
-    average obeys the Lindblad equation with operators L_j at unit rate.
+    average obeys the Lindblad equation with operators L_j at unit rate, the
+    `generator` this model unravels: it checks H and the L_j, and forms the K the step uses.
     """
 
     hamiltonian: np.ndarray
@@ -132,26 +139,21 @@ class GeneralDiffusiveModel:
     noise_matrix: np.ndarray
 
     def __post_init__(self):
-        h = require_hamiltonian(self.hamiltonian)
-        d = h.shape[0]
-        ops = [np.asarray(op, dtype=complex) for op in self.lindblads]
+        generator = MasterGenerator(self.hamiltonian, tuple((1.0, op) for op in self.lindblads))
+        ops = tuple(op for _, op in generator.channels)
         if not ops:
             raise ValidationError("need at least one Lindblad operator")
-        for op in ops:
-            if op.shape != (d, d):
-                raise DimensionError(f"Lindblad operator shape {op.shape} does not match d = {d}")
         u = np.asarray(self.noise_matrix, dtype=complex)
         if u.ndim != 2 or u.shape[1] != len(ops):
             raise DimensionError(
                 f"noise matrix must be N x n with n = {len(ops)} operators, got shape {u.shape}"
             )
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "lindblads", tuple(ops))
+        object.__setattr__(self, "hamiltonian", generator.hamiltonian)
+        object.__setattr__(self, "lindblads", ops)
         object.__setattr__(self, "noise_matrix", require_isometry(u))
-        # The drift operator K = -iH - (1/2) sum_j L_j^dag L_j stacked over the
-        # Lindblad rows: one contraction gives K psi and every L_j psi.
-        drift_op = -1j * h - 0.5 * sum(op.conj().T @ op for op in ops)
-        object.__setattr__(self, "_stacked_t", np.concatenate([drift_op, *ops]).T.copy())
+        object.__setattr__(self, "generator", generator)
+        # The generator's K stacked over the Lindblad rows: one contraction gives K psi and every L_j psi.
+        object.__setattr__(self, "_stacked_t", np.concatenate([generator.drift, *ops]).T.copy())
 
     @property
     def dim(self) -> int:

@@ -184,6 +184,28 @@ def test_every_hamiltonian_user_refuses_a_stack(user):
         _HAMILTONIAN_USERS[user](np.zeros((2, 2, 2)))
 
 
+# Both take their operators through the one check of `MasterGenerator`; only it takes rates.
+_CHANNEL_USERS = {
+    "MasterGenerator": lambda rate, op: MasterGenerator(np.zeros((2, 2)), ((1.0, pauli(3)), (rate, op))),
+    "GeneralDiffusiveModel": lambda rate, op: sse.GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(3), op), np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("user", list(_CHANNEL_USERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_every_channel_user_refuses_a_non_finite_operator(user, bad):
+    op = pauli(1)
+    op[1, 0] = bad
+    with pytest.raises(ValidationError, match="channel 1 operator has 1 non-finite entries"):
+        _CHANNEL_USERS[user](1.0, op)
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+def test_generator_refuses_a_non_finite_rate(rate):
+    with pytest.raises(ValidationError, match="channel 1 rate is not finite"):
+        _CHANNEL_USERS["MasterGenerator"](rate, pauli(1))
+
+
 def test_eigen_diagonalizes_large_dimensions():
     rng_np = np.random.default_rng(13)
     for d in range(9, 17):

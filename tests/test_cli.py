@@ -456,6 +456,22 @@ def test_overflowing_map_exits_two_with_one_error_line(capsys):
     assert err.startswith("error: dynamical map 0 overflowed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--c1", "1e308", "--c2", "1e308"], "error: generator overflowed"),
+        (["--c1", "1e300", "--t-final", "0.001"], "error: dynamical map 0 overflowed"),
+    ],
+    ids=["generator", "step-propagator"],
+)
+def test_an_overflowing_generator_or_propagator_exits_two_with_one_error_line(argv, message, capsys):
+    # Finite rates whose K overflows, and a finite L whose one-step propagator P
+    # does: neither may leak a numpy warning, which the test config turns into an error.
+    assert cli.main(["choi", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("t_final", [100, 150, 170])
 def test_a_large_finite_map_reaches_its_verdict(t_final, capsys):
     # lambda_1 = e^{4t} at rates (1, -1, -1) puts the map's entries near 1e173 to 1e295,
@@ -596,6 +612,8 @@ def test_param_makes_as_many_linalg_calls_for_3_cases_as_for_30(capsys, monkeypa
         counts.append(dict(calls))
     capsys.readouterr()
     assert counts[0] == counts[1] and set(counts[0]) == {"qr", "eigh", "svd"}
+    # The round-trip column is the bare product conj(u^T u) - s: no SVD beyond those of the construction and witness.
+    assert counts[0]["svd"] == 3
 
 
 def test_param_collapse_exits_two_naming_the_case(capsys):

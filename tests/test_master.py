@@ -46,17 +46,21 @@ def _rhs(rho, gen):
 
 
 def test_rhs_matches_operator_form():
-    gen = _random_generator(21)
-    h = gen.hamiltonian
+    # The reference never forms the drift operator K that L is built from:
+    # d = 2, 3 and 4 with three signed-rate channels, and d = 3 with none.
+    gens = [_random_generator(21), _random_generator(24, d=2), _random_generator(25, d=4)]
+    gens.append(MasterGenerator(_random_generator(26).hamiltonian))
     rng = np.random.default_rng(22)
-    rhos = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
-    for rho in rhos:
-        out = _rhs(rho, gen)
-        want = -1j * (h @ rho - rho @ h)
-        for rate, a in gen.channels:
-            gram = a.conj().T @ a
-            want = want + rate * (a @ rho @ a.conj().T - 0.5 * (gram @ rho + rho @ gram))
-        assert np.max(np.abs(out - want)) <= 1e-12
+    for gen in gens:
+        h, d = gen.hamiltonian, gen.dim
+        rhos = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+        for rho in rhos:
+            out = _rhs(rho, gen)
+            want = -1j * (h @ rho - rho @ h)
+            for rate, a in gen.channels:
+                gram = a.conj().T @ a
+                want = want + rate * (a @ rho @ a.conj().T - 0.5 * (gram @ rho + rho @ gram))
+            assert np.max(np.abs(out - want)) <= 1e-12
 
 
 def test_extract_map_matches_matrix_exponential():

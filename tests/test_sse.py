@@ -588,6 +588,39 @@ _GENERAL_COMPLEX = GeneralDiffusiveModel(
 )
 _KERNEL_MODELS = [NonCpQubitModel(), _GENERAL, _GENERAL_COMPLEX]
 
+# The benchmark's general model: the witness Hamiltonian, its first three
+# Lindblad operators and a 4 x 3 isometry from QR of a seed-1 Gaussian.
+_NORMALS = np.random.default_rng(1).standard_normal((2, 4, 3))
+_GENERAL_4X3 = GeneralDiffusiveModel(
+    0.15 * pauli(3) + 0.2 * pauli(1),
+    (0.6 * _SIGMA_MINUS, 0.5 * pauli(3), 0.4 * pauli(1)),
+    np.linalg.qr(_NORMALS[0] + 1j * _NORMALS[1])[0],
+)
+
+
+def _ito_generator_residual(model, states, dt):
+    # Each proposal is affine in dW, psi + a dt + sum_k b_k dW_k, so its columns at
+    # dW = 0 and dW = e_k give a and b_k.  The one-step mean of the projector then
+    # moves by dt G + O(dt^2) with G = a psi^dag + psi a^dag + sum_k b_k b_k^dag,
+    # which must be the model's generator L applied to |psi><psi|.
+    d, n = model.dim, model.n_channels
+    proposals = increment(states, model, np.concatenate([np.zeros((1, n)), np.eye(n)])[:, None], dt)
+    a, b = (proposals[0] - states) / dt, proposals[1:] - proposals[0]
+    drift = np.einsum("si,sj->sij", a, states.conj())
+    g = drift + drift.conj().swapaxes(-1, -2) + np.einsum("ksi,ksj->sij", b, b.conj())
+    l_rho = _projectors(states).reshape(-1, d * d) @ model.generator._superop.T
+    return np.max(np.abs(g - l_rho.reshape(g.shape)))
+
+
+@pytest.mark.parametrize("model", [NonCpQubitModel(), _GENERAL_4X3, _QUTRIT], ids=["noncp", "general-4x3", "qutrit"])
+def test_each_model_unravels_its_generator(model):
+    # Deterministic: 200 Haar states and the basis states at five phases, which
+    # for a qubit are the poles where psi_perp takes its fallback.
+    d = model.dim
+    poles = (np.exp(0.4j * np.pi * np.arange(5))[:, None, None] * np.eye(d)).reshape(-1, d)
+    states = np.concatenate([random_state(8, d, np.arange(200)), poles])
+    assert _ito_generator_residual(model, states, 1e-3) <= 1e-12
+
 
 @pytest.mark.parametrize("model", _KERNEL_MODELS, ids=["noncp", "general", "general-complex"])
 @settings(max_examples=30)
