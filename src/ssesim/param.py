@@ -145,8 +145,8 @@ def redundancy_witnesses(
     if orths.shape != (cases, n_rows, n_rows):
         raise DimensionError(f"need one {n_rows} x {n_rows} orthogonal matrix per case, got shape {orths.shape}")
     require_isometry(orths, "orthogonal matrix")
-    rotated = orths @ us
-    s_deviations = max_abs(correlation_from_noise(rotated) - correlation_from_noise(us), axis=(-2, -1))
+    rotated = orths @ us  # a product of checked isometries, so its correlation is formed bare below
+    s_deviations = max_abs(np.conj(rotated.swapaxes(-1, -2) @ rotated) - np.conj(us.swapaxes(-1, -2) @ us), axis=(-2, -1))
 
     model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), us[0])
     psi0 = require_normalized(np.asarray(initial_states, dtype=complex))

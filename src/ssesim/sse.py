@@ -511,8 +511,6 @@ def identity_residual(psi):
     Accepts a batch of states of shape (..., 2) and returns matching residuals.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape[-1] != 2:
-        raise DimensionError(f"identity check requires qubit states, got dim {psi.shape[-1]}")
     n = bloch_from_state(psi)
     perp = np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())

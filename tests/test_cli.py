@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -108,10 +110,11 @@ def _drifting_reference(real):
 # Per command: the `cli` name replaced, the replacement built from the real
 # one, and an argv that then gives a FAIL verdict.
 _FORCED_FAILURES = {
-    # Identity maps are CP, so the signed-rate map is not negative at positive times.
+    # The maps of the CP rates (1, 1, 1) are CP beyond rounding at every positive time
+    # (smallest minimum 0.029, at t = 0.031), which refutes the signed-rate claim.
     "choi": (
         "map_grid",
-        lambda real: lambda gen, times, dt: DynamicalMap(np.tile(np.eye(4), (len(times), 1, 1))),
+        lambda real: lambda gen, times, dt: real(master.pauli_generator((1, 1, 1)), times, dt),
         ["choi"],
     ),
     # Every residual moves by 1e-9, above the 1e-12 bound.
@@ -432,6 +435,43 @@ def test_choi_zero_time_grid_of_cp_rates_is_inconclusive(capsys):
     assert report["verdict"] == "INCONCLUSIVE (no positive report time)"
 
 
+def test_choi_identity_maps_at_signed_rates_are_inconclusive(capsys, monkeypatch):
+    # The identity map is CP with minimum 0, within the CP tolerance of the boundary, so it cannot refute non-CP.
+    monkeypatch.setattr(cli, "map_grid", lambda gen, times, dt: DynamicalMap(np.tile(np.eye(4), (len(times), 1, 1))))
+    code, report = _run(capsys, ["choi"])
+    assert (code, report["verdict"]) == (0, cli._VERDICT_CP_BOUNDARY)
+    assert report["summary"]["cp_everywhere"] is True
+    assert report["summary"]["negative_at_all_positive_times"] is False
+
+
+# Minima of -1e-17 (read as 0), -1.0e-10 and -1.0e-9 lie within the 1e-9 CP tolerance, so each map reads CP;
+# -4.0e-9 lies beyond it.
+@pytest.mark.parametrize("t, passes", [("1e-17", False), ("1e-10", False), ("1e-9", False), ("4e-9", True)])
+def test_choi_at_a_tiny_time_reads_one_classification(t, passes, capsys):
+    code, report = _run(capsys, ["choi", "--t-final", t, "--dt", t, "--grid-points", "1"])
+    assert (code, report["verdict"]) == (0, "PASS" if passes else cli._VERDICT_CP_BOUNDARY)
+    (record,) = report["records"]
+    assert report["summary"]["cp_everywhere"] is record["cp"] is (not passes)
+    assert report["summary"]["negative_at_all_positive_times"] is passes
+
+
+@settings(max_examples=60)
+@given(
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.sampled_from(["1e-17", "1e-10", "4e-9", "0.1", "1"]),
+)
+def test_every_choi_cp_statement_reads_the_cp_column(rates, t):
+    argv = ["choi", *(f"--c{k}={c!r}" for k, c in enumerate(rates, 1)), "--t-final", t, "--dt", t]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    report = json.loads(out.getvalue())
+    cp = [r["cp"] for r in report["records"]]
+    positive_cp = [r["cp"] for r in report["records"] if r["t"] > 0]
+    assert report["summary"]["cp_everywhere"] is all(cp)
+    assert report["summary"]["negative_at_all_positive_times"] is not any(positive_cp)
+    assert code == (1 if report["verdict"] == "FAIL" else 0)
+
+
 @pytest.mark.parametrize("grid_points", [1, 32, 64])
 def test_choi_makes_one_eigensolver_call_per_run(grid_points, capsys, monkeypatch):
     shapes = []
@@ -612,8 +652,9 @@ def test_param_makes_as_many_linalg_calls_for_3_cases_as_for_30(capsys, monkeypa
         counts.append(dict(calls))
     capsys.readouterr()
     assert counts[0] == counts[1] and set(counts[0]) == {"qr", "eigh", "svd"}
-    # The round-trip column is the bare product conj(u^T u) - s: no SVD beyond those of the construction and witness.
-    assert counts[0]["svd"] == 3
+    # The round-trip column and the witness's s_deviation are bare products of checked isometries:
+    # the one SVD is the construction's.
+    assert counts[0]["svd"] == 1
 
 
 def test_param_collapse_exits_two_naming_the_case(capsys):
@@ -692,9 +733,11 @@ def test_convergence_with_a_standard_error_above_half_is_inconclusive(capsys):
 
 
 def test_readme_quotes_every_verdict_string():
-    verdicts = [value for name, value in vars(cli).items() if name.startswith("_VERDICT_")]
+    verdicts = {name: value for name, value in vars(cli).items() if name.startswith("_VERDICT_")}
     assert verdicts
-    for verdict in verdicts:
+    offenders = [name for name, value in verdicts.items() if not isinstance(value, str)]
+    assert not offenders, f"cli names that are not verdict strings: {offenders}"
+    for verdict in verdicts.values():
         assert verdict in README, verdict
 
 

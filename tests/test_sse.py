@@ -707,6 +707,11 @@ def test_identity_residual_at_pole():
     assert identity_residual(POLE) <= 1e-12
 
 
+def test_identity_residual_refuses_a_non_qubit_state_through_the_bloch_conversion():
+    with pytest.raises(DimensionError, match="Bloch conversion requires qubit states, got dim 3"):
+        identity_residual(np.ones(3) / np.sqrt(3.0))
+
+
 def test_identity_residual_on_equator():
     # n_z = 0 kills the left side and the right side cancels entrywise.
     assert identity_residual(PLUS) <= 1e-15
