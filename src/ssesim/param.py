@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .algebra import max_abs, require_isometry, require_normalized, require_within, resolve_steps
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .sse import GeneralDiffusiveModel, _contract, _renormalize, _wiener, _wiener_key
+from .sse import GeneralDiffusiveModel, _contract, _path, _wiener, _wiener_key
 
 _DEGENERACY_TOL = 1e-12
 # Entries of the largest temporary of the witness noise map, N^2 per case and
@@ -156,23 +156,23 @@ def redundancy_witnesses(
     # Column c < C of the (d, 2C) block takes O u and dW, column C + c takes u
     # and O^T dW.  Both noise maps are the ordered contraction of the ensemble
     # kernels, so each case rounds as it would stepped alone.  The noise of up
-    # to _NOISE_ENTRIES / N^2 steps is drawn, keyed per step, and mapped at
-    # once, fewer where the stack bound is reached first, so memory is bounded
-    # whatever the number of steps.
+    # to _NOISE_ENTRIES / N^2 steps (fewer where the stack bound is reached
+    # first) is drawn, keyed per step, and mapped at once, then handed to the
+    # stepping loop step by step, so memory is bounded whatever the steps.
     noise_t = np.concatenate([rotated, us]).transpose(1, 2, 0)[:, :, None].copy()
     orth_t = orths.transpose(1, 2, 0)[:, :, None].copy()
     key = _wiener_key(seed, ids)
     block = max(1, min(_NOISE_ENTRIES, _NOISE_STACK_ENTRIES // cases) // n_rows**2)
     channels = np.arange(n_rows)[:, None, None]
-    psi, labels = np.tile(psi0.T, 2), np.tile(ids, 2)
+
+    def mixed_noise():
+        for first in range(0, steps, block):
+            dw = _wiener(key, np.arange(first, min(first + block, steps))[:, None], channels, dt)
+            yield from _contract(noise_t, np.concatenate([dw, _contract(orth_t, dw)], axis=-1)).swapaxes(0, 1)
+
     pathwise = np.zeros(cases)
-    for first in range(0, steps, block):
-        span = np.arange(first, min(first + block, steps))
-        dw = _wiener(key, span[:, None], channels, dt)
-        xi = _contract(noise_t, np.concatenate([dw, _contract(orth_t, dw)], axis=-1))
-        for j, s in enumerate(span):
-            psi = _renormalize(model.drive(psi, xi[:, j], dt), s, labels, "witness case")[0]
-            np.maximum(pathwise, np.abs(psi[:, :cases] - psi[:, cases:]).max(axis=0), out=pathwise)
+    for psi, _ in _path(model.drive, np.tile(psi0.T, 2), mixed_noise(), dt, np.tile(ids, 2), "witness case"):
+        np.maximum(pathwise, np.abs(psi[:, :cases] - psi[:, cases:]).max(axis=0), out=pathwise)
     return RedundancyWitness(s_deviation=s_deviations, max_pathwise_deviation=pathwise)
 
 

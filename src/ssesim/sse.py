@@ -214,50 +214,65 @@ def perp_state(psi) -> np.ndarray:
     return np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
 
 
+def _component_major(psi, model, dw):
+    # Boundary of the stepping path: checked states and increments in one batch shape, component axis first.
+    psi, dw = np.asarray(psi, dtype=complex), np.asarray(dw, dtype=float)
+    if psi.shape[-1:] != (model.dim,) or dw.shape[-1:] != (model.n_channels,):
+        raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
+    try:
+        batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
+    except ValueError:
+        message = f"state batch {psi.shape[:-1]} and increment batch {dw.shape[:-1]} do not broadcast"
+        raise DimensionError(message) from None
+    psi = np.moveaxis(np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]), -1, 0)
+    return psi, np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
+
+
 def increment(psi, model, dw, dt: float) -> np.ndarray:
     """One unnormalized Ito proposal psi + dpsi of either model; see its `propose`.
 
     States are (..., d) and real Wiener increments (..., N), already scaled
     to variance dt; the two batch shapes broadcast.
     """
-    psi, dw = np.asarray(psi, dtype=complex), np.asarray(dw, dtype=float)
-    if psi.shape[-1:] != (model.dim,) or dw.shape[-1:] != (model.n_channels,):
-        raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
-    # Boundary of the stepping path: both broadcast to one batch shape and move their component axis first.
-    try:
-        batch = np.broadcast_shapes(psi.shape[:-1], dw.shape[:-1])
-    except ValueError:
-        raise DimensionError(
-            f"state batch {psi.shape[:-1]} and increment batch {dw.shape[:-1]} do not broadcast"
-        ) from None
-    psi = np.moveaxis(np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]), -1, 0)
-    dw = np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
-    return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
+    return np.moveaxis(model.propose(*_component_major(psi, model, dw), dt), 0, -1)
 
 
-def _renormalize(proposal, step: int, ids=None, what: str = "trajectory"):
-    # The only norm check of the stepping path: norm^2 below 0.01, inf or nan means dt is too large.
-    # A failure names the `what` of the batch position in `ids`, when given.
-    # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm2 = _sum_rows((proposal.conj() * proposal).real)
-    # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
-    low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
-    if not 0.01 <= low <= high < np.inf:
-        bad = int(np.argmax(~((norm2 >= 0.01) & (norm2 < np.inf))))
-        who = f"the {what}" if ids is None else f"{what} {np.ravel(ids)[bad]}"
-        raise StepSizeError(
-            f"{who} collapsed at step {step}: proposed norm^2 "
-            f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
-        )
-    # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
-    return proposal * (1.0 / np.sqrt(norm2)), norm2
+def _path(advance, psi, noise, dt: float, ids=None, what: str = "trajectory"):
+    # The one stepping loop: it yields the component-major start psi with norm^2 1, then for each step s's
+    # noise the proposal advance(psi, noise_s, dt) over its norm, with that norm^2.  Its only check: norm^2
+    # below 0.01, inf or nan means dt is too large; the failure names the `what` of the batch row in `ids`.
+    yield psi, 1.0
+    for s, xi in enumerate(noise):
+        proposal = advance(psi, xi, dt)
+        # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm2 = _sum_rows((proposal.conj() * proposal).real)
+        # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
+        low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
+        if not 0.01 <= low <= high < np.inf:
+            bad = int(np.argmax(~((norm2 >= 0.01) & (norm2 < np.inf))))
+            who = f"the {what}" if ids is None else f"{what} {np.ravel(ids)[bad]}"
+            raise StepSizeError(
+                f"{who} collapsed at step {s}: proposed norm^2 "
+                f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
+            )
+        # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
+        psi = proposal * (1.0 / np.sqrt(norm2))
+        yield psi, norm2
 
 
 def step(psi, model, dw, dt: float) -> np.ndarray:
     """Euler-Maruyama step: `increment` with exact renormalization; a failing batch row is reported at step 0."""
-    proposal = np.moveaxis(increment(psi, model, dw, dt), -1, 0)
-    return np.moveaxis(_renormalize(proposal, 0, np.arange(proposal[0].size))[0], 0, -1)
+    psi, dw = _component_major(psi, model, dw)
+    _, (psi, _) = _path(model.propose, psi, [dw], dt, np.arange(psi[0].size))
+    return np.moveaxis(psi, 0, -1)
+
+
+def _initial_state(model, psi0) -> np.ndarray:
+    psi = require_normalized(psi0)
+    if psi.shape != (model.dim,):
+        raise DimensionError(f"initial state shape {psi.shape} does not match model dim {model.dim}")
+    return psi
 
 
 @dataclass
@@ -277,30 +292,23 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
 
     `increments` has shape (steps, n_channels).  If `gauge` is given it is
     called as gauge(psi, dw, dt) with the pre-step state and must return a
-    real phase increment dchi; the stepped state is multiplied by
-    exp(-i dchi).  Gauging never changes the projector path.
+    real phase increment dchi; the step's proposal is multiplied by
+    exp(-i dchi) before its norm is divided out.  Gauging never changes the
+    projector path.
     """
-    psi = require_normalized(np.asarray(psi0, dtype=complex))
-    if psi.shape != (model.dim,):
-        raise DimensionError(f"initial state shape {psi.shape} does not match model dim {model.dim}")
+    psi = _initial_state(model, psi0)
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 2 or increments.shape[1] != model.n_channels:
-        raise DimensionError(
-            f"increments must have shape (steps, {model.n_channels}), got {increments.shape}"
-        )
-    steps = increments.shape[0]
-    states = np.empty((steps + 1, model.dim), dtype=complex)
-    drifts = np.empty(steps)
-    states[0] = psi
-    for s in range(steps):
-        dw = increments[s]
-        nxt, norm2 = _renormalize(model.propose(psi, dw, dt), s)
-        drifts[s] = norm2 - 1.0
-        if gauge is not None:
-            nxt = nxt * np.exp(-1j * np.asarray(gauge(psi, dw, dt), dtype=float))
-        psi = nxt
-        states[s + 1] = psi
-    return Trajectory(states=states, norm_drift=drifts)
+        raise DimensionError(f"increments must have shape (steps, {model.n_channels}), got {increments.shape}")
+
+    def gauged(psi, dw, dt):
+        return model.propose(psi, dw, dt) * np.exp(-1j * np.asarray(gauge(psi, dw, dt), dtype=float))
+
+    states = np.empty((len(increments) + 1, model.dim), dtype=complex)
+    norm2 = np.empty(len(states))
+    for s, (psi, psi_norm2) in enumerate(_path(model.propose if gauge is None else gauged, psi, increments, dt)):
+        states[s], norm2[s] = psi, psi_norm2
+    return Trajectory(states=states, norm_drift=norm2[1:] - 1.0)
 
 
 def simulate_trajectory(
@@ -361,21 +369,15 @@ def _block_partials(task):
     # of being mapped and faulted in anew on every step.
     np.empty(1 << 21)
     model, psi0, seed, dt, steps, grid_idx, lo, hi = task
-    b = hi - lo
-    g = grid_idx.size
     ids = np.arange(lo, hi)
     key = _wiener_key(seed, ids)
     channels = np.arange(model.n_channels)[:, None]
-    psi = np.repeat(psi0[:, None], b, axis=1)
-    proj = np.empty((b, g, psi0.size, psi0.size), dtype=complex)
-    slot = 0
-    for s in range(steps + 1):
-        if slot < g and grid_idx[slot] == s:
-            proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
-            slot += 1
-        if s < steps:
-            dw = _wiener(key, s, channels, dt)
-            psi = _renormalize(model.propose(psi, dw, dt), s, ids)[0]
+    noise = (_wiener(key, s, channels, dt) for s in range(steps))
+    path = _path(model.propose, np.repeat(psi0[:, None], ids.size, axis=1), noise, dt, ids)
+    grid = set(grid_idx.tolist())
+    proj = np.empty((ids.size, grid_idx.size, psi0.size, psi0.size), dtype=complex)
+    for slot, psi in enumerate(psi for s, (psi, _) in enumerate(path) if s in grid):
+        proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
     # A one-trajectory block's sum is a view of `proj`, which is shifted and squared in place next.
     total = pairwise_sum(proj).copy()
     proj -= np.outer(psi0, psi0.conj())
@@ -437,17 +439,14 @@ def ensemble_densities(
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
     if n_traj > MAX_TRAJECTORIES:
         raise ValidationError(f"trajectories must be <= {MAX_TRAJECTORIES}, got {n_traj}")
-    d = model.dim
-    psi0 = require_normalized(np.asarray(psi0, dtype=complex))
-    if psi0.shape != (d,):
-        raise DimensionError(f"initial state shape {psi0.shape} does not match model dim {d}")
+    psi0 = _initial_state(model, psi0)
 
     levels, tasks = [], []
     partial_bytes = buffer_bytes = 0
     for dt in dts:
         steps = resolve_steps(t_final, dt)
         grid_idx = report_indices(steps, grid_points)
-        record = grid_idx.size * 16 * d * d  # one trajectory's complex projector at every grid point
+        record = grid_idx.size * 16 * psi0.size**2  # one trajectory's complex projector at every grid point
         block = _block_size(record)
         # Two partial sums per block, checked before the level's blocks are listed.
         partial_bytes += 2 * record * -(-n_traj // block)

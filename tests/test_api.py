@@ -2,11 +2,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import ssesim
 
-# Names dropped from the library because no command, acceptance claim or
-# benchmark used them, with the module that defined each.
+# Names dropped from the library, with the module that defined each: unused by
+# any command, acceptance claim or benchmark, or merged into another name.
 _REMOVED = {
     "master": ["lindblad_rhs", "ChoiMatrix"],
     "param": [
@@ -16,7 +17,8 @@ _REMOVED = {
         "CorrelationCheck",
         "spectral_norm",
     ],
-    "sse": ["apply_phase_gauge"],
+    # `_renormalize` was merged into `_path`, the one stepping loop.
+    "sse": ["apply_phase_gauge", "_renormalize"],
 }
 
 # Dataclass fields and function parameters dropped because no code read them
@@ -63,3 +65,16 @@ def test_no_removed_field_or_parameter_remains():
         else:
             members = list(inspect.signature(obj).parameters)
         assert not set(gone) & set(members), (name, gone)
+
+
+def test_one_stepping_loop_raises_every_step_size_error():
+    # Every norm check of a proposal is the one in `sse._path`, the library's only `raise StepSizeError`.
+    raises = []
+    for path in sorted(Path(ssesim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            name = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(name, ast.Name) and name.id == "StepSizeError":
+                raises.append(path.name)
+    assert raises == ["sse.py"]
+    assert "raise StepSizeError(" in inspect.getsource(ssesim.sse._path)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from ssesim import sse
 from ssesim.algebra import bloch_from_state, pauli, random_state
 from ssesim.errors import DimensionError, StepSizeError, ValidationError
 from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_master
+from ssesim.param import redundancy_witnesses
 from ssesim.sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
@@ -308,6 +310,68 @@ def test_overflowing_norm_fails_at_its_step(model, noise):
     # norm^2 overflows to inf at step 0; dividing by it would leave a zero state.
     with pytest.raises(StepSizeError, match="step 0"):
         simulate_with_noise(model, POLE, 1e-3, noise)
+
+
+# With H = 0, L = sigma_z and dt = 2, a step maps an equator state psi to dW sigma_z psi:
+# a path collapses at its first step with |dW| < 0.1.
+_EQUATOR_COLLAPSE = GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(3),), np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: step([PLUS, PLUS, POLE], NonCpQubitModel(), np.zeros((3, 1)), 0.99), "trajectory 2 collapsed at step 0"),
+        # The pole stays put without noise; the overflowing increment of step 3 collapses it.
+        (
+            lambda: simulate_with_noise(NonCpQubitModel(), POLE, 1e-3, [[0.0], [0.0], [0.0], [1e200]]),
+            "the trajectory collapsed at step 3",
+        ),
+        # Among trajectories 0-29 of seed 11 the first collapse is trajectory 19's, at step 2.
+        (
+            lambda: ensemble_density(_EQUATOR_COLLAPSE, PLUS, 20.0, 2.0, 30, seed=11, grid_points=1),
+            "trajectory 19 collapsed at step 2",
+        ),
+        # Among witness cases 100-109 of seed 4 the first collapse is case 104's, at step 6.
+        (
+            lambda: redundancy_witnesses(
+                [np.eye(1)] * 10, [-np.eye(1)] * 10, np.zeros((2, 2)), (pauli(3),), [PLUS] * 10,
+                20.0, 2.0, seed=4, case_ids=np.arange(100, 110),
+            ),
+            "witness case 104 collapsed at step 6",
+        ),
+    ],
+    ids=["step", "simulate_with_noise", "ensemble_density", "redundancy_witnesses"],
+)
+def test_every_stepping_path_names_its_collapse(run, message):
+    with pytest.raises(StepSizeError, match=f"^{message}: proposed norm"):
+        run()
+
+
+def test_an_ensemble_collapse_names_the_trajectory_that_fails_alone():
+    # The trajectory that the ensemble_density case above names, stepped alone, fails at the same step.
+    with pytest.raises(StepSizeError, match="^the trajectory collapsed at step 2:"):
+        simulate_trajectory(_EQUATOR_COLLAPSE, PLUS, 20.0, 2.0, seed=11, trajectory_id=19)
+
+
+# sha256 of states.tobytes() + norm_drift.tobytes() of simulate_trajectory(model, psi0, 0.25, 1e-3,
+# seed=7, trajectory_id=2).  Block-versus-lone equality would still pass if both moved together.
+_LONE_TRAJECTORY_SHA256 = {
+    "noncp-0.6-0.8i": "57b81d2704b32b71d18f919a3155bcbc4d7b54fa97e9b045d3399e9150ad7eba",
+    "noncp-pole": "509174e58b0a29c12fb350ebfeaed3bf1334dbf2a2345e21dbf8a14f3974ebfb",
+    "general-plus": "213a5031f29f9d79dfcf96cb29cb83d0c7d951cb12c1d3c8cc10e9517db34194",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONE_TRAJECTORY_SHA256))
+def test_lone_trajectory_bits_are_pinned(case):
+    model, psi0 = {
+        "noncp-0.6-0.8i": (NonCpQubitModel(), np.array([0.6, 0.8j])),
+        "noncp-pole": (NonCpQubitModel(), POLE),
+        "general-plus": (_GENERAL, PLUS),
+    }[case]
+    traj = simulate_trajectory(model, psi0, 0.25, 1e-3, seed=7, trajectory_id=2)
+    digest = hashlib.sha256(traj.states.tobytes() + traj.norm_drift.tobytes()).hexdigest()
+    assert digest == _LONE_TRAJECTORY_SHA256[case]
 
 
 def test_trajectory_rejects_non_multiple_horizon():
