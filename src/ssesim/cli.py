@@ -43,7 +43,7 @@ from .param import (
     random_correlation,
     random_isometry,
     random_orthogonal,
-    redundancy_witnesses,
+    redundancy_witness,
 )
 from .sse import (
     GeneralDiffusiveModel,
@@ -414,7 +414,7 @@ def cmd_param(cfg: dict):
     case_ids = np.arange(cases)
     s = random_correlation(seed, n, case_ids)
     u = noise_from_correlation(s)
-    witness = redundancy_witnesses(
+    witness = redundancy_witness(
         random_isometry(seed, n_w, n, case_ids),
         random_orthogonal(seed, n_w, case_ids),
         _WITNESS_HAMILTONIAN,

@@ -142,13 +142,6 @@ class DynamicalMap:
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not Hermiticity preserving")
 
 
-def _one_map(m: DynamicalMap) -> DynamicalMap:
-    # A stack would broadcast against the operand's batch axes and pair its maps with them.
-    if m.superoperator.ndim != 2:
-        raise DimensionError(f"need one map, got a stack of shape {m.superoperator.shape[:-2]}")
-    return m
-
-
 def apply_map(m: DynamicalMap, mats) -> np.ndarray:
     """Apply the map to a matrix or a batch of matrices of shape (..., d, d).
 
@@ -164,13 +157,18 @@ def apply_map(m: DynamicalMap, mats) -> np.ndarray:
     return out.reshape(*out.shape[:-1], d, d)
 
 
+def _each_on_every_map(m: DynamicalMap, mats) -> np.ndarray:
+    # Every map of the stack applied to each of the k matrices (k, d, d): shape (k, ..., d, d).
+    return apply_map(m, np.expand_dims(mats, tuple(range(1, m.superoperator.ndim - 1))))
+
+
 def extract_map(gen: MasterGenerator, t: float, dt: float) -> DynamicalMap:
-    """Dynamical map of the generator at time t: the RK4 propagator over [0, t], bitwise the `map_grid` entry at t."""
-    return DynamicalMap(map_grid(gen, [t], dt).superoperator[0])
+    """Dynamical map of the generator at time t: the RK4 propagator over [0, t], `map_grid` at the one time t."""
+    return map_grid(gen, t, dt)
 
 
 def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
-    """Maps at an ascending grid of times, as one stack of shape (len(times), d^2, d^2).
+    """Map at one time, or the maps at an ascending 1-D grid of times as one stack (len(times), d^2, d^2).
 
     Each time must be a whole multiple of dt, and the grid's step counts must
     strictly increase.  The map at n steps is P^n of the one-step propagator
@@ -179,11 +177,14 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
     n alone, so it is bitwise the map `extract_map` gives at its time, and a
     grid of n steps costs O(log n) matrix products.
     """
-    steps = np.array([resolve_steps(t, dt) for t in times], dtype=np.int64)
-    if np.any(np.diff(steps) <= 0):
+    if np.ndim(times) > 1:
+        raise DimensionError(f"need one time or a 1-D grid of times, got shape {np.shape(times)}")
+    steps = np.array([resolve_steps(t, dt) for t in np.ravel(times)], dtype=np.int64).reshape(np.shape(times))
+    if np.any(np.diff(steps.ravel()) <= 0):
         raise ValidationError("grid times must resolve to strictly increasing step counts of dt")
-    s = np.tile(np.eye(gen.dim**2, dtype=complex), (len(steps), 1, 1))
+    s = np.tile(np.eye(gen.dim**2, dtype=complex), steps.shape + (1, 1))
     # A large dt L or a growing map may overflow: the check below refuses it, with no numpy warning.
+    # At one time `odd` is a 0-d boolean, so s[odd] is the lone map as a stack of one, or of none.
     with np.errstate(over="ignore", invalid="ignore"):
         power = _rk4_step(gen, dt)
         for bit in range(int(steps.max(initial=0)).bit_length()):
@@ -197,8 +198,8 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
 
 
 def bloch_block(m: DynamicalMap) -> np.ndarray:
-    """3x3 real Bloch block B_kl = tr(sigma_k Lambda(sigma_l)) / 2 of one qubit map."""
-    return 0.5 * bloch_from_density(apply_map(_one_map(m), _SIGMA)).T
+    """3x3 real Bloch block B_kl = tr(sigma_k Lambda(sigma_l)) / 2 of a qubit map, or (..., 3, 3) of a stack."""
+    return 0.5 * np.moveaxis(bloch_from_density(_each_on_every_map(m, _SIGMA)), 0, -1)
 
 
 def pauli_channel_map(lambdas) -> DynamicalMap:
@@ -248,16 +249,17 @@ def cp_verdict(choi) -> CpVerdict:
 
 @dataclass
 class PositivityVerdict:
-    positive_on_samples: bool
-    min_output_eigenvalue: float
+    """Per map of the stack, so each field has the stack's batch shape: () for one map."""
+
+    positive_on_samples: np.ndarray
+    min_output_eigenvalue: np.ndarray
 
 
 def positivity_verdict(m: DynamicalMap, samples: int, seed: int) -> PositivityVerdict:
-    """Apply one map to Haar-random pure states and report the worst output eigenvalue."""
+    """Apply a map, or each map of a stack, to Haar-random pure states and report the worst output eigenvalue."""
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     psi = random_state(seed, m.dim, np.arange(samples))
     rho = np.einsum("...i,...j->...ij", psi, psi.conj())
-    out = apply_map(_one_map(m), rho)
-    min_eig = float(np.min(np.linalg.eigvalsh(out)))
-    return PositivityVerdict(positive_on_samples=bool(min_eig >= -_VERDICT_TOL), min_output_eigenvalue=min_eig)
+    min_eig = np.linalg.eigvalsh(_each_on_every_map(m, rho)).min(axis=(0, -1))
+    return PositivityVerdict(positive_on_samples=min_eig >= -_VERDICT_TOL, min_output_eigenvalue=min_eig)

@@ -98,59 +98,42 @@ def noise_from_correlation(s) -> np.ndarray:
 
 @dataclass
 class RedundancyWitness:
-    """Floats for the one case of `redundancy_witness`, (cases,) arrays for the stack of `redundancy_witnesses`."""
+    """Per case of the stack, so each field has the stack's batch shape: () for one case."""
 
     s_deviation: np.ndarray
     max_pathwise_deviation: np.ndarray
 
 
 def redundancy_witness(
-    u,
-    orthogonal,
-    hamiltonian,
-    lindblads,
-    psi0,
-    t_final: float,
-    dt: float,
-    seed: int,
-    trajectory_id: int = 0,
+    u, orthogonal, hamiltonian, lindblads, psi0, t_final: float, dt: float, seed: int, trajectory_id=0
 ) -> RedundancyWitness:
-    """Check that u and O u define the same unraveling.
+    """Check that u and O u define the same unraveling, for one case or a stack of cases.
 
     (a) Their correlation matrices agree.  (b) Driving the noise matrix O u
     with increments dW equals, pathwise, driving u with O^T dW, because
-    sum_k (O u)_kj dW_k = sum_k u_kj (O^T dW)_k.
-    """
-    stack = redundancy_witnesses([u], [orthogonal], hamiltonian, lindblads, [psi0], t_final, dt, seed, [trajectory_id])
-    return RedundancyWitness(float(stack.s_deviation[0]), float(stack.max_pathwise_deviation[0]))
-
-
-def redundancy_witnesses(
-    noise_matrices, orthogonals, hamiltonian, lindblads, initial_states, t_final, dt, seed, case_ids
-) -> RedundancyWitness:
-    """`redundancy_witness` for many cases at once: each field has one entry per entry of `case_ids`.
-
-    Case c pairs the N x n isometry noise_matrices[c], the N x N orthogonal
-    orthogonals[c] and the initial state initial_states[c], and draws its
-    increments as trajectory case_ids[c]; all cases share H, the L_j and the
+    sum_k (O u)_kj dW_k = sum_k u_kj (O^T dW)_k.  One case pairs the N x n
+    isometry u, the N x N orthogonal O and the initial state psi0, and draws
+    its increments as trajectory `trajectory_id`; a stack of cases adds one
+    leading axis to each of the four.  All cases share H, the L_j and the
     shape of u.  Every rotated and plain path steps in one component-major
     block, and only the running maximum of their distance is kept.
     """
-    us = require_isometry(noise_matrices)
-    orths = np.asarray(orthogonals, dtype=float)
-    ids = np.asarray(case_ids)
-    if us.ndim != 3 or ids.shape != us.shape[:1]:
-        raise DimensionError("need one noise matrix, orthogonal matrix and case id per case, all of one shape")
-    cases, n_rows = us.shape[:2]
-    if orths.shape != (cases, n_rows, n_rows):
+    us, ids = require_isometry(u), np.asarray(trajectory_id)
+    if ids.ndim > 1 or us.shape[:-2] != ids.shape:
+        raise DimensionError("need one noise matrix per trajectory id: one case, or a stack with one case axis")
+    batch, n_rows, cases = ids.shape, us.shape[-2], ids.size
+    orths = np.asarray(orthogonal, dtype=float)
+    if orths.shape != batch + (n_rows, n_rows):
         raise DimensionError(f"need one {n_rows} x {n_rows} orthogonal matrix per case, got shape {orths.shape}")
     require_isometry(orths, "orthogonal matrix")
+    # One case steps as a stack of one.
+    us, orths, ids = us.reshape(-1, n_rows, us.shape[-1]), orths.reshape(-1, n_rows, n_rows), ids.reshape(-1)
     rotated = orths @ us  # a product of checked isometries, so its correlation is formed bare below
     s_deviations = max_abs(np.conj(rotated.swapaxes(-1, -2) @ rotated) - np.conj(us.swapaxes(-1, -2) @ us), axis=(-2, -1))
 
     model = GeneralDiffusiveModel(hamiltonian, tuple(lindblads), us[0])
-    psi0 = require_normalized(np.asarray(initial_states, dtype=complex))
-    if psi0.shape != (cases, model.dim):
+    psi0 = require_normalized(psi0)
+    if psi0.shape != batch + (model.dim,):
         raise DimensionError(f"need one initial state of dim {model.dim} per case, got shape {psi0.shape}")
     steps = resolve_steps(t_final, dt)
     # Column c < C of the (d, 2C) block takes O u and dW, column C + c takes u
@@ -170,10 +153,10 @@ def redundancy_witnesses(
             dw = _wiener(key, np.arange(first, min(first + block, steps))[:, None], channels, dt)
             yield from _contract(noise_t, np.concatenate([dw, _contract(orth_t, dw)], axis=-1)).swapaxes(0, 1)
 
-    pathwise = np.zeros(cases)
-    for psi, _ in _path(model.drive, np.tile(psi0.T, 2), mixed_noise(), dt, np.tile(ids, 2), "witness case"):
+    pathwise, start = np.zeros(cases), np.tile(psi0.reshape(cases, -1).T, 2)
+    for psi, _ in _path(model.drive, start, mixed_noise(), dt, np.tile(ids, 2), "witness case"):
         np.maximum(pathwise, np.abs(psi[:, :cases] - psi[:, cases:]).max(axis=0), out=pathwise)
-    return RedundancyWitness(s_deviation=s_deviations, max_pathwise_deviation=pathwise)
+    return RedundancyWitness(s_deviation=s_deviations.reshape(batch), max_pathwise_deviation=pathwise.reshape(batch))
 
 
 def _param_normals(seed: int, tag: int, case, rows: int, cols: int, comp: int) -> np.ndarray:

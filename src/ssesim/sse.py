@@ -296,6 +296,11 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
     exp(-i dchi) before its norm is divided out.  Gauging never changes the
     projector path.
     """
+    return _record(model, psi0, dt, increments, gauge)
+
+
+def _record(model, psi0, dt: float, increments, gauge, ids=None) -> Trajectory:
+    # The one single-trajectory recorder: a collapse names the trajectory `ids`, if given.
     psi = _initial_state(model, psi0)
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 2 or increments.shape[1] != model.n_channels:
@@ -306,7 +311,7 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
 
     states = np.empty((len(increments) + 1, model.dim), dtype=complex)
     norm2 = np.empty(len(states))
-    for s, (psi, psi_norm2) in enumerate(_path(model.propose if gauge is None else gauged, psi, increments, dt)):
+    for s, (psi, psi_norm2) in enumerate(_path(model.propose if gauge is None else gauged, psi, increments, dt, ids)):
         states[s], norm2[s] = psi, psi_norm2
     return Trajectory(states=states, norm_drift=norm2[1:] - 1.0)
 
@@ -314,10 +319,10 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
 def simulate_trajectory(
     model, psi0, t_final: float, dt: float, seed: int, trajectory_id: int = 0, gauge=None
 ) -> Trajectory:
-    """Seeded single trajectory; identical output for identical (seed, id)."""
+    """Seeded single trajectory; identical output for identical (seed, id).  A collapse names the id."""
     steps = resolve_steps(t_final, dt)
     increments = _wiener(_wiener_key(seed, trajectory_id), np.arange(steps)[:, None], np.arange(model.n_channels), dt)
-    return simulate_with_noise(model, psi0, dt, increments, gauge=gauge)
+    return _record(model, psi0, dt, increments, gauge, trajectory_id)
 
 
 def pairwise_sum(values) -> np.ndarray:

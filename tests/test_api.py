@@ -9,13 +9,16 @@ import ssesim
 # Names dropped from the library, with the module that defined each: unused by
 # any command, acceptance claim or benchmark, or merged into another name.
 _REMOVED = {
-    "master": ["lindblad_rhs", "ChoiMatrix"],
+    # `bloch_block` and `positivity_verdict` take a stack by `apply_map`'s broadcasting rule.
+    "master": ["lindblad_rhs", "ChoiMatrix", "_one_map"],
     "param": [
         "_require_isometry",
         "map_noise_increments",
         "validate_correlation",
         "CorrelationCheck",
         "spectral_norm",
+        # One case is a stack with no case axis: `redundancy_witness` takes both.
+        "redundancy_witnesses",
     ],
     # `_renormalize` was merged into `_path`, the one stepping loop.
     "sse": ["apply_phase_gauge", "_renormalize"],

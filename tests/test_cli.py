@@ -148,14 +148,14 @@ def test_verdict_failure_exits_one(capsys, monkeypatch, command):
 
 def test_param_fails_on_a_witness_column_alone(capsys, monkeypatch):
     # 2I is still refused; only s_deviation moves by 1e-9, above its 1e-12 bound.
-    real = cli.redundancy_witnesses
+    real = cli.redundancy_witness
 
     def shifted(*args):
         witness = real(*args)
         witness.s_deviation += 1e-9
         return witness
 
-    monkeypatch.setattr(cli, "redundancy_witnesses", shifted)
+    monkeypatch.setattr(cli, "redundancy_witness", shifted)
     code, report = _run(capsys, ["param", "--cases", "3", "--witness-steps", "2"])
     assert (code, report["verdict"]) == (1, "FAIL")
     assert report["summary"]["infeasible_rejected"] is True

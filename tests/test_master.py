@@ -343,13 +343,43 @@ def test_dynamical_map_refuses_shapes_that_are_not_square_d2(shape):
         DynamicalMap(np.zeros(shape))
 
 
-def test_one_map_views_refuse_a_stack():
-    # A stack of 3 maps would otherwise be paired with the 3 Pauli matrices, or with 3 samples.
-    stack = map_grid(pauli_generator(SIGNED), [0.1, 0.2, 0.3], 1e-3)
-    with pytest.raises(DimensionError, match="need one map"):
-        bloch_block(stack)
-    with pytest.raises(DimensionError, match="need one map"):
-        positivity_verdict(stack, 3, seed=1)
+@pytest.mark.parametrize("rates", [SIGNED, (1.0, 1.0, 1.0), (1.0, -1.0, -1.0)])
+def test_stacked_map_views_equal_each_lone_map_bitwise(rates):
+    # 3 maps meet all 3 Pauli matrices and all 3 samples each, never one apiece.
+    gen = pauli_generator(rates)
+    times = [0.1, 0.2, 0.3]
+    stack = map_grid(gen, times, 1e-3)
+    blocks, verdict = bloch_block(stack), positivity_verdict(stack, 3, seed=1)
+    assert blocks.shape == (3, 3, 3)
+    assert verdict.positive_on_samples.shape == verdict.min_output_eigenvalue.shape == (3,)
+    for k, t in enumerate(times):
+        lone = extract_map(gen, t, 1e-3)
+        lone_verdict = positivity_verdict(lone, 3, seed=1)
+        assert blocks[k].tobytes() == bloch_block(lone).tobytes()
+        assert np.shape(lone_verdict.min_output_eigenvalue) == ()
+        assert verdict.min_output_eigenvalue[k] == lone_verdict.min_output_eigenvalue
+        assert verdict.positive_on_samples[k] == lone_verdict.positive_on_samples
+
+
+def test_extract_map_builds_and_checks_one_map(monkeypatch):
+    built = []
+    check = DynamicalMap.__post_init__
+
+    def counted(m):
+        built.append(m.superoperator.shape)
+        check(m)
+
+    monkeypatch.setattr(DynamicalMap, "__post_init__", counted)
+    m = extract_map(pauli_generator(SIGNED), 0.25, 1e-3)
+    assert built == [(4, 4)]
+    assert m.superoperator.shape == (4, 4)
+
+
+def test_map_grid_takes_one_time_or_a_1d_grid():
+    gen = pauli_generator(SIGNED)
+    assert map_grid(gen, 0.25, 1e-3).superoperator.tobytes() == map_grid(gen, [0.25], 1e-3).superoperator.tobytes()
+    with pytest.raises(DimensionError, match="1-D grid"):
+        map_grid(gen, [[0.1, 0.2]], 1e-3)
 
 
 def test_apply_map_broadcasts_stack_axes_against_operand_batch_axes():

@@ -19,7 +19,6 @@ from ssesim.param import (
     random_isometry,
     random_orthogonal,
     redundancy_witness,
-    redundancy_witnesses,
     takagi,
 )
 
@@ -298,7 +297,7 @@ def test_witness_draws_a_bounded_block_of_steps_per_call(monkeypatch):
         random_isometry(5, 4, 2, cases), random_orthogonal(5, 4, cases), H_TEST, L_TEST,
         random_state(5, 2, cases), 0.1, 1e-3, 5, cases,
     )
-    expected = redundancy_witnesses(*args)
+    expected = redundancy_witness(*args)
     sizes = []
 
     def counted(*a):
@@ -312,13 +311,37 @@ def test_witness_draws_a_bounded_block_of_steps_per_call(monkeypatch):
 
     monkeypatch.setattr(param, "_wiener", counted)
     # The per-case bound: 256 / N^2 = 16 steps of every case per draw.
-    assert same(redundancy_witnesses(*args))
+    assert same(redundancy_witness(*args))
     assert sizes == [4 * 16 * 100] * 6 + [4 * 4 * 100]
     # The stack bound, where it is reached first: one step per draw.
     sizes.clear()
     monkeypatch.setattr(param, "_NOISE_STACK_ENTRIES", 1 << 10)
-    assert same(redundancy_witnesses(*args))
+    assert same(redundancy_witness(*args))
     assert sizes == [4 * 100] * 100
+
+
+def test_a_lone_witness_case_is_its_row_of_the_stack():
+    cases = np.arange(30, 36)
+    stacked = redundancy_witness(
+        random_isometry(8, 3, 2, cases), random_orthogonal(8, 3, cases), H_TEST, L_TEST,
+        random_state(8, 2, cases), 0.05, 1e-3, 8, cases,
+    )
+    assert stacked.s_deviation.shape == stacked.max_pathwise_deviation.shape == (6,)
+    for row, case in enumerate(cases):
+        lone = redundancy_witness(
+            random_isometry(8, 3, 2, case), random_orthogonal(8, 3, case), H_TEST, L_TEST,
+            random_state(8, 2, case), 0.05, 1e-3, 8, trajectory_id=case,
+        )
+        assert np.shape(lone.s_deviation) == np.shape(lone.max_pathwise_deviation) == ()
+        assert lone.s_deviation == stacked.s_deviation[row]
+        assert lone.max_pathwise_deviation == stacked.max_pathwise_deviation[row]
+
+
+@pytest.mark.parametrize("ids", [np.arange(2), np.arange(4).reshape(2, 2)])
+def test_witness_needs_one_trajectory_id_per_case(ids):
+    u, orth = random_isometry(8, 3, 2, np.arange(3)), random_orthogonal(8, 3, np.arange(3))
+    with pytest.raises(DimensionError, match="one noise matrix per trajectory id"):
+        redundancy_witness(u, orth, H_TEST, L_TEST, random_state(8, 2, np.arange(3)), 0.05, 1e-3, 8, ids)
 
 
 def test_witness_collapse_names_the_case():
@@ -326,9 +349,9 @@ def test_witness_collapse_names_the_case():
     # collapses where |dW| < 0.1, which among trajectories 40-59 of seed 3 is 48 only.
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     with pytest.raises(StepSizeError, match="witness case 48 collapsed at step 0"):
-        redundancy_witnesses(
+        redundancy_witness(
             [np.eye(1)] * 20, [-np.eye(1)] * 20, np.zeros((2, 2)), (pauli(3),), [plus] * 20,
-            2.0, 2.0, seed=3, case_ids=np.arange(40, 60),
+            2.0, 2.0, seed=3, trajectory_id=np.arange(40, 60),
         )
 
 
@@ -432,8 +455,8 @@ def test_a_stack_names_its_non_isometric_entries():
     orth = random_orthogonal(6, 4, np.arange(5))
     orth[4] *= 0.5
     with pytest.raises(ValidationError, match="orthogonal matrix 4 is not an isometry"):
-        redundancy_witnesses(
+        redundancy_witness(
             random_isometry(6, 4, 2, np.arange(5)), orth, H_TEST, L_TEST, random_state(6, 2, np.arange(5)),
-            0.01, 1e-3, seed=6, case_ids=np.arange(5),
+            0.01, 1e-3, seed=6, trajectory_id=np.arange(5),
         )
 

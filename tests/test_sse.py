@@ -15,7 +15,7 @@ from ssesim import sse
 from ssesim.algebra import bloch_from_state, pauli, random_state
 from ssesim.errors import DimensionError, StepSizeError, ValidationError
 from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_master
-from ssesim.param import redundancy_witnesses
+from ssesim.param import redundancy_witness
 from ssesim.sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
@@ -333,14 +333,14 @@ _EQUATOR_COLLAPSE = GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(3),), np.eye(
         ),
         # Among witness cases 100-109 of seed 4 the first collapse is case 104's, at step 6.
         (
-            lambda: redundancy_witnesses(
+            lambda: redundancy_witness(
                 [np.eye(1)] * 10, [-np.eye(1)] * 10, np.zeros((2, 2)), (pauli(3),), [PLUS] * 10,
-                20.0, 2.0, seed=4, case_ids=np.arange(100, 110),
+                20.0, 2.0, seed=4, trajectory_id=np.arange(100, 110),
             ),
             "witness case 104 collapsed at step 6",
         ),
     ],
-    ids=["step", "simulate_with_noise", "ensemble_density", "redundancy_witnesses"],
+    ids=["step", "simulate_with_noise", "ensemble_density", "redundancy_witness"],
 )
 def test_every_stepping_path_names_its_collapse(run, message):
     with pytest.raises(StepSizeError, match=f"^{message}: proposed norm"):
@@ -348,8 +348,9 @@ def test_every_stepping_path_names_its_collapse(run, message):
 
 
 def test_an_ensemble_collapse_names_the_trajectory_that_fails_alone():
-    # The trajectory that the ensemble_density case above names, stepped alone, fails at the same step.
-    with pytest.raises(StepSizeError, match="^the trajectory collapsed at step 2:"):
+    # The trajectory that the ensemble_density case above names, stepped alone, fails at the same step
+    # and names itself as the ensemble does.
+    with pytest.raises(StepSizeError, match="^trajectory 19 collapsed at step 2:"):
         simulate_trajectory(_EQUATOR_COLLAPSE, PLUS, 20.0, 2.0, seed=11, trajectory_id=19)
 
 
