@@ -41,7 +41,6 @@ from .sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
     Trajectory,
-    ensemble_densities,
     ensemble_density,
     identity_residual,
     increment,

@@ -49,7 +49,6 @@ from .sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
     available_cpus,
-    ensemble_densities,
     ensemble_density,
     identity_residual,
     _SIGNED_RATES,
@@ -262,32 +261,32 @@ def _initial_state(cfg: dict) -> np.ndarray:
     return state_from_bloch(cfg["initial_bloch"])
 
 
-def _master_bloch_on_grid(model, psi0: np.ndarray, times, dt: float) -> np.ndarray:
-    return bloch_from_density(apply_map(map_grid(model.generator, times, dt), np.outer(psi0, psi0.conj())))
-
-
 _BLOCH_COLUMNS = ["t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
 
 
-def _bloch_columns(times, mean, se, reference) -> dict:
-    """The `_BLOCH_COLUMNS` records of a time grid, as one list per column."""
-    return dict(zip(_BLOCH_COLUMNS, [times.tolist(), *mean.T.tolist(), *se.T.tolist(), *reference.T.tolist()]))
-
-
-def _ensemble_check(est, reference, dt: float):
-    """One step size's Bloch deviation |mean - reference|, its bound 3 se + 2 dt, and the
-    INCONCLUSIVE verdict when no deviation could exceed its bound, else None."""
-    se = est.standard_error
-    dev = np.abs(est.bloch() - reference)
+def _check_step_size(model, psi0: np.ndarray, est, dt: float):
+    """One step size's ensemble check: the Bloch reference on the estimate's grid (the paper's
+    closed form for the noncp model, the RK4 map of `model.generator` for the general model),
+    the deviation |mean - reference|, its bound 3 se + 2 dt, the INCONCLUSIVE verdict when no
+    deviation could exceed its bound (else None), and the `_BLOCH_COLUMNS` records."""
+    mean, se, times = est.bloch(), est.standard_error, est.times
+    if isinstance(model, NonCpQubitModel):
+        reference = analytic_pauli_solution(bloch_from_state(psi0), _SIGNED_RATES, times)
+    else:
+        reference = bloch_from_density(apply_map(map_grid(model.generator, times, dt), np.outer(psi0, psi0.conj())))
+    dev = np.abs(mean - reference)
     bound = 3.0 * se + 2.0 * dt
-    positive = est.times > 0
+    positive = times > 0
     if not positive.any():
-        return dev, bound, _VERDICT_NO_POSITIVE_TIME
-    if np.max(se) > 0.5:
-        return dev, bound, _VERDICT_INCONCLUSIVE
-    if np.all(bound[positive] >= 2.0):
-        return dev, bound, _VERDICT_UNBOUNDED
-    return dev, bound, None
+        reason = _VERDICT_NO_POSITIVE_TIME
+    elif np.max(se) > 0.5:
+        reason = _VERDICT_INCONCLUSIVE
+    elif np.all(bound[positive] >= 2.0):
+        reason = _VERDICT_UNBOUNDED
+    else:
+        reason = None
+    records = dict(zip(_BLOCH_COLUMNS, [times.tolist(), *mean.T.tolist(), *se.T.tolist(), *reference.T.tolist()]))
+    return reference, dev, bound, reason, records
 
 
 def cmd_unravel(cfg: dict):
@@ -307,20 +306,17 @@ def cmd_unravel(cfg: dict):
         grid_points=_record_count(cfg, "grid_points"),
         threads=cfg["threads"],
     )
-    mean = est.bloch()
-    se = est.standard_error
+    reference, dev, bound, reason, records = _check_step_size(model, psi0, est, dt)
+    rk4 = reference  # the general model's reference is its RK4 map
     if isinstance(model, NonCpQubitModel):
-        reference = analytic_pauli_solution(bloch_from_state(psi0), _SIGNED_RATES, est.times)
         try:
-            rk4 = _master_bloch_on_grid(model, psi0, est.times, dt)
+            rk4 = bloch_from_density(apply_map(map_grid(model.generator, est.times, dt), np.outer(psi0, psi0.conj())))
         except ValidationError:
             # The verdict reads the analytic reference; a refused RK4 map (one
             # that overflowed, say) only leaves its cross-check unreported.
             rk4 = None
-    else:
-        reference = rk4 = _master_bloch_on_grid(model, psi0, est.times, dt)
 
-    dev, bound, reason = _ensemble_check(est, reference, dt)
+    se = est.standard_error
     verdict = reason or ("PASS" if np.all(dev <= bound) else "FAIL")
     with np.errstate(divide="ignore", invalid="ignore"):
         se_units = np.where(dev == 0, 0.0, dev / se)
@@ -330,9 +326,9 @@ def cmd_unravel(cfg: dict):
         "max_standard_error": float(np.max(se)),
         "deviation_bound": float(np.max(bound)),
         "master_vs_reference": None if rk4 is None else float(np.max(np.abs(rk4 - reference))),
-        "final_bloch_mean": [float(x) for x in mean[-1]],
+        "final_bloch_mean": [float(x) for x in est.bloch()[-1]],
     }
-    return verdict, summary, _bloch_columns(est.times, mean, se, reference)
+    return verdict, summary, records
 
 
 def cmd_choi(cfg: dict):
@@ -449,10 +445,9 @@ def cmd_convergence(cfg: dict):
     """Ensemble bias vs. step size study."""
     model = NonCpQubitModel()
     psi0 = _initial_state(cfg)
-    n0 = bloch_from_state(psi0)
     base = cfg["dt"]
     levels = [4.0 * base, 2.0 * base, base]
-    estimates = ensemble_densities(
+    estimates = ensemble_density(
         model,
         psi0,
         cfg["t_final"],
@@ -462,16 +457,16 @@ def cmd_convergence(cfg: dict):
         grid_points=_record_count(cfg, "grid_points"),
         threads=cfg["threads"],
     )
-    blocks, biases, floors, reasons = [], [], [], []
+    biases, floors, reasons, records = [], [], [], {"dt": []}
     for level, est in zip(levels, estimates):
-        reference = analytic_pauli_solution(n0, _SIGNED_RATES, est.times)
-        dev, _, reason = _ensemble_check(est, reference, level)
+        _, dev, _, reason, columns = _check_step_size(model, psi0, est, level)
         biases.append(float(np.max(dev)))
         floors.append(float(3.0 * np.max(est.standard_error)))
         reasons.append(reason)
-        blocks.append((np.full(len(est.times), level), est.times, est.bloch(), est.standard_error, reference))
-    # One record per step size and report time, the step sizes in turn.
-    dts, *grid = map(np.concatenate, zip(*blocks))
+        # One record per step size and report time, the step sizes in turn.
+        records["dt"] += [level] * len(est.times)
+        for name, column in columns.items():
+            records.setdefault(name, []).extend(column)
 
     ok = all(
         biases[i] <= biases[i - 1] * (1.0 + 1e-12) or biases[i] <= floors[i]
@@ -489,7 +484,7 @@ def cmd_convergence(cfg: dict):
         "noise_floors": floors,
         "weak_order_exponent": exponent,
     }
-    return verdict, summary, {"dt": dts.tolist(), **_bloch_columns(*grid)}
+    return verdict, summary, records
 
 
 _COMMANDS = {

@@ -121,6 +121,8 @@ def redundancy_witness(
     us, ids = require_isometry(u), np.asarray(trajectory_id)
     if ids.ndim > 1 or us.shape[:-2] != ids.shape:
         raise DimensionError("need one noise matrix per trajectory id: one case, or a stack with one case axis")
+    if ids.size == 0:
+        raise DimensionError("need at least one case, got an empty stack")
     batch, n_rows, cases = ids.shape, us.shape[-2], ids.size
     orths = np.asarray(orthogonal, dtype=float)
     if orths.shape != batch + (n_rows, n_rows):

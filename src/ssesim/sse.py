@@ -410,36 +410,23 @@ def ensemble_density(
     model,
     psi0,
     t_final: float,
-    dt: float,
+    dt,
     n_traj: int,
     seed: int,
     grid_points: int = 32,
     threads: int = 1,
-) -> EnsembleEstimate:
-    """Mean projector E|psi><psi| over seeded trajectories on a report grid.
+) -> EnsembleEstimate | list[EnsembleEstimate]:
+    """Mean projector E|psi><psi| over seeded trajectories on a report grid, at
+    one step size dt, or one estimate per step size of a 1-D sequence dt.
 
     Trajectory i draws its noise from (seed, i, step, channel) alone, and the
-    reduction over trajectories is a fixed pairwise tree, so the estimate is
-    bitwise independent of `threads`.
+    reduction over trajectories is a fixed pairwise tree, so each estimate is
+    bitwise independent of `threads` and of the other step sizes.  The blocks
+    of every step size go to one process pool of at most `threads` workers,
+    longest first.
     """
-    return ensemble_densities(model, psi0, t_final, [dt], n_traj, seed, grid_points, threads)[0]
-
-
-def ensemble_densities(
-    model,
-    psi0,
-    t_final: float,
-    dts,
-    n_traj: int,
-    seed: int,
-    grid_points: int = 32,
-    threads: int = 1,
-) -> list[EnsembleEstimate]:
-    """`ensemble_density` at each step size in `dts`, bitwise as if run alone.
-
-    The blocks of all levels go to one process pool of at most `threads`
-    workers, longest first.
-    """
+    if np.ndim(dt) > 1:
+        raise DimensionError(f"need one step size or a 1-D sequence of them, got shape {np.shape(dt)}")
     if n_traj < 1:
         raise ValidationError(f"need at least one trajectory, got {n_traj}")
     if n_traj > MAX_TRAJECTORIES:
@@ -448,8 +435,8 @@ def ensemble_densities(
 
     levels, tasks = [], []
     partial_bytes = buffer_bytes = 0
-    for dt in dts:
-        steps = resolve_steps(t_final, dt)
+    for level in np.ravel(dt).tolist():
+        steps = resolve_steps(t_final, level)
         grid_idx = report_indices(steps, grid_points)
         record = grid_idx.size * 16 * psi0.size**2  # one trajectory's complex projector at every grid point
         block = _block_size(record)
@@ -460,10 +447,10 @@ def ensemble_densities(
             raise ValidationError(f"ensemble partial sums and records would exceed {MAX_ENSEMBLE_BYTES} bytes")
         first = len(tasks)
         tasks += [
-            (model, psi0, seed, dt, steps, grid_idx, lo, min(lo + block, n_traj))
+            (model, psi0, seed, level, steps, grid_idx, lo, min(lo + block, n_traj))
             for lo in range(0, n_traj, block)
         ]
-        levels.append((dt, grid_idx, first, len(tasks)))
+        levels.append((level, grid_idx, first, len(tasks)))
     # A forking pool starts all `max_workers` processes at once, so ask for no
     # more than can run at the same time or have a block to work on.
     workers = min(threads, available_cpus(), len(tasks))
@@ -485,9 +472,8 @@ def ensemble_densities(
     if partials is None:
         partials = [_block_partials(t) for t in tasks]
     center = np.outer(psi0, psi0.conj())
-    return [
-        _estimate(partials[first:last], grid_idx, dt, n_traj, center) for dt, grid_idx, first, last in levels
-    ]
+    estimates = [_estimate(partials[i:j], grid_idx, level, n_traj, center) for level, grid_idx, i, j in levels]
+    return estimates if np.ndim(dt) else estimates[0]
 
 
 def _estimate(partials, grid_idx, dt: float, n_traj: int, center) -> EnsembleEstimate:

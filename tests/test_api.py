@@ -20,8 +20,11 @@ _REMOVED = {
         # One case is a stack with no case axis: `redundancy_witness` takes both.
         "redundancy_witnesses",
     ],
-    # `_renormalize` was merged into `_path`, the one stepping loop.
-    "sse": ["apply_phase_gauge", "_renormalize"],
+    # `_renormalize` was merged into `_path`, the one stepping loop.  One step size is a
+    # sequence with no step-size axis: `ensemble_density` takes both.
+    "sse": ["apply_phase_gauge", "_renormalize", "ensemble_densities"],
+    # `_check_step_size` checks each step size of `unravel` and `convergence`.
+    "cli": ["_ensemble_check", "_bloch_columns", "_master_bloch_on_grid"],
 }
 
 # Dataclass fields and function parameters dropped because no code read them

@@ -344,6 +344,19 @@ def test_witness_needs_one_trajectory_id_per_case(ids):
         redundancy_witness(u, orth, H_TEST, L_TEST, random_state(8, 2, np.arange(3)), 0.05, 1e-3, 8, ids)
 
 
+def test_witness_refuses_an_empty_stack_before_building_the_model(monkeypatch):
+    def no_model(*args):
+        raise AssertionError("built a model for an empty stack")
+
+    monkeypatch.setattr(param, "GeneralDiffusiveModel", no_model)
+    empty = np.arange(0)
+    with pytest.raises(DimensionError, match="at least one case"):
+        redundancy_witness(
+            random_isometry(8, 3, 2, empty), random_orthogonal(8, 3, empty), H_TEST, L_TEST,
+            random_state(8, 2, empty), 0.05, 1e-3, 8, empty,
+        )
+
+
 def test_witness_collapse_names_the_case():
     # With H = 0 and L = sigma_z, dt = 2 maps |+> to xi sigma_z |+>: the step
     # collapses where |dW| < 0.1, which among trajectories 40-59 of seed 3 is 48 only.

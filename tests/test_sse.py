@@ -19,7 +19,6 @@ from ssesim.param import redundancy_witness
 from ssesim.sse import (
     GeneralDiffusiveModel,
     NonCpQubitModel,
-    ensemble_densities,
     ensemble_density,
     identity_residual,
     increment,
@@ -529,15 +528,23 @@ def test_pool_size_is_clamped_to_cpus_and_blocks(monkeypatch):
 def test_levels_share_one_pool_and_map_longest_blocks_first(serial_pool):
     dts = [4e-3, 2e-3, 1e-3]
     args = (NonCpQubitModel(), POLE, 0.008)
-    estimates = ensemble_densities(*args, dts, 4096 + 100, 42, threads=10000)  # two blocks per level
+    estimates = ensemble_density(*args, dts, 4096 + 100, 42, threads=10000)  # two blocks per level
     assert serial_pool.sizes == [6]
     costs = [task[4] * (task[7] - task[6]) for task in serial_pool.tasks]
     assert len(costs) == 6 and costs == sorted(costs, reverse=True)
+    assert isinstance(estimates, list) and len(estimates) == len(dts)
     for dt, est in zip(dts, estimates):
         alone = ensemble_density(*args, dt, 4096 + 100, 42)
+        assert isinstance(alone, sse.EnsembleEstimate)
         assert est.times.tobytes() == alone.times.tobytes()
         assert est.mean_density.tobytes() == alone.mean_density.tobytes()
-        assert est.standard_error.tobytes() == alone.standard_error.tobytes()
+        assert est.density_standard_error.tobytes() == alone.density_standard_error.tobytes()
+
+
+@pytest.mark.parametrize("dt", [[[1e-3]], np.full((2, 1), 1e-3)])
+def test_ensemble_refuses_a_step_size_array_of_two_or_more_dimensions(dt):
+    with pytest.raises(DimensionError, match=r"1-D sequence .* got shape \((1|2), 1\)"):
+        ensemble_density(NonCpQubitModel(), POLE, 0.01, dt, 3, seed=1)
 
 
 def test_ensemble_mean_density_is_physical():

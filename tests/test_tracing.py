@@ -4,9 +4,11 @@ function they measure.  A rename in `src/` would otherwise only show as a
 traced span tagged "unknown" or a missing wrapper."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,28 @@ def test_work_counters_read_parameters_of_the_function_they_measure(tracing):
         keys = _arguments_read(counter)
         assert keys, f"no argument read found in the counter of {name}"
         assert keys <= params, f"{name} lacks the parameters {sorted(keys - params)}"
+
+
+def _ensemble_spans(tracing, argv):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        from ssesim import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) in (0, 1)
+    finally:
+        tracer.remove()
+    return [s for s in tracer.spans if s.name == "sse.ensemble_density"]
+
+
+def test_unravel_ensemble_span_counts_its_trajectory_steps(tracing):
+    # One step size passed as a scalar is what `_work_ensemble` can count: 64 x 10 steps.
+    (span,) = _ensemble_spans(tracing, ["unravel", "--trajectories", "64", "--t-final", "0.01", "--threads", "1"])
+    assert span.work == 640
+    assert span.tag == "NonCpQubitModel/threads=1"
+
+
+def test_convergence_runs_every_step_size_in_one_ensemble_call(tracing):
+    argv = ["convergence", "--trajectories", "64", "--t-final", "0.008", "--threads", "1"]
+    assert len(_ensemble_spans(tracing, argv)) == 1
