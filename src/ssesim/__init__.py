@@ -5,7 +5,9 @@ complete-positivity diagnostics, and noise-matrix parametrization algebra."""
 __version__ = "0.1.0"
 
 from .algebra import (
+    bloch_from_density,
     bloch_from_state,
+    bloch_standard_error,
     hermitian_eigen,
     pauli,
     random_state,
@@ -22,7 +24,6 @@ from .master import (
     bloch_block,
     choi_matrix,
     cp_verdict,
-    extract_map,
     integrate_master,
     map_grid,
     pauli_channel_map,

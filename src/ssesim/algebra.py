@@ -94,7 +94,9 @@ def require_isometry(u, what: str = "noise matrix") -> np.ndarray:
         raise DimensionError(f"{what} must be N x n with n >= 1, got shape {u.shape}")
     if u.shape[-2] < u.shape[-1]:
         raise ValidationError(f"{what} needs N >= n rows, got shape {u.shape}")
-    dev = max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+    # A finite u may overflow u^dag u: the check below refuses it, with no numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = max_abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
     require_within(dev, 1e-10, ValidationError, what + "{at} is not an isometry (max |u^dag u - I| = {dev:.3e})")
     return u
 
@@ -138,12 +140,22 @@ def bloch_from_density(rho) -> np.ndarray:
     return np.stack([2.0 * off.real, 2.0 * off.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
+def bloch_standard_error(density_se) -> np.ndarray:
+    """Standard errors (..., 3) of n_1 = 2 Re rho_10, n_2 = 2 Im rho_10 and n_3 = 2 rho_00 - 1, from those
+    (..., 2, 2) of a qubit density's entries, each the se of its real part + 1j * that of its imaginary part."""
+    se = np.asarray(density_se)
+    if se.shape[-2:] != (2, 2):
+        raise DimensionError(f"Bloch standard errors need a qubit ensemble, got shape {se.shape}")
+    return 2.0 * np.stack([se[..., 1, 0].real, se[..., 1, 0].imag, se[..., 0, 0].real], axis=-1)
+
+
 def state_from_bloch(n) -> np.ndarray:
     """Pure qubit state (cos(theta/2), e^{i phi} sin(theta/2)) for a unit Bloch vector."""
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise DimensionError(f"Bloch vector must have shape (3,), got {n.shape}")
-    norm = float(np.linalg.norm(n))
+    with np.errstate(over="ignore"):  # a huge finite n has norm inf, refused below with no numpy warning
+        norm = float(np.linalg.norm(n))
     if abs(norm - 1.0) > 1e-8:
         raise ValidationError(f"Bloch vector of a pure state must be unit length, got ||n|| = {norm}")
     theta = np.arccos(np.clip(n[2] / norm, -1.0, 1.0))

@@ -27,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, master
-from .algebra import bloch_from_density, bloch_from_state, max_abs, pauli, random_state, report_indices, resolve_steps
-from .algebra import state_from_bloch
+from .algebra import bloch_from_density, bloch_from_state, bloch_standard_error, max_abs, pauli, random_state
+from .algebra import report_indices, resolve_steps, state_from_bloch
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
     analytic_pauli_solution,
@@ -254,7 +254,8 @@ def _initial_state(cfg: dict) -> np.ndarray:
         if not isinstance(entries, list):
             raise ValidationError(f"initial_state must be a list of complex entries, got {entries!r}")
         vec = np.array([_parse_complex(e, "initial_state") for e in entries], dtype=complex)
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):  # a huge finite entry gives norm inf, refused below with no numpy warning
+            norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-6:
             raise ValidationError("initial_state must be normalized")
         return vec / norm
@@ -264,12 +265,20 @@ def _initial_state(cfg: dict) -> np.ndarray:
 _BLOCH_COLUMNS = ["t", "n1", "n2", "n3", "se1", "se2", "se3", "analytic_n1", "analytic_n2", "analytic_n3"]
 
 
+def _ensemble(cfg: dict, model, psi0: np.ndarray, dt):
+    """The ensemble of `unravel` at its one step size dt, or of `convergence` at its sequence of them."""
+    n_traj, grid_points = cfg["trajectories"], _record_count(cfg, "grid_points")
+    return ensemble_density(model, psi0, cfg["t_final"], dt, n_traj, cfg["seed"], grid_points, cfg["threads"])
+
+
 def _check_step_size(model, psi0: np.ndarray, est, dt: float):
     """One step size's ensemble check: the Bloch reference on the estimate's grid (the paper's
     closed form for the noncp model, the RK4 map of `model.generator` for the general model),
-    the deviation |mean - reference|, its bound 3 se + 2 dt, the INCONCLUSIVE verdict when no
-    deviation could exceed its bound (else None), and the `_BLOCH_COLUMNS` records."""
-    mean, se, times = est.bloch(), est.standard_error, est.times
+    the deviation |mean - reference|, its bound 3 se + 2 dt, the Bloch standard errors se, the
+    INCONCLUSIVE verdict when no deviation could exceed its bound (else None), and the
+    `_BLOCH_COLUMNS` records."""
+    times = est.times
+    mean, se = bloch_from_density(est.mean_density), bloch_standard_error(est.density_standard_error)
     if isinstance(model, NonCpQubitModel):
         reference = analytic_pauli_solution(bloch_from_state(psi0), _SIGNED_RATES, times)
     else:
@@ -286,7 +295,7 @@ def _check_step_size(model, psi0: np.ndarray, est, dt: float):
     else:
         reason = None
     records = dict(zip(_BLOCH_COLUMNS, [times.tolist(), *mean.T.tolist(), *se.T.tolist(), *reference.T.tolist()]))
-    return reference, dev, bound, reason, records
+    return reference, dev, bound, se, reason, records
 
 
 def cmd_unravel(cfg: dict):
@@ -296,17 +305,8 @@ def cmd_unravel(cfg: dict):
         raise DimensionError(f"unravel reports Bloch columns and needs a qubit model, got d = {model.dim}")
     psi0 = _initial_state(cfg)
     dt = cfg["dt"]
-    est = ensemble_density(
-        model,
-        psi0,
-        cfg["t_final"],
-        dt,
-        cfg["trajectories"],
-        cfg["seed"],
-        grid_points=_record_count(cfg, "grid_points"),
-        threads=cfg["threads"],
-    )
-    reference, dev, bound, reason, records = _check_step_size(model, psi0, est, dt)
+    est = _ensemble(cfg, model, psi0, dt)
+    reference, dev, bound, se, reason, records = _check_step_size(model, psi0, est, dt)
     rk4 = reference  # the general model's reference is its RK4 map
     if isinstance(model, NonCpQubitModel):
         try:
@@ -316,7 +316,6 @@ def cmd_unravel(cfg: dict):
             # that overflowed, say) only leaves its cross-check unreported.
             rk4 = None
 
-    se = est.standard_error
     verdict = reason or ("PASS" if np.all(dev <= bound) else "FAIL")
     with np.errstate(divide="ignore", invalid="ignore"):
         se_units = np.where(dev == 0, 0.0, dev / se)
@@ -326,7 +325,7 @@ def cmd_unravel(cfg: dict):
         "max_standard_error": float(np.max(se)),
         "deviation_bound": float(np.max(bound)),
         "master_vs_reference": None if rk4 is None else float(np.max(np.abs(rk4 - reference))),
-        "final_bloch_mean": [float(x) for x in est.bloch()[-1]],
+        "final_bloch_mean": [records[name][-1] for name in ("n1", "n2", "n3")],
     }
     return verdict, summary, records
 
@@ -447,21 +446,11 @@ def cmd_convergence(cfg: dict):
     psi0 = _initial_state(cfg)
     base = cfg["dt"]
     levels = [4.0 * base, 2.0 * base, base]
-    estimates = ensemble_density(
-        model,
-        psi0,
-        cfg["t_final"],
-        levels,
-        cfg["trajectories"],
-        cfg["seed"],
-        grid_points=_record_count(cfg, "grid_points"),
-        threads=cfg["threads"],
-    )
     biases, floors, reasons, records = [], [], [], {"dt": []}
-    for level, est in zip(levels, estimates):
-        _, dev, _, reason, columns = _check_step_size(model, psi0, est, level)
+    for level, est in zip(levels, _ensemble(cfg, model, psi0, levels)):
+        _, dev, _, se, reason, columns = _check_step_size(model, psi0, est, level)
         biases.append(float(np.max(dev)))
-        floors.append(float(3.0 * np.max(est.standard_error)))
+        floors.append(float(3.0 * np.max(se)))
         reasons.append(reason)
         # One record per step size and report time, the step sizes in turn.
         records["dt"] += [level] * len(est.times)

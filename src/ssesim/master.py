@@ -101,8 +101,8 @@ def require_density(rho) -> np.ndarray:
 
 def integrate_master(rho0, gen: MasterGenerator, t: float, dt: float) -> np.ndarray:
     """Evolve a density matrix, or a stack (..., d, d) of them, to time t, a whole multiple of dt:
-    the RK4 map `extract_map` applied to it."""
-    return apply_map(extract_map(gen, t, dt), require_density(rho0))
+    the RK4 map `map_grid` at the one time t applied to it."""
+    return apply_map(map_grid(gen, t, dt), require_density(rho0))
 
 
 def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
@@ -162,11 +162,6 @@ def _each_on_every_map(m: DynamicalMap, mats) -> np.ndarray:
     return apply_map(m, np.expand_dims(mats, tuple(range(1, m.superoperator.ndim - 1))))
 
 
-def extract_map(gen: MasterGenerator, t: float, dt: float) -> DynamicalMap:
-    """Dynamical map of the generator at time t: the RK4 propagator over [0, t], `map_grid` at the one time t."""
-    return map_grid(gen, t, dt)
-
-
 def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
     """Map at one time, or the maps at an ascending 1-D grid of times as one stack (len(times), d^2, d^2).
 
@@ -174,8 +169,8 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
     strictly increase.  The map at n steps is P^n of the one-step propagator
     P, by binary powering: one running square P, P^2, P^4, ... multiplies,
     from the left, the entries whose n has that bit.  An entry depends on its
-    n alone, so it is bitwise the map `extract_map` gives at its time, and a
-    grid of n steps costs O(log n) matrix products.
+    n alone, so it is bitwise the map `map_grid` gives at its time alone, and
+    a grid of n steps costs O(log n) matrix products.
     """
     if np.ndim(times) > 1:
         raise DimensionError(f"need one time or a 1-D grid of times, got shape {np.shape(times)}")

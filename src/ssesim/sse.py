@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import _SIGMA, _bloch_components, bloch_from_density, bloch_from_state, report_indices
+from .algebra import _SIGMA, _bloch_components, bloch_from_state, report_indices
 from .algebra import require_isometry, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 from .master import MasterGenerator, pauli_generator
@@ -343,24 +343,12 @@ def pairwise_sum(values) -> np.ndarray:
 
 @dataclass
 class EnsembleEstimate:
-    """Monte Carlo estimate of the ensemble density on a report grid."""
+    """Monte Carlo estimate of the ensemble density on a report grid; a qubit's Bloch views of it are in `algebra`."""
 
     times: np.ndarray
     mean_density: np.ndarray
     # Per entry of mean_density: the standard error of its real part + 1j * that of its imaginary part.
     density_standard_error: np.ndarray
-
-    def bloch(self) -> np.ndarray:
-        """Bloch components tr(rho sigma_k) of the mean density, shape (G, 3)."""
-        return bloch_from_density(self.mean_density)
-
-    @property
-    def standard_error(self) -> np.ndarray:
-        """Standard errors (G, 3) of n_1 = 2 Re rho_10, n_2 = 2 Im rho_10 and n_3 = 2 rho_00 - 1."""
-        se = self.density_standard_error
-        if se.shape[-2:] != (2, 2):
-            raise DimensionError(f"Bloch standard errors need a qubit ensemble, got shape {se.shape}")
-        return 2.0 * np.stack([se[..., 1, 0].real, se[..., 1, 0].imag, se[..., 0, 0].real], axis=-1)
 
 
 def _block_partials(task):

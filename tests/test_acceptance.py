@@ -10,11 +10,10 @@ import time
 import numpy as np
 
 from ssesim import cli
-from ssesim.algebra import pauli, random_state
+from ssesim.algebra import bloch_from_density, bloch_standard_error, pauli, random_state
 from ssesim.master import (
     choi_matrix,
     cp_verdict,
-    extract_map,
     integrate_master,
     map_grid,
     pauli_generator,
@@ -68,8 +67,8 @@ def test_criterion_2_ensemble_reproduces_noncp_master_equation():
     start = time.perf_counter()
     est = ensemble_density(NonCpQubitModel(), GROUND, 0.25, dt, n_traj, seed=42)
     elapsed = time.perf_counter() - start
-    mean = est.bloch()[-1]
-    se = est.standard_error[-1]
+    mean = bloch_from_density(est.mean_density)[-1]
+    se = bloch_standard_error(est.density_standard_error)[-1]
     bound = 3.0 * se + 2.0 * dt
     dev = np.abs(mean - np.array([0.0, 0.0, E_INV]))
     ok = bool(np.all(dev <= bound) and se[2] <= 0.0075 and elapsed < 60.0)
@@ -102,7 +101,7 @@ def test_criterion_3_noncp_certification():
 def test_criterion_4_positivity_despite_noncp():
     gen = pauli_generator(SIGNED)
     worst = min(
-        positivity_verdict(extract_map(gen, t, 1e-3), 10000, seed=77).min_output_eigenvalue
+        positivity_verdict(map_grid(gen, t, 1e-3), 10000, seed=77).min_output_eigenvalue
         for t in (0.25, 1.0)
     )
     ok = worst >= -1e-9
@@ -114,10 +113,10 @@ def test_criterion_5_cp_control_case():
     dt, n_traj = 1e-3, 20000
     model = GeneralDiffusiveModel(np.zeros((2, 2)), tuple(pauli(k) for k in (1, 2, 3)), np.eye(3))
     est = ensemble_density(model, GROUND, 0.25, dt, n_traj, seed=11, threads=2)
-    mean = est.bloch()[-1]
-    bound = 3.0 * est.standard_error[-1] + 2.0 * dt
+    mean = bloch_from_density(est.mean_density)[-1]
+    bound = 3.0 * bloch_standard_error(est.density_standard_error)[-1] + 2.0 * dt
     dev = np.abs(mean - np.array([0.0, 0.0, np.exp(-4.0 * 0.25)]))
-    verdict = cp_verdict(choi_matrix(extract_map(pauli_generator((1, 1, 1)), 0.25, dt)))
+    verdict = cp_verdict(choi_matrix(map_grid(pauli_generator((1, 1, 1)), 0.25, dt)))
     ok = bool(np.all(dev <= bound) and verdict.min_eigenvalue >= -1e-9)
     print(f"  isotropic decay dev {dev} vs bound {bound}; min Choi eig {verdict.min_eigenvalue:.3e}")
     _verdict(5, "general-model ensemble reproduces e^{-4t} decay and the map is CP", ok)
@@ -204,7 +203,8 @@ def test_criterion_10_thread_count_determinism(tmp_path):
     est_parallel = ensemble_density(NonCpQubitModel(), GROUND, 0.25, 1e-3, 20000, seed=42, threads=4)
     api_ok = (
         est_serial.mean_density.tobytes() == est_parallel.mean_density.tobytes()
-        and est_serial.standard_error.tobytes() == est_parallel.standard_error.tobytes()
+        and bloch_standard_error(est_serial.density_standard_error).tobytes()
+        == bloch_standard_error(est_parallel.density_standard_error).tobytes()
     )
 
     payloads = []

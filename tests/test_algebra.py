@@ -8,6 +8,7 @@ from ssesim.algebra import (
     MAX_STEPS,
     bloch_from_density,
     bloch_from_state,
+    bloch_standard_error,
     hermitian_eigen,
     pauli,
     random_state,
@@ -95,6 +96,14 @@ def test_bloch_from_density_matches_trace():
     assert np.max(np.abs(bloch_from_density(rho) - direct)) <= 1e-15
     with pytest.raises(DimensionError):
         bloch_from_density(np.eye(3))
+
+
+def test_bloch_standard_error_refuses_a_qutrit_ensemble_naming_its_shape():
+    lower = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
+    qutrit = sse.GeneralDiffusiveModel(np.diag([0.0, 0.2, 0.5]), (0.7 * lower,), np.eye(1))
+    est = sse.ensemble_density(qutrit, np.array([0.0, 0.0, 1.0]), 0.01, 1e-3, 3, seed=1, grid_points=2)
+    with pytest.raises(DimensionError, match=r"need a qubit ensemble, got shape \(2, 3, 3\)"):
+        bloch_standard_error(est.density_standard_error)
 
 
 def test_state_from_bloch_rejects_interior_point():

@@ -10,7 +10,8 @@ import ssesim
 # any command, acceptance claim or benchmark, or merged into another name.
 _REMOVED = {
     # `bloch_block` and `positivity_verdict` take a stack by `apply_map`'s broadcasting rule.
-    "master": ["lindblad_rhs", "ChoiMatrix", "_one_map"],
+    # `extract_map` was `map_grid` at one time, which `map_grid` takes.
+    "master": ["lindblad_rhs", "ChoiMatrix", "_one_map", "extract_map"],
     "param": [
         "_require_isometry",
         "map_noise_increments",
@@ -27,8 +28,8 @@ _REMOVED = {
     "cli": ["_ensemble_check", "_bloch_columns", "_master_bloch_on_grid"],
 }
 
-# Dataclass fields and function parameters dropped because no code read them
-# or passed another value, keyed by (module, name).
+# Dataclass fields and class attributes, and function parameters, dropped because
+# no code read them or passed another value, or moved elsewhere, keyed by (module, name).
 _REMOVED_MEMBERS = {
     ("master", "DynamicalMap"): ["time"],
     ("master", "CpVerdict"): ["witness"],
@@ -36,7 +37,8 @@ _REMOVED_MEMBERS = {
     ("master", "cp_verdict"): ["tol"],
     ("master", "positivity_verdict"): ["tol"],
     ("param", "RedundancyWitness"): ["s_equal"],
-    ("sse", "EnsembleEstimate"): ["trajectories"],
+    # The Bloch views of an estimate are `algebra.bloch_from_density` and `algebra.bloch_standard_error`.
+    ("sse", "EnsembleEstimate"): ["trajectories", "bloch", "standard_error"],
     ("sse", "Trajectory"): ["times"],
     # The non-CP model is the paper's at the fixed rates (1, 1, -1).
     ("sse", "NonCpQubitModel"): ["rates", "perp_phase"],
@@ -67,7 +69,7 @@ def test_no_removed_field_or_parameter_remains():
     for (module, name), gone in _REMOVED_MEMBERS.items():
         obj = getattr(importlib.import_module(f"ssesim.{module}"), name)
         if dataclasses.is_dataclass(obj):
-            members = [f.name for f in dataclasses.fields(obj)]
+            members = [f.name for f in dataclasses.fields(obj)] + dir(obj)
         else:
             members = list(inspect.signature(obj).parameters)
         assert not set(gone) & set(members), (name, gone)

@@ -512,6 +512,31 @@ def test_an_overflowing_generator_or_propagator_exits_two_with_one_error_line(ar
     assert out == "" and err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, file_cfg, message",
+    [
+        (["--init-bloch=1e200,0,0"], None, "error: Bloch vector of a pure state must be unit length, got ||n|| = inf"),
+        ([], {"initial_state": [[1e308, 1e308], 0]}, "error: initial_state must be normalized"),
+        (
+            ["--model", "general"],
+            {"hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 1], [0, 0]]], "noise_matrix": [[1e200], [0]]},
+            "error: noise matrix is not an isometry (max |u^dag u - I| = inf)",
+        ),
+    ],
+    ids=["init-bloch", "initial-state", "noise-matrix"],
+)
+def test_an_overflowing_norm_exits_two_with_one_error_line(flags, file_cfg, message, tmp_path, capsys):
+    # Finite inputs whose norm or u^dag u overflows: no numpy warning may escape, which the test config turns into an error.
+    argv = ["unravel", "--trajectories", "10", *flags]
+    if file_cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        argv += ["--config", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"
+
+
 @pytest.mark.parametrize("t_final", [100, 150, 170])
 def test_a_large_finite_map_reaches_its_verdict(t_final, capsys):
     # lambda_1 = e^{4t} at rates (1, -1, -1) puts the map's entries near 1e173 to 1e295,
@@ -1006,6 +1031,30 @@ def test_json_payloads_keep_their_bytes(argv, tmp_path, capsys):
     assert cli.main(argv + ["--format", "json", "--output", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _JSON_PAYLOADS[argv[0]]
+
+
+# sha256 of the stdout report and of the JSON payload of one small general `unravel`: the witness
+# Hamiltonian, the first three witness Lindblads and a fixed 4x3 isometry, the first three
+# columns of the 4-point DFT matrix.
+_GENERAL_CONFIG = {
+    "model": "general",
+    "hamiltonian": [[0.15, 0.2], [0.2, -0.15]],
+    "lindblads": [[[0, 0], [0.6, 0]], [[0.5, 0], [0, -0.5]], [[0, 0.4], [0.4, 0]]],
+    "noise_matrix": [[0.5, 0.5, 0.5], [0.5, [0, 0.5], -0.5], [0.5, -0.5, 0.5], [0.5, [0, -0.5], -0.5]],
+}
+_GENERAL_STDOUT = "09ebce5a3b1bd0ed019d69249a053d2b5605e2eb541828269aed025a54edf769"
+_GENERAL_PAYLOAD = "cfd65b96e64e306418247bf45f4348f38021b830c7f81fb3368be45c7a981164"
+
+
+def test_general_unravel_keeps_its_bytes(tmp_path, capsys):
+    cfg, payload = tmp_path / "general.json", tmp_path / "payload.json"
+    cfg.write_text(json.dumps(_GENERAL_CONFIG))
+    argv = ["unravel", "--config", str(cfg), "--trajectories", "200", "--t-final", "0.05", "--threads", "1"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _GENERAL_STDOUT
+    assert cli.main(argv + ["--format", "json", "--output", str(payload)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(payload.read_bytes()).hexdigest() == _GENERAL_PAYLOAD
 
 
 def test_csv_floats_survive_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from ssesim.master import (
     bloch_block,
     choi_matrix,
     cp_verdict,
-    extract_map,
     integrate_master,
     map_grid,
     pauli_channel_map,
@@ -75,16 +74,16 @@ def test_extract_map_matches_matrix_exponential():
     for dt in (0.01, 0.005):
         n = int(round(t / dt))
         exact = scipy.linalg.expm(lmat * t)
-        err = np.linalg.norm(extract_map(gen, t, dt).superoperator - exact, 2)
+        err = np.linalg.norm(map_grid(gen, t, dt).superoperator - exact, 2)
         assert err <= n * np.exp(t * norm) * (dt * norm) ** 5 / 120.0
         errors.append(err)
     assert np.log2(errors[0] / errors[1]) >= 3.7
     exact = scipy.linalg.expm(lmat * 0.2)
-    assert np.max(np.abs(extract_map(gen, 0.2, 1e-3).superoperator - exact)) <= 1e-10
+    assert np.max(np.abs(map_grid(gen, 0.2, 1e-3).superoperator - exact)) <= 1e-10
 
 
 def test_choi_matrix_matches_definition():
-    m = extract_map(_random_generator(24), 0.3, 1e-3)
+    m = map_grid(_random_generator(24), 0.3, 1e-3)
     units = np.eye(9, dtype=complex).reshape(9, 3, 3)
     want = sum(np.kron(e, apply_map(m, e)) for e in units)
     assert np.max(np.abs(choi_matrix(m) - want)) <= 1e-15
@@ -162,7 +161,7 @@ def test_master_times_off_grid_or_beyond_the_ceiling_are_refused(t):
     with pytest.raises(ValidationError):
         integrate_master(rho0, pauli_generator(SIGNED), t, 1e-3)
     with pytest.raises(ValidationError):
-        extract_map(pauli_generator(SIGNED), t, 1e-3)
+        map_grid(pauli_generator(SIGNED), t, 1e-3)
 
 
 def test_integrate_rejects_non_density_input():
@@ -209,19 +208,19 @@ def test_rk4_is_fourth_order():
 
 
 def test_extract_map_zero_time_is_identity():
-    m = extract_map(pauli_generator(SIGNED), 0.0, 1e-3)
+    m = map_grid(pauli_generator(SIGNED), 0.0, 1e-3)
     assert np.max(np.abs(m.superoperator - np.eye(4))) == 0.0
 
 
 def test_extract_map_bloch_block_signed_rates():
     t = 0.3
-    m = extract_map(pauli_generator(SIGNED), t, 1e-3)
+    m = map_grid(pauli_generator(SIGNED), t, 1e-3)
     expected = np.diag([1.0, 1.0, np.exp(-4.0 * t)])
     assert np.max(np.abs(bloch_block(m) - expected)) <= 1e-9
 
 
 def test_extract_map_bloch_block_isotropic():
-    m = extract_map(pauli_generator((1.0, 1.0, 1.0)), 0.5, 1e-3)
+    m = map_grid(pauli_generator((1.0, 1.0, 1.0)), 0.5, 1e-3)
     assert np.max(np.abs(bloch_block(m) - np.exp(-2.0) * np.eye(3))) <= 1e-9
 
 
@@ -231,7 +230,7 @@ def test_map_grid_matches_per_time_extraction():
     grid = map_grid(gen, times, 1e-3).superoperator
     assert grid.shape == (3, 4, 4)
     for k, t in enumerate(times):
-        assert np.array_equal(grid[k], extract_map(gen, t, 1e-3).superoperator)
+        assert np.array_equal(grid[k], map_grid(gen, t, 1e-3).superoperator)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -242,7 +241,7 @@ def test_map_grid_entries_are_bitwise_their_own_extraction(seed):
     steps = np.sort(rng.choice(np.arange(1, 300), size=7, replace=False))
     grid = map_grid(gen, steps * 1e-3, 1e-3).superoperator
     for k in (0, 3, 6):
-        assert np.array_equal(grid[k], extract_map(gen, steps[k] * 1e-3, 1e-3).superoperator)
+        assert np.array_equal(grid[k], map_grid(gen, steps[k] * 1e-3, 1e-3).superoperator)
 
 
 def _rk4_stability(z):
@@ -353,7 +352,7 @@ def test_stacked_map_views_equal_each_lone_map_bitwise(rates):
     assert blocks.shape == (3, 3, 3)
     assert verdict.positive_on_samples.shape == verdict.min_output_eigenvalue.shape == (3,)
     for k, t in enumerate(times):
-        lone = extract_map(gen, t, 1e-3)
+        lone = map_grid(gen, t, 1e-3)
         lone_verdict = positivity_verdict(lone, 3, seed=1)
         assert blocks[k].tobytes() == bloch_block(lone).tobytes()
         assert np.shape(lone_verdict.min_output_eigenvalue) == ()
@@ -370,7 +369,7 @@ def test_extract_map_builds_and_checks_one_map(monkeypatch):
         check(m)
 
     monkeypatch.setattr(DynamicalMap, "__post_init__", counted)
-    m = extract_map(pauli_generator(SIGNED), 0.25, 1e-3)
+    m = map_grid(pauli_generator(SIGNED), 0.25, 1e-3)
     assert built == [(4, 4)]
     assert m.superoperator.shape == (4, 4)
 
@@ -386,7 +385,7 @@ def test_apply_map_broadcasts_stack_axes_against_operand_batch_axes():
     gen = _random_generator(25)
     times = [0.1, 0.2, 0.3]
     stack = map_grid(gen, times, 1e-3)
-    lone = [extract_map(gen, t, 1e-3) for t in times]
+    lone = [map_grid(gen, t, 1e-3) for t in times]
     rng = np.random.default_rng(26)
     rhos = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
     one_each = apply_map(stack, rhos)
@@ -411,7 +410,7 @@ def test_integrate_master_takes_a_stack_of_densities():
 
 
 def test_choi_of_identity_map():
-    verdict = cp_verdict(choi_matrix(extract_map(pauli_generator(SIGNED), 0.0, 1e-3)))
+    verdict = cp_verdict(choi_matrix(map_grid(pauli_generator(SIGNED), 0.0, 1e-3)))
     assert verdict.cp
     assert abs(verdict.min_eigenvalue) <= 1e-12
     assert abs(verdict.min_eigenvalue_raw - 0.0) <= 1e-12
@@ -437,7 +436,7 @@ def test_pauli_channel_choi_spectrum_brute_force():
 
 
 def test_choi_signed_rates_is_not_cp():
-    m = extract_map(pauli_generator(SIGNED), 0.25, 1e-3)
+    m = map_grid(pauli_generator(SIGNED), 0.25, 1e-3)
     verdict = cp_verdict(choi_matrix(m))
     assert not verdict.cp
     assert abs(verdict.min_eigenvalue - (np.exp(-1.0) - 1.0) / 4.0) <= 1e-6
@@ -445,7 +444,7 @@ def test_choi_signed_rates_is_not_cp():
 
 
 def test_choi_isotropic_rates_is_cp():
-    m = extract_map(pauli_generator((1.0, 1.0, 1.0)), 0.5, 1e-3)
+    m = map_grid(pauli_generator((1.0, 1.0, 1.0)), 0.5, 1e-3)
     verdict = cp_verdict(choi_matrix(m))
     assert verdict.cp
     lam = np.exp(-2.0)
@@ -455,7 +454,7 @@ def test_choi_isotropic_rates_is_cp():
 
 
 def test_choi_minimum_approaches_negative_quarter():
-    verdict = cp_verdict(choi_matrix(extract_map(pauli_generator(SIGNED), 5.0, 1e-3)))
+    verdict = cp_verdict(choi_matrix(map_grid(pauli_generator(SIGNED), 5.0, 1e-3)))
     assert abs(verdict.min_eigenvalue - (-0.25)) <= 1e-6
 
 
@@ -479,7 +478,7 @@ def test_stacked_cp_verdict_matches_each_maps_own():
     stacked = cp_verdict(choi_matrix(map_grid(gen, times, 1e-3)))
     assert stacked.cp.shape == stacked.min_eigenvalue.shape == stacked.min_eigenvalue_raw.shape == (5,)
     for k, t in enumerate(times):
-        lone = cp_verdict(choi_matrix(extract_map(gen, t, 1e-3)))
+        lone = cp_verdict(choi_matrix(map_grid(gen, t, 1e-3)))
         assert np.shape(lone.min_eigenvalue) == ()
         assert stacked.cp[k] == lone.cp
         assert stacked.min_eigenvalue[k] == lone.min_eigenvalue
@@ -487,13 +486,13 @@ def test_stacked_cp_verdict_matches_each_maps_own():
 
 
 def test_positivity_of_identity_map():
-    verdict = positivity_verdict(extract_map(pauli_generator(SIGNED), 0.0, 1e-3), 2000, seed=8)
+    verdict = positivity_verdict(map_grid(pauli_generator(SIGNED), 0.0, 1e-3), 2000, seed=8)
     assert verdict.positive_on_samples
     assert abs(verdict.min_output_eigenvalue) <= 1e-12
 
 
 def test_positivity_of_signed_rate_map():
-    m = extract_map(pauli_generator(SIGNED), 0.25, 1e-3)
+    m = map_grid(pauli_generator(SIGNED), 0.25, 1e-3)
     verdict = positivity_verdict(m, 10000, seed=8)
     assert verdict.positive_on_samples
     assert verdict.min_output_eigenvalue >= -1e-9
@@ -508,14 +507,14 @@ def test_positivity_detects_synthetic_violation():
 
 def test_apply_map_agrees_with_integration():
     gen = pauli_generator(SIGNED)
-    m = extract_map(gen, 0.2, 1e-3)
+    m = map_grid(gen, 0.2, 1e-3)
     rho0 = _bloch_density(np.array([0.1, 0.6, -0.3])).astype(complex)
     direct = integrate_master(rho0, gen, 0.2, 1e-3)
     assert np.max(np.abs(apply_map(m, rho0) - direct)) <= 1e-12
 
 
 def test_positivity_sampling_is_reproducible():
-    m = extract_map(pauli_generator(SIGNED), 0.25, 1e-3)
+    m = map_grid(pauli_generator(SIGNED), 0.25, 1e-3)
     a = positivity_verdict(m, 500, seed=3)
     b = positivity_verdict(m, 500, seed=3)
     assert a.min_output_eigenvalue == b.min_output_eigenvalue

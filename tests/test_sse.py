@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssesim import sse
-from ssesim.algebra import bloch_from_state, pauli, random_state
+from ssesim.algebra import bloch_from_density, bloch_from_state, bloch_standard_error, pauli, random_state
 from ssesim.errors import DimensionError, StepSizeError, ValidationError
 from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_master
 from ssesim.param import redundancy_witness
@@ -469,7 +469,7 @@ def test_single_trajectory_ensemble_is_pure(model):
     traj = simulate_trajectory(model, POLE, 0.1, 1e-3, seed=5, trajectory_id=0)
     idx = np.round(est.times / 1e-3).astype(int)
     assert np.array_equal(est.mean_density, _projectors(traj.states[idx]))
-    assert np.all(np.isinf(est.standard_error))
+    assert np.all(np.isinf(bloch_standard_error(est.density_standard_error)))
 
 
 def test_report_grid_arrays_are_sized_by_grid_points(monkeypatch):
@@ -494,7 +494,8 @@ def test_ensemble_thread_count_does_not_change_bytes():
     serial = ensemble_density(*args, threads=1)
     threaded = ensemble_density(*args, threads=4)
     assert serial.mean_density.tobytes() == threaded.mean_density.tobytes()
-    assert serial.standard_error.tobytes() == threaded.standard_error.tobytes()
+    se = [bloch_standard_error(est.density_standard_error) for est in (serial, threaded)]
+    assert se[0].tobytes() == se[1].tobytes()
 
 
 def test_pool_size_is_clamped_to_cpus_and_blocks(monkeypatch):
@@ -558,13 +559,13 @@ def test_ensemble_mean_density_is_physical():
 def test_ensemble_tracks_master_equation():
     est = ensemble_density(NonCpQubitModel(), POLE, 0.1, 1e-3, 4000, seed=31)
     reference = analytic_pauli_solution(np.array([0.0, 0.0, 1.0]), (1, 1, -1), est.times)
-    deviation = np.abs(est.bloch() - reference)
-    assert np.all(deviation <= 3.0 * est.standard_error + 2.0 * 1e-3)
+    deviation = np.abs(bloch_from_density(est.mean_density) - reference)
+    assert np.all(deviation <= 3.0 * bloch_standard_error(est.density_standard_error) + 2.0 * 1e-3)
 
 
 def test_ensemble_conserves_plus_state_mean():
     est = ensemble_density(NonCpQubitModel(), PLUS, 0.2, 1e-3, 200, seed=8)
-    assert np.max(np.abs(est.bloch()[:, 0] - 1.0)) <= 1e-10
+    assert np.max(np.abs(bloch_from_density(est.mean_density)[:, 0] - 1.0)) <= 1e-10
 
 
 def test_general_ensemble_matches_lindblad_integration():
@@ -583,8 +584,8 @@ def test_general_ensemble_matches_lindblad_integration():
         rho = integrate_master(rho, gen, t - prev, 1e-3)
         reference.append([2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
         prev = t
-    deviation = np.abs(est.bloch() - np.asarray(reference))
-    assert np.all(deviation <= 3.0 * est.standard_error + 2.0 * 1e-3)
+    deviation = np.abs(bloch_from_density(est.mean_density) - np.asarray(reference))
+    assert np.all(deviation <= 3.0 * bloch_standard_error(est.density_standard_error) + 2.0 * 1e-3)
 
 
 def test_ensemble_rejects_zero_trajectories():
@@ -616,7 +617,7 @@ def test_qutrit_ensemble_matches_lindblad_integration_and_ignores_threads():
     for part in (np.real, np.imag):
         assert np.all(np.abs(part(est.mean_density - reference)) <= 5.0 * part(se) + 2.0 * dt)
     with pytest.raises(DimensionError):
-        est.standard_error
+        bloch_standard_error(est.density_standard_error)
 
 
 @pytest.mark.parametrize(
@@ -634,7 +635,7 @@ def test_bloch_standard_error_is_the_sample_error_of_trajectory_bloch_vectors(mo
     paths = [simulate_trajectory(model, psi0, t_final, dt, seed=4, trajectory_id=i) for i in range(n)]
     bloch = bloch_from_state(np.array([p.states[idx] for p in paths]))
     expected = np.std(bloch, axis=0, ddof=1) / np.sqrt(n)
-    assert np.max(np.abs(est.standard_error - expected)) <= 1e-14
+    assert np.max(np.abs(bloch_standard_error(est.density_standard_error) - expected)) <= 1e-14
 
 
 def test_ensemble_above_the_byte_bound_is_refused_before_stepping(monkeypatch):
