@@ -35,7 +35,6 @@ from .param import (
     correlation_from_noise,
     noise_from_correlation,
     redundancy_witness,
-    takagi,
 )
 from .sse import (
     EnsembleEstimate,

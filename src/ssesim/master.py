@@ -119,6 +119,11 @@ def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
     return n0 * decay
 
 
+def _choi(s: np.ndarray, d: int) -> np.ndarray:
+    # Choi-Jamiolkowski reshuffle: C[(i, k), (j, l)] = Lambda(E_ij)[k, l] = S[k d + l, i d + j].
+    return np.einsum("...klij->...ikjl", s.reshape(*s.shape[:-2], d, d, d, d)).reshape(s.shape)
+
+
 @dataclass
 class DynamicalMap:
     """Superoperator acting on row-major vectorized d x d matrices: one d^2 x d^2
@@ -138,7 +143,7 @@ class DynamicalMap:
         dev = max_abs(tvec @ s - tvec, axis=-1) / matrix_scale(s)
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not trace preserving")
         # Lambda(E_ij)^dag = Lambda(E_ji) for all i, j is Hermiticity of the Choi matrix.
-        dev = hermiticity_deviation(choi_matrix(self))
+        dev = hermiticity_deviation(_choi(s, d))
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not Hermiticity preserving")
 
 
@@ -216,9 +221,7 @@ def pauli_channel_map(lambdas) -> DynamicalMap:
 
 def choi_matrix(m: DynamicalMap) -> np.ndarray:
     """Unnormalized Choi matrix sum_ij E_ij (x) Lambda(E_ij) of a checked map, or the stack of them: Hermitian, trace d."""
-    # Choi-Jamiolkowski reshuffle: C[(i, k), (j, l)] = Lambda(E_ij)[k, l] = S[k d + l, i d + j].
-    d, s = m.dim, m.superoperator
-    return np.einsum("...klij->...ikjl", s.reshape(*s.shape[:-2], d, d, d, d)).reshape(s.shape)
+    return _choi(m.superoperator, m.dim)
 
 
 # Eigenvalues down to -_VERDICT_TOL count as nonnegative in both verdicts.

@@ -4,8 +4,8 @@ An N x n isometric noise matrix u mixes n Lindblad channels into N real
 Wiener processes.  Physically distinct unravelings are labeled by the n x n
 complex symmetric correlation matrix s with conj(s) = u^T u; the map u -> s
 is many-to-one (u and O u give the same s for any orthogonal O), and every
-feasible s (spectral norm <= 1) is realized by an explicit 2n x n isometry
-built from a Takagi factorization.
+feasible s (spectral norm <= 1) is realized by an explicit 2n x n isometry,
+the real square root of a symmetric 2n x 2n embedding of s.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .algebra import max_abs, require_isometry, require_normalized, require_with
 from .errors import DimensionError, InfeasibleError, ValidationError
 from .sse import GeneralDiffusiveModel, _contract, _path, _wiener, _wiener_key
 
-_DEGENERACY_TOL = 1e-12
 # Entries of the largest temporary of the witness noise map, N^2 per case and
 # step: at most _NOISE_ENTRIES per case, and _NOISE_STACK_ENTRIES in all.
 _NOISE_ENTRIES = 1 << 8
@@ -30,7 +29,9 @@ def _require_symmetric(s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise DimensionError(f"correlation matrix must be square, got shape {s.shape}")
-    dev = max_abs(s - s.swapaxes(-1, -2), axis=(-2, -1))
+    # An infinite entry gives NaN, with no warning, which the check below refuses.
+    with np.errstate(invalid="ignore"):
+        dev = max_abs(s - s.swapaxes(-1, -2), axis=(-2, -1))
     message = "correlation matrix{at} is not symmetric (max |s - s^T| = {dev:.3e})"
     require_within(dev, 1e-10, ValidationError, message)
     return s
@@ -46,53 +47,26 @@ def correlation_from_noise(u) -> np.ndarray:
     return s
 
 
-def takagi(s) -> tuple[np.ndarray, np.ndarray]:
-    """Takagi factorization s = w diag(sigma) w^T of a complex symmetric matrix, or of each of a stack.
-
-    s conj(w_j) = sigma_j w_j with w_j = x + iy says that (x, y) is an
-    eigenvector of the real symmetric embedding [[Re s, Im s], [Im s, -Re s]]
-    with eigenvalue sigma_j; its spectrum is +-sigma.  So the top n
-    eigenvectors give the Takagi vectors however close the sigma_j lie, with
-    no clusters to resolve.  Values at or below 1e-12 are set to 0, and a QR
-    completes w to a unitary.
-    """
-    s = _require_symmetric(s)
-    n = s.shape[-1]
-    lam, vec = np.linalg.eigh(np.block([[s.real, s.imag], [s.imag, -s.real]]))
-    sigma, vec = lam[..., : n - 1 : -1], vec[..., : n - 1 : -1]
-    kept = sigma > _DEGENERACY_TOL
-    # A QR completes w and restores orthonormality lost where sigma_j is
-    # barely above the threshold and so close to its -sigma_j partner; the
-    # phases of its diagonal are put back on the kept columns, since w_j and
-    # e^{i phi} w_j differ.  The dropped columns, the trailing ones, are zeroed
-    # so that the QR leaves the kept ones as it would factor them alone.
-    vectors = np.where(kept[..., None, :], vec[..., :n, :] + 1j * vec[..., n:, :], 0.0)
-    w, r = np.linalg.qr(vectors, mode="complete")
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = np.divide(d, np.abs(d), out=np.ones_like(d), where=kept)
-    np.multiply(w, phase[..., None, :], out=w, where=kept[..., None, :])
-    return np.where(kept, sigma, 0.0), w
-
-
 def noise_from_correlation(s) -> np.ndarray:
     """Canonical 2n x n isometry u with conj(u^T u) = s, or a stack (..., 2n, n) of them for (..., n, n).
 
-    Takagi-factorize conj(s) = v diag(sigma) v^T, set p_j = sqrt((1+sigma_j)/2)
-    and q_j = sqrt((1-sigma_j)/2), stack diag(p) over i*diag(q), and rotate by
-    v^T.  Rejects spectral norm above 1 + 1e-10.
+    With conj(s) = R + iJ, the real symmetric embedding E = [[R, J], [J, -R]]
+    has spectrum +-sigma, the Takagi values of s, so its top eigenvalue is the
+    spectral norm of s; above 1 + 1e-10 it is refused.  Otherwise the real
+    square root M = sqrt((I + E) / 2) gives u = M[:, :n] + i M[:, n:], since
+    M^2 = (I + E) / 2 says u^T u = R + iJ and u^dag u = I.  M is a function of
+    E, so it does not depend on the eigenvectors picked inside a degenerate
+    eigenspace.
     """
-    s = np.asarray(s, dtype=complex)
-    sigma, v = takagi(np.conj(s))
+    s = _require_symmetric(s)
+    t, n = np.conj(s), s.shape[-1]
+    lam, vec = np.linalg.eigh(np.block([[t.real, t.imag], [t.imag, -t.real]]))
     message = "correlation matrix{at} has spectral norm {dev:.12g} > 1"
-    require_within(sigma.max(axis=-1, initial=0.0), 1.0 + 1e-10, InfeasibleError, message)
-    n = s.shape[-1]
-    stacked = np.zeros(s.shape[:-2] + (2 * n, n), dtype=complex)
-    diagonal = np.arange(n)
-    stacked[..., diagonal, diagonal] = np.sqrt((1.0 + sigma) / 2.0)
-    stacked[..., n + diagonal, diagonal] = 1j * np.sqrt(np.clip(1.0 - sigma, 0.0, None) / 2.0)
-    u = require_isometry(stacked @ v.swapaxes(-1, -2))
+    require_within(lam.max(axis=-1, initial=0.0), 1.0 + 1e-10, InfeasibleError, message)
+    root = (vec * np.sqrt(np.clip(1.0 + lam, 0.0, None) / 2.0)[..., None, :]) @ vec.swapaxes(-1, -2)
+    u = require_isometry(root[..., :n] + 1j * root[..., n:])
     dev = max_abs(np.conj(u.swapaxes(-1, -2) @ u) - s, axis=(-2, -1))
-    require_within(dev, 1e-10, ValidationError, "Takagi construction failed to reproduce correlation matrix{at}")
+    require_within(dev, 1e-10, ValidationError, "noise construction failed to reproduce correlation matrix{at}")
     return u
 
 

@@ -20,6 +20,10 @@ _REMOVED = {
         "spectral_norm",
         # One case is a stack with no case axis: `redundancy_witness` takes both.
         "redundancy_witnesses",
+        # `noise_from_correlation` takes the real square root of the embedding whose
+        # eigenvectors gave the Takagi vectors, so no cut of small values is left.
+        "takagi",
+        "_DEGENERACY_TOL",
     ],
     # `_renormalize` was merged into `_path`, the one stepping loop.  One step size is a
     # sequence with no step-size axis: `ensemble_density` takes both.

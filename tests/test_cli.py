@@ -1015,7 +1015,7 @@ _JSON_PAYLOADS = {
     "unravel": "2aa1db2df8b299aacc149fd5a64b16e047bb1df100b2ef6381e67b742ddfe014",
     "choi": "b2e5d8f6a9024130d4ce8ab3b09bd54b6a8da9b74f5768b71e32e68ad6ec22a2",
     "identity": "7b40d1eb03c65958ebfab57aeb61775e16ab2f96e94dbc81a2de3a7e460f14b7",
-    "param": "04cd82b559a440b6a4e980eaf923854c4d891830fb9e49b5e675adfd096fca3c",
+    "param": "e85106fa44a9a0a32cd32f2358d024a18dc0652beb9ddb379e8717fabe8ddc2a",
     "convergence": "aa1e5e3d2a0e7ae069b41f66aa2c3e3203fd41b153dd4c638e8df442319968fd",
 }
 

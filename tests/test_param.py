@@ -19,7 +19,6 @@ from ssesim.param import (
     random_isometry,
     random_orthogonal,
     redundancy_witness,
-    takagi,
 )
 
 H_TEST = np.array([[0.15, 0.2], [0.2, -0.15]], dtype=complex)
@@ -85,24 +84,37 @@ def test_map_noise_second_moments():
     assert np.max(np.abs(cross - np.eye(2))) <= 0.05
 
 
-def test_takagi_reconstruction_sweep():
+def _assert_realized(s, u, tol):
+    assert u.shape == s.shape[:-2] + (2 * s.shape[-1], s.shape[-1])
+    assert np.max(np.abs(correlation_from_noise(u) - s)) <= tol
+    assert np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(s.shape[-1]))) <= tol
+
+
+def test_spectral_norm_sweep():
+    # The top eigenvalue of the real embedding is the spectral norm of s: norm 1 is
+    # realized, and 1 + 1e-8 is refused with that norm in the message.
     for n in (1, 2, 3, 4):
         for case in range(25):
             s = random_correlation(8, n, case)
-            sigma, w = takagi(s)
-            assert np.all(sigma >= 0.0)
-            assert np.all(np.diff(sigma) <= 1e-12)
-            assert np.max(np.abs(w @ np.diag(sigma) @ w.T - s)) <= 1e-10
-            assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-10
+            s = s / np.linalg.norm(s, 2)
+            _assert_realized(s, noise_from_correlation(s), 1e-10)
+            with pytest.raises(InfeasibleError, match=r"spectral norm 1\.0000000\d* > 1"):
+                noise_from_correlation((1.0 + 1e-8) * s)
 
 
-def test_takagi_handles_degenerate_spectra():
+def test_noise_from_correlation_handles_degenerate_spectra():
     v = random_isometry(2, 3, 3, 0)
-    # Gaps of 2e-12 lie above the 1e-12 threshold but leave SVD vectors ill-conditioned.
+    # Clusters of equal or nearly equal Takagi values, and of zeros.
     for sigma in ([0.7, 0.7, 0.7], [0.9, 0.9, 0.0], [0.0, 0.0, 0.0], [0.9 + 4e-12, 0.9 + 2e-12, 0.9]):
         s = v @ np.diag(sigma) @ v.T
-        sig, w = takagi(s)
-        assert np.max(np.abs(w @ np.diag(sig) @ w.T - s)) <= 1e-10
+        _assert_realized(s, noise_from_correlation(s), 1e-10)
+
+
+def test_noise_from_correlation_keeps_tiny_takagi_values():
+    # Values of order 1e-12 are neither dropped nor merged with their -sigma partners.
+    v = random_isometry(2, 3, 3, 0)
+    s = v @ np.diag([0.9, 1e-12, 5e-13]) @ v.T
+    _assert_realized(s, noise_from_correlation(s), 1e-13)
 
 
 _GAPS = (0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-9)
@@ -116,20 +128,16 @@ _GAPS = (0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-9)
     zeros=st.integers(0, 2),
     haar=st.integers(0, 2**31 - 1),
 )
-def test_takagi_round_trip_near_the_degeneracy_threshold(n, top, gaps, zeros, haar):
-    # Clusters whose gaps straddle the 1e-12 threshold; the last `near_zero`
-    # values are replaced by values near 0.
+def test_noise_round_trip_near_degenerate_spectra(n, top, gaps, zeros, haar):
+    # Clusters with gaps from 0 to 1e-9; the last `near_zero` values are
+    # replaced by values near 0.
     near_zero = min(zeros, n - 1)
     sigma = top - np.cumsum([0.0] + gaps[: n - 1])
     sigma[n - near_zero :] = gaps[:near_zero]
     q = unitary_group.rvs(n, random_state=haar)
     s = q @ np.diag(sigma) @ q.T
     s = (s + s.T) / 2.0
-    sig, w = takagi(s)
-    assert np.all(np.diff(sig) <= 0.0)
-    assert np.max(np.abs(w @ np.diag(sig) @ w.T - s)) <= 1e-10
-    assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-10
-    noise_from_correlation(s)
+    _assert_realized(s, noise_from_correlation(s), 1e-10)
 
 
 def test_noise_from_identity_correlation():
@@ -167,22 +175,25 @@ def test_noise_from_correlation_rejects_asymmetric_input():
         noise_from_correlation(asymmetric)
     with pytest.raises(ValidationError, match="correlation matrix 1 is not symmetric"):
         noise_from_correlation(np.stack([np.eye(2), asymmetric]))
+    # inf - inf is NaN, which the symmetry check refuses with no RuntimeWarning.
+    with pytest.raises(ValidationError, match="correlation matrix is not symmetric"):
+        noise_from_correlation([[np.inf, 0.0], [0.0, 0.0]])
 
 
 def _missing_round_trip(monkeypatch):
-    # Each Takagi value scaled by 1 + 1e-8 keeps u an isometry but moves u^T u off s by about 1e-8.
-    real = param.takagi
+    # Each eigenvalue of the embedding scaled by 1 + 1e-8 keeps u an isometry but moves u^T u off s by about 1e-8.
+    real = np.linalg.eigh
 
-    def scaled(s):
-        sigma, w = real(s)
-        return sigma * (1.0 + 1e-8), w
+    def scaled(a):
+        lam, vec = real(a)
+        return lam * (1.0 + 1e-8), vec
 
-    monkeypatch.setattr(param, "takagi", scaled)
+    monkeypatch.setattr(np.linalg, "eigh", scaled)
 
 
 def test_noise_from_correlation_refuses_a_construction_that_misses_its_round_trip(monkeypatch):
     _missing_round_trip(monkeypatch)
-    with pytest.raises(ValidationError, match="Takagi construction failed to reproduce correlation matrix 0"):
+    with pytest.raises(ValidationError, match="noise construction failed to reproduce correlation matrix 0"):
         noise_from_correlation(random_correlation(3, 2, np.arange(3)))
 
 
@@ -190,7 +201,7 @@ def test_param_exits_two_when_the_construction_misses_its_round_trip(monkeypatch
     _missing_round_trip(monkeypatch)
     assert cli.main(["param", "--cases", "3", "--witness-steps", "2"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: Takagi construction failed") and err.count("\n") == 1
+    assert out == "" and err.startswith("error: noise construction failed") and err.count("\n") == 1
 
 
 # noise_from_correlation is the feasibility check: it realizes a feasible s and
@@ -408,7 +419,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# Takagi spectra of full rank, rank 1, rank 0, rank n - 1 and with gaps about the 1e-12 threshold.
+# Takagi spectra of full rank, rank 1, rank 0, rank n - 1 and with gaps of 2e-12.
 _SPECTRA = (
     lambda n: np.full(n, 0.7),
     lambda n: np.r_[0.9, np.zeros(n - 1)],
@@ -445,9 +456,6 @@ def test_stacked_calls_keep_each_cases_bits(seed, n, extra_rows, shape, data):
         if kind >= 0:
             v = random_isometry(seed, n, n, i)
             flat[i] = v @ np.diag(_SPECTRA[kind](n)) @ v.T
-    sigma, w = takagi(s)
-    assert _same_bits(sigma, _lone(lambda m: takagi(m)[0], s, 2))
-    assert _same_bits(w, _lone(lambda m: takagi(m)[1], s, 2))
     u = noise_from_correlation(s)
     assert _same_bits(u, _lone(noise_from_correlation, s, 2))
     assert _same_bits(correlation_from_noise(u), _lone(correlation_from_noise, u, 2))

@@ -63,7 +63,7 @@ def test_work_counters_read_parameters_of_the_function_they_measure(tracing):
         assert keys <= params, f"{name} lacks the parameters {sorted(keys - params)}"
 
 
-def _ensemble_spans(tracing, argv):
+def _trace(tracing, argv):
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -73,7 +73,11 @@ def _ensemble_spans(tracing, argv):
             assert cli.main(argv) in (0, 1)
     finally:
         tracer.remove()
-    return [s for s in tracer.spans if s.name == "sse.ensemble_density"]
+    return tracer.spans
+
+
+def _ensemble_spans(tracing, argv):
+    return [s for s in _trace(tracing, argv) if s.name == "sse.ensemble_density"]
 
 
 def test_unravel_ensemble_span_counts_its_trajectory_steps(tracing):
@@ -86,3 +90,9 @@ def test_unravel_ensemble_span_counts_its_trajectory_steps(tracing):
 def test_convergence_runs_every_step_size_in_one_ensemble_call(tracing):
     argv = ["convergence", "--trajectories", "64", "--t-final", "0.008", "--threads", "1"]
     assert len(_ensemble_spans(tracing, argv)) == 1
+
+
+def test_choi_forms_its_choi_matrices_in_one_top_level_span(tracing):
+    # Building and checking a map does not go through the traced `choi_matrix`.
+    spans = _trace(tracing, ["choi", "--t-final", "0.5", "--grid-points", "4"])
+    assert [spans[s.parent].name for s in spans if s.name == "master.choi_matrix"] == ["cli.main"]
