@@ -4,6 +4,13 @@ complete-positivity diagnostics, and noise-matrix parametrization algebra."""
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread per process, set before numpy loads: the matrices are at most
+# 9 x 9 and the parallelism is the ensemble's process pool.  A value set
+# before import wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .algebra import (
     bloch_from_density,
     bloch_from_state,

@@ -27,8 +27,8 @@ _NOISE_STACK_ENTRIES = 1 << 20
 
 def _require_symmetric(s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise DimensionError(f"correlation matrix must be square, got shape {s.shape}")
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2] or s.shape[-1] < 1:
+        raise DimensionError(f"correlation matrix must be n x n with n >= 1, got shape {s.shape}")
     # An infinite entry gives NaN, with no warning, which the check below refuses.
     with np.errstate(invalid="ignore"):
         dev = max_abs(s - s.swapaxes(-1, -2), axis=(-2, -1))

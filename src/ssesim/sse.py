@@ -18,7 +18,6 @@ and return states of shape (..., d).
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,8 +447,10 @@ def ensemble_density(
         # finish are short; the partials go back into task order.
         order = sorted(range(len(tasks)), key=lambda i: -tasks[i][4] * (tasks[i][7] - tasks[i][6]))
         rng.load_ndtri()  # once here, so that forked workers do not each import scipy
+        from concurrent.futures import BrokenExecutor
+
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _process_pool(workers) as pool:
                 done = dict(zip(order, pool.map(_block_partials, [tasks[i] for i in order])))
             partials = [done[i] for i in range(len(tasks))]
         except BrokenExecutor as exc:
@@ -462,6 +463,13 @@ def ensemble_density(
     center = np.outer(psi0, psi0.conj())
     estimates = [_estimate(partials[i:j], grid_idx, level, n_traj, center) for level, grid_idx, i, j in levels]
     return estimates if np.ndim(dt) else estimates[0]
+
+
+def _process_pool(workers: int):
+    # Imported here, so that a command that never pools does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
 
 
 def _estimate(partials, grid_idx, dt: float, n_traj: int, center) -> EnsembleEstimate:

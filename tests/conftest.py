@@ -31,6 +31,6 @@ def serial_pool(monkeypatch):
             record.tasks.extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(sse, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sse, "_process_pool", SerialPool)
     monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     return record

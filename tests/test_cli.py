@@ -844,18 +844,48 @@ def test_a_dead_worker_exits_two_with_an_error_line(capsys, monkeypatch):
     assert err.startswith("error:") and "worker process died" in err
 
 
-def _fresh_python(script):
-    # Runs the script in a new interpreter that imports the same package as this test.
+def _child_env(**env):
+    # This process's environment, with the same package as this test on the path;
+    # `env` sets further variables, and a None value unsets one.
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    merged = {**os.environ, "PYTHONPATH": path, **env}
+    return {key: value for key, value in merged.items() if value is not None}
+
+
+def _fresh_python(script, **env):
+    # Runs the script in a new interpreter that imports the same package as this test.
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, env=_child_env(**env)
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_pool_or_scipy_module():
+    loaded = _fresh_python(
+        """
+        import json, sys
+        import ssesim.cli
+
+        print(json.dumps([name for name in ("concurrent.futures", "multiprocessing", "scipy") if name in sys.modules]))
+        """
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_importing_ssesim_pins_blas_to_one_thread_unless_preset(preset, expected):
+    seen = _fresh_python(
+        """
+        import json, os
+        import ssesim
+
+        print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+        """,
+        OPENBLAS_NUM_THREADS=preset,
+    )
+    assert seen == expected
 
 
 def test_scipy_is_not_imported_by_commands_that_draw_nothing():
@@ -902,7 +932,7 @@ def test_scipy_is_imported_before_the_pool_starts():
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        sse.ProcessPoolExecutor = SerialPool
+        sse._process_pool = SerialPool
         sse.os.sched_getaffinity = lambda pid: {0, 1}
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["unravel", "--trajectories", "4196", "--t-final", "0.002", "--threads", "2"]) == 0
@@ -1033,6 +1063,19 @@ def test_json_payloads_keep_their_bytes(argv, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _JSON_PAYLOADS[argv[0]]
 
 
+@pytest.mark.parametrize("argv", [argv for argv in _SMALL_RUNS if argv[0] in ("choi", "param")], ids=lambda a: a[0])
+def test_payloads_do_not_depend_on_blas_threads(argv, tmp_path):
+    for blas_threads in (None, "2"):
+        path = tmp_path / f"payload-{blas_threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ssesim", *argv, "--format", "json", "--output", str(path)],
+            capture_output=True,
+            env=_child_env(OPENBLAS_NUM_THREADS=blas_threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _JSON_PAYLOADS[argv[0]]
+
+
 # sha256 of the stdout report and of the JSON payload of one small general `unravel`: the witness
 # Hamiltonian, the first three witness Lindblads and a fixed 4x3 isometry, the first three
 # columns of the 4-point DFT matrix.
@@ -1071,13 +1114,11 @@ def test_csv_floats_survive_round_trip(tmp_path):
 
 def test_module_entry_point_smoke():
     # The child imports the same package as this test, installed or not.
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ssesim", "identity", "--trajectories", "100"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "PASS"

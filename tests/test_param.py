@@ -228,6 +228,12 @@ def test_validate_correlation_rejects_non_square():
         noise_from_correlation(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_noise_from_correlation_refuses_an_empty_correlation_matrix(shape):
+    with pytest.raises(DimensionError, match=r"^correlation matrix must be n x n with n >= 1, got shape \(.*0, 0\)$"):
+        noise_from_correlation(np.zeros(shape))
+
+
 def test_witness_identity_rotation_is_exact():
     u = random_isometry(9, 4, 2, 1)
     w = redundancy_witness(

@@ -514,7 +514,7 @@ def test_pool_size_is_clamped_to_cpus_and_blocks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sse, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sse, "_process_pool", SerialPool)
     args = (NonCpQubitModel(), POLE, 0.002, 1e-3, 3 * 4096, 42)  # three blocks
     serial = ensemble_density(*args)
     monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
