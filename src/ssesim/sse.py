@@ -8,7 +8,7 @@ Wiener channels.  Integration is Euler-Maruyama in the Ito convention with
 post-step renormalization; noise comes from a counter-based stream so every
 trajectory is reproducible independently of batching and thread count.
 
-Inside the stepping path states are component-major: a block of B
+Inside the stepping path states are component-major: a batch of B
 trajectories is a (d, B) array and its increments are (N, B), so each kernel
 works on whole component rows; a lone trajectory keeps its (d,) and (N,)
 shapes and rounds exactly like a batch column.  The public functions take
@@ -31,17 +31,21 @@ from .master import MasterGenerator, pauli_generator
 _SIGNED_RATES = (1.0, 1.0, -1.0)
 # Where 1 - n_z^2 falls below this, psi_perp switches to its pole fallback.
 _POLE_TOLERANCE = 1e-12
-_DEFAULT_BLOCK_BYTES = 1 << 24
-# Ceiling of an ensemble's trajectory count: every 4096-trajectory block of
-# every level is listed, and its partial sums kept, before the reduction.
+# Trajectories of the widest aligned chunk, whose partial sums a worker returns.
+_MAX_CHUNK = 4096
+# Trajectories a worker steps at once, give or take a chunk: wider batches cost
+# less per trajectory-step until their temporaries outgrow the caches.
+_BATCH_WIDTH = 10240
+# Ceiling of an ensemble's trajectory count: the partial sums of every chunk of
+# every level are kept until the reduction.
 MAX_TRAJECTORIES = 10**8
-# Ceiling of an ensemble's memory: the partial sums of every block of every
-# level plus the projector records of one block.
+# Ceiling of an ensemble's memory: the partial sums of every chunk of every
+# level plus the projectors of one batch at a report time.
 MAX_ENSEMBLE_BYTES = 1 << 30
 
 
 def _wiener_key(seed: int, trajectory) -> np.ndarray:
-    # The (domain, seed, trajectory) prefix of the Wiener draws, hashed once per path or block.
+    # The (domain, seed, trajectory) prefix of the Wiener draws, hashed once per path or batch.
     return rng.hash_u64(rng.DOMAIN_WIENER, seed, trajectory)
 
 
@@ -51,15 +55,16 @@ def _wiener(key, step, channel, dt: float) -> np.ndarray:
     return rng.normals(step, channel, prefix=key) * np.sqrt(dt)
 
 
-def _sum_rows(x):
-    # Left-to-right sum over the short leading axis of a temporary x, which it
-    # overwrites: the rows accumulate into x[0].  numpy's sum() pairs the terms
-    # of one trajectory's contiguous axis differently than those of a batch,
-    # and the kernels must give a batch column the bits of a lone state.
-    total = x[0]
-    for i in range(1, len(x)):
-        total += x[i]
-    return total
+def _dot(a, b):
+    # sum_i a[i] * b[i] over the short leading axis, added left to right, with no stacked
+    # (k, ...) temporary.  numpy's sum() pairs the terms of one trajectory's contiguous axis
+    # differently than those of a batch, and the kernels must give a batch column the bits of
+    # a lone state.  Rows are i:i+1 slices, so that a lone state's rows stay arrays: numpy's
+    # 0-d complex arithmetic rounds differently from the array loops a batch runs.
+    total = a[0:1] * b[0:1]
+    for i in range(1, len(a)):
+        total += a[i : i + 1] * b[i : i + 1]
+    return total[0]
 
 
 def _contract(matrix_t, x):
@@ -69,7 +74,7 @@ def _contract(matrix_t, x):
     # alone, so the k products are formed elementwise and summed in order.
     # Casting x once is cheaper than casting it inside every product.
     columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim + 1 - matrix_t.ndim))
-    return _sum_rows(columns * x.astype(matrix_t.dtype, copy=False)[:, None])
+    return _dot(columns, x.astype(matrix_t.dtype, copy=False))
 
 
 @dataclass(frozen=True)
@@ -176,15 +181,15 @@ class GeneralDiffusiveModel:
         d = psi.shape[0]
         stacked = _contract(self._stacked_t, psi)
         k_psi, l_psi = stacked[:d], stacked[d:].reshape((-1,) + psi.shape)
-        expv = _sum_rows((l_psi * psi.conj()).swapaxes(0, 1))
+        expv = _dot(l_psi.swapaxes(0, 1), psi.conj())
         # psi + [K psi + sum_j (<L_j>* L_j - |<L_j>|^2 / 2) psi] dt + sum_j xi_j (L_j - <L_j>) psi
         # = psi + K psi dt + sum_j (g_j + dt <L_j>* / 2) L_j psi - (sum_j g_j <L_j>) psi
         # with g_j = dt <L_j>* / 2 + xi_j.
         half_drift = (0.5 * dt) * expv.conj()
         g = half_drift + xi
         out = psi + k_psi * dt
-        out += _sum_rows((g + half_drift)[:, None] * l_psi)
-        out -= _sum_rows(g * expv) * psi
+        out += _dot(g + half_drift, l_psi)
+        out -= _dot(g, expv) * psi
         return out
 
 
@@ -245,7 +250,8 @@ def _path(advance, psi, noise, dt: float, ids=None, what: str = "trajectory"):
         proposal = advance(psi, xi, dt)
         # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            norm2 = _sum_rows((proposal.conj() * proposal).real)
+            squares = (proposal.conj() * proposal).real
+            norm2 = sum(squares[1:], squares[0])  # left to right, into one contiguous row
         # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
         low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
         if not 0.01 <= low <= high < np.inf:
@@ -324,20 +330,27 @@ def simulate_trajectory(
     return _record(model, psi0, dt, increments, gauge, trajectory_id)
 
 
+def _chunk_sums(x, chunk: int):
+    # The sums over x's aligned runs of a power of two `chunk` along its last axis, of which only
+    # the last may be short, on the leading axis of the result: log2(chunk) rounds of the pairwise
+    # tree, each adding adjacent pairs and passing an odd tail through.  Pairwise sums over such
+    # chunk sums are the pairwise sum over the whole axis.  Rounds over the last axis add long rows.
+    while chunk > 1 and x.shape[-1] > 1:
+        n = x.shape[-1]
+        head = x[..., 0 : n - 1 : 2] + x[..., 1:n:2]
+        x = np.concatenate([head, x[..., n - 1 :]], axis=-1) if n % 2 else head
+        chunk //= 2
+    return np.moveaxis(x, -1, 0)
+
+
 def pairwise_sum(values) -> np.ndarray:
     """Deterministic pairwise reduction over the leading axis: adjacent pairs
     are folded level by level, an odd tail passes through unchanged.  The
     result depends only on the operand order, never on chunking or thread count."""
     a = np.asarray(values)
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ValidationError("cannot pairwise-reduce an empty axis")
-    while n > 1:
-        m = n // 2
-        head = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
-        a = np.concatenate([head, a[2 * m :]], axis=0) if n % 2 else head
-        n = a.shape[0]
-    return a[0]
+    return _chunk_sums(np.moveaxis(a, 0, -1), 1 << a.shape[0].bit_length())[0]
 
 
 @dataclass
@@ -350,47 +363,48 @@ class EnsembleEstimate:
     density_standard_error: np.ndarray
 
 
-def _block_partials(task):
-    """Advance one block of trajectories and return the pairwise sums over it of
-    the projectors on the grid and of the squared real + 1j * squared imaginary
-    parts of their deviations from psi0's projector.  States are component-major,
-    shape (d, trajectories).
-    Module-level so blocks can run in worker processes."""
+def _cuts(n: int, parts: int, chunk: int) -> list[int]:
+    # Bounds 0 <= ... <= n of `parts` contiguous ranges of n: each inner cut is the multiple
+    # of `chunk` nearest to its even share, so every range is within one chunk of n / parts.
+    inner = [(2 * i * n + parts * chunk) // (2 * parts * chunk) * chunk for i in range(1, parts)]
+    return [0, *inner, n]
+
+
+def _range_partials(task):
+    """Advance trajectories lo..hi-1 in component-major batches of about
+    _BATCH_WIDTH, shape (d, batch), and return, for each aligned chunk of
+    `chunk` of them, the pairwise sums over it of the projectors on the grid
+    and of the squared real + 1j * squared imaginary parts of their
+    deviations from psi0's projector: shape (2, chunks, grid, d, d).
+    Module-level so ranges can run in worker processes."""
     # Freeing one 16 MiB array raises glibc's mmap threshold past it (mallopt(3)), so that the
     # per-step temporaries of a fresh process, such as a pool worker, reuse the heap instead
     # of being mapped and faulted in anew on every step.
     np.empty(1 << 21)
-    model, psi0, seed, dt, steps, grid_idx, lo, hi = task
-    ids = np.arange(lo, hi)
-    key = _wiener_key(seed, ids)
+    model, psi0, seed, dt, steps, grid_idx, lo, hi, chunk = task
+    center = np.outer(psi0, psi0.conj())
+    sums = np.empty((2, -(-(hi - lo) // chunk), grid_idx.size) + center.shape, dtype=complex)
     channels = np.arange(model.n_channels)[:, None]
-    noise = (_wiener(key, s, channels, dt) for s in range(steps))
-    path = _path(model.propose, np.repeat(psi0[:, None], ids.size, axis=1), noise, dt, ids)
     grid = set(grid_idx.tolist())
-    proj = np.empty((ids.size, grid_idx.size, psi0.size, psi0.size), dtype=complex)
-    for slot, psi in enumerate(psi for s, (psi, _) in enumerate(path) if s in grid):
-        proj[:, slot] = np.einsum("ib,jb->bij", psi, psi.conj())
-    # A one-trajectory block's sum is a view of `proj`, which is shifted and squared in place next.
-    total = pairwise_sum(proj).copy()
-    proj -= np.outer(psi0, psi0.conj())
-    parts = proj.view(float)
-    np.square(parts, out=parts)
-    return total, pairwise_sum(parts).view(complex)
+    bounds = _cuts(hi - lo, -(-(hi - lo) // _BATCH_WIDTH), chunk)
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        ids = np.arange(lo + first, lo + last)
+        key = _wiener_key(seed, ids)
+        noise = (_wiener(key, s, channels, dt) for s in range(steps))
+        path = _path(model.propose, np.repeat(psi0[:, None], ids.size, axis=1), noise, dt, ids)
+        rows = slice(first // chunk, -(-last // chunk))
+        for slot, psi in enumerate(psi for s, (psi, _) in enumerate(path) if s in grid):
+            proj = np.einsum("ib,jb->ijb", psi, psi.conj())
+            sums[0, rows, slot] = _chunk_sums(proj, chunk)
+            proj -= center[..., None]
+            squares = sums[1, rows, slot]
+            squares.real, squares.imag = (_chunk_sums(np.square(part), chunk) for part in (proj.real, proj.imag))
+    return sums
 
 
 def available_cpus() -> int:
     """The number of CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _block_size(record_bytes: int) -> int:
-    # Power-of-two block so per-block pairwise reductions compose into the
-    # same global tree regardless of how blocks are scheduled: the largest
-    # from 64 to 4096 whose records fit in _DEFAULT_BLOCK_BYTES, else 64.
-    size = 4096
-    while size > 64 and size * record_bytes > _DEFAULT_BLOCK_BYTES:
-        size //= 2
-    return size
 
 
 def ensemble_density(
@@ -408,9 +422,13 @@ def ensemble_density(
 
     Trajectory i draws its noise from (seed, i, step, channel) alone, and the
     reduction over trajectories is a fixed pairwise tree, so each estimate is
-    bitwise independent of `threads` and of the other step sizes.  The blocks
-    of every step size go to one process pool of at most `threads` workers,
-    longest first.
+    bitwise independent of `threads` and of the other step sizes.  Each step
+    size's trajectories are split into min(threads, CPUs) contiguous ranges,
+    cut at multiples of a power-of-two chunk: the coarsest, up to 4096
+    trajectories, that fits four times into a range's even share.  The ranges of
+    every step size go to one process pool of at most `threads` workers;
+    each steps its range in wide batches and returns one partial sum per
+    chunk, which the reduction takes in trajectory order.
     """
     if np.ndim(dt) > 1:
         raise DimensionError(f"need one step size or a 1-D sequence of them, got shape {np.shape(dt)}")
@@ -420,46 +438,40 @@ def ensemble_density(
         raise ValidationError(f"trajectories must be <= {MAX_TRAJECTORIES}, got {n_traj}")
     psi0 = _initial_state(model, psi0)
 
+    parts = max(1, min(threads, available_cpus()))  # a threads of 0 or less runs serially
+    chunk = min(_MAX_CHUNK, 1 << (max(1, n_traj // (4 * parts)).bit_length() - 1))
+    bounds = _cuts(n_traj, parts, chunk)
+    ranges = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    batch_bytes = 16 * psi0.size**2 * min(n_traj, _BATCH_WIDTH + chunk)  # one batch's complex projectors
     levels, tasks = [], []
-    partial_bytes = buffer_bytes = 0
+    partial_bytes = 0
     for level in np.ravel(dt).tolist():
         steps = resolve_steps(t_final, level)
         grid_idx = report_indices(steps, grid_points)
-        record = grid_idx.size * 16 * psi0.size**2  # one trajectory's complex projector at every grid point
-        block = _block_size(record)
-        # Two partial sums per block, checked before the level's blocks are listed.
-        partial_bytes += 2 * record * -(-n_traj // block)
-        buffer_bytes = max(buffer_bytes, block * record)
-        if partial_bytes + buffer_bytes > MAX_ENSEMBLE_BYTES:
+        # Two partial sums per chunk and grid point, checked before the level's ranges are listed.
+        partial_bytes += 2 * 16 * psi0.size**2 * grid_idx.size * -(-n_traj // chunk)
+        if partial_bytes + batch_bytes > MAX_ENSEMBLE_BYTES:
             raise ValidationError(f"ensemble partial sums and records would exceed {MAX_ENSEMBLE_BYTES} bytes")
-        first = len(tasks)
-        tasks += [
-            (model, psi0, seed, level, steps, grid_idx, lo, min(lo + block, n_traj))
-            for lo in range(0, n_traj, block)
-        ]
-        levels.append((level, grid_idx, first, len(tasks)))
+        levels.append((level, grid_idx, len(tasks), len(tasks) + len(ranges)))
+        tasks += [(model, psi0, seed, level, steps, grid_idx, lo, hi, chunk) for lo, hi in ranges]
     # A forking pool starts all `max_workers` processes at once, so ask for no
-    # more than can run at the same time or have a block to work on.
-    workers = min(threads, available_cpus(), len(tasks))
+    # more than can run at the same time or have a range to work on.
+    workers = min(parts, len(tasks))
     partials = None
     if workers > 1:
-        # Longest blocks (steps x trajectories) first, so that the last to
-        # finish are short; the partials go back into task order.
-        order = sorted(range(len(tasks)), key=lambda i: -tasks[i][4] * (tasks[i][7] - tasks[i][6]))
         rng.load_ndtri()  # once here, so that forked workers do not each import scipy
         from concurrent.futures import BrokenExecutor
 
         try:
             with _process_pool(workers) as pool:
-                done = dict(zip(order, pool.map(_block_partials, [tasks[i] for i in order])))
-            partials = [done[i] for i in range(len(tasks))]
+                partials = list(pool.map(_range_partials, tasks))
         except BrokenExecutor as exc:
             # Not the serial fallback below: a worker that died may die again in this process.
-            raise OSError(f"an ensemble worker process died before returning its block: {exc}") from None
+            raise OSError(f"an ensemble worker process died before returning its range: {exc}") from None
         except OSError:
             partials = None  # no subprocess support; fall through to serial
     if partials is None:
-        partials = [_block_partials(t) for t in tasks]
+        partials = [_range_partials(t) for t in tasks]
     center = np.outer(psi0, psi0.conj())
     estimates = [_estimate(partials[i:j], grid_idx, level, n_traj, center) for level, grid_idx, i, j in levels]
     return estimates if np.ndim(dt) else estimates[0]
@@ -473,12 +485,11 @@ def _process_pool(workers: int):
 
 
 def _estimate(partials, grid_idx, dt: float, n_traj: int, center) -> EnsembleEstimate:
-    # One level's blocks, reduced in block order by the fixed pairwise tree; the float views
-    # of the complex sums give each entry's real and imaginary parts their own variance.
+    # One level's chunk sums, reduced in trajectory order by the fixed pairwise tree; the float
+    # views of the complex sums give each entry's real and imaginary parts their own variance.
     # The squares are of deviations from `center`, psi0's projector, so that a spread far
     # below an entry's size keeps its digits: var = (S(x - c)^2 - (Sx - n c)^2 / n) / (n - 1).
-    proj_sum = pairwise_sum(np.stack([p[0] for p in partials]))
-    square_sum = pairwise_sum(np.stack([p[1] for p in partials]))
+    proj_sum, square_sum = pairwise_sum(np.concatenate(partials, axis=1).swapaxes(0, 1))
     if n_traj > 1:
         shift = (proj_sum - n_traj * center).view(float)
         var = np.clip((square_sum.view(float) - shift * shift / n_traj) / (n_traj - 1), 0.0, None)

@@ -13,9 +13,10 @@ settings.load_profile("ssesim")
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Stand-in for the ensemble process pool on an 8-CPU machine: it runs
-    blocks in this process and records each pool's size and the tasks mapped."""
-    record = SimpleNamespace(sizes=[], tasks=[])
+    """Stand-in for the ensemble process pool on a machine of `cpus` CPUs, 8
+    unless a test sets it: it runs ranges in this process and records each
+    pool's size and the tasks mapped."""
+    record = SimpleNamespace(sizes=[], tasks=[], cpus=8)
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -32,5 +33,5 @@ def serial_pool(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(sse, "_process_pool", SerialPool)
-    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: set(range(record.cpus)), raising=False)
     return record

@@ -591,9 +591,9 @@ def test_record_counts_above_the_ceiling_exit_two(argv, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["unravel", "convergence"])
 def test_trajectories_above_the_ceiling_exit_two(command, capsys, monkeypatch):
     def no_stepping(task):
-        raise AssertionError("stepped a block before checking the count")
+        raise AssertionError("stepped a range before checking the count")
 
-    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    monkeypatch.setattr(sse, "_range_partials", no_stepping)
     assert cli.main([command, "--trajectories", str(10**12)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"<= {sse.MAX_TRAJECTORIES}" in err
@@ -604,7 +604,7 @@ def test_grid_points_above_the_ceiling_exit_two(command, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("worked before checking the grid points")
 
-    monkeypatch.setattr(sse, "_block_partials", no_work)
+    monkeypatch.setattr(sse, "_range_partials", no_work)
     monkeypatch.setattr(cli, "map_grid", no_work)
     assert cli.main([command, "--grid-points", str(cli.MAX_RECORDS + 1)]) == 2
     err = capsys.readouterr().err
@@ -612,12 +612,12 @@ def test_grid_points_above_the_ceiling_exit_two(command, capsys, monkeypatch):
 
 
 def test_ensemble_above_the_byte_bound_exits_two(capsys, monkeypatch):
-    # One 64-trajectory block of 10^6 grid points would record 4 GB of projectors.
+    # 10^6 trajectories in chunks of at most 4096, each with two partial sums at 10^5 report times: 3.1 GB.
     def no_stepping(task):
-        raise AssertionError("stepped a block before checking the memory bound")
+        raise AssertionError("stepped a range before checking the memory bound")
 
-    monkeypatch.setattr(sse, "_block_partials", no_stepping)
-    argv = ["unravel", "--t-final", "1000", "--grid-points", "1000000", "--trajectories", "64"]
+    monkeypatch.setattr(sse, "_range_partials", no_stepping)
+    argv = ["unravel", "--t-final", "100", "--grid-points", "100000", "--trajectories", "1000000"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(sse.MAX_ENSEMBLE_BYTES) in err
@@ -625,9 +625,9 @@ def test_ensemble_above_the_byte_bound_exits_two(capsys, monkeypatch):
 
 def test_unravel_refuses_a_qutrit_model_before_stepping(tmp_path, capsys, monkeypatch):
     def no_stepping(task):
-        raise AssertionError("stepped a block of a qutrit model")
+        raise AssertionError("stepped a range of a qutrit model")
 
-    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    monkeypatch.setattr(sse, "_range_partials", no_stepping)
     lower = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     cfg = {
         "model": "general",
@@ -815,20 +815,26 @@ def test_convergence_runs_every_level_on_one_pool(capsys, serial_pool):
     serial = _run(capsys, base + ["--threads", "1"])[1]["records"]
     assert serial_pool.sizes == []
     assert _run(capsys, base + ["--threads", "2"])[1]["records"] == serial
-    assert serial_pool.sizes == [2]
-    # Two blocks per level, six in all: one pool is sized over every level.
+    # Two ranges per level, six in all, on one pool of the two workers asked for.
+    assert serial_pool.sizes == [2] and len(serial_pool.tasks) == 6
+    # Eight ranges per level, one per CPU of the stand-in pool, 24 in all: one pool is sized over every level.
     _run(capsys, base + ["--threads", "100"])
-    assert serial_pool.sizes == [2, 6]
-    # By default one worker per CPU, of which the stand-in pool reports 8.
+    assert serial_pool.sizes == [2, 8] and len(serial_pool.tasks) == 6 + 24
+    assert {task[3] for task in serial_pool.tasks[6:]} == {1e-3, 2e-3, 4e-3}
+    # By default one worker per CPU.
     assert _run(capsys, base)[1]["records"] == serial
-    assert serial_pool.sizes == [2, 6, 6]
+    assert serial_pool.sizes == [2, 8, 8]
 
 
-def test_unravel_defaults_to_a_worker_per_cpu_capped_by_its_blocks(capsys, serial_pool):
+def test_unravel_defaults_to_a_worker_per_cpu_capped_by_its_ranges(capsys, serial_pool):
     code, report = _run(capsys, ["unravel", "--trajectories", "4196", "--t-final", "0.01"])
     assert code == 0
     assert report["threads"] == 8
-    assert serial_pool.sizes == [2]
+    assert serial_pool.sizes == [8]
+    # Five trajectories make five ranges, so five of the eight CPUs get one.
+    code, report = _run(capsys, ["unravel", "--trajectories", "5", "--t-final", "0.01"])
+    assert code == 0 and report["threads"] == 8
+    assert serial_pool.sizes == [8, 5]
 
 
 def _die(task):
@@ -837,7 +843,7 @@ def _die(task):
 
 def test_a_dead_worker_exits_two_with_an_error_line(capsys, monkeypatch):
     # A real pool whose worker dies: two CPUs are reported, so a pool starts on any machine.
-    monkeypatch.setattr(sse, "_block_partials", _die)
+    monkeypatch.setattr(sse, "_range_partials", _die)
     monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli.main(["unravel", "--trajectories", "4196", "--t-final", "0.002", "--threads", "2"]) == 2
     err = capsys.readouterr().err

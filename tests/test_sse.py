@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssesim import sse
@@ -443,6 +443,30 @@ def test_pairwise_sum_composes_from_power_of_two_blocks(values, log_block):
     assert pairwise_sum(np.array(parts)) == pairwise_sum(values)
 
 
+def _reference_pairwise_sum(values):
+    # The tree written out over the leading axis: adjacent pairs are added level by level,
+    # an odd tail passes through.
+    a = np.asarray(values)
+    while len(a) > 1:
+        m = len(a) // 2
+        head = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
+        a = np.concatenate([head, a[2 * m :]]) if len(a) % 2 else head
+    return a[0]
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 3 * 4096 + 7), log_chunk=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_pairwise_sum_over_rows_is_the_pairwise_sum_of_aligned_chunk_sums(n, log_chunk, seed):
+    # The ensemble's tree: each worker sums aligned 2^k-trajectory chunks, of which only
+    # the last may be short, and the reduction sums those chunk sums in trajectory order.
+    rows = np.random.default_rng(seed).normal(size=(n, 3, 2)).view(complex)
+    chunk = 2**log_chunk
+    sums = sse._chunk_sums(np.moveaxis(rows, 0, -1), chunk)
+    expected = [_reference_pairwise_sum(rows[lo : lo + chunk]) for lo in range(0, n, chunk)]
+    assert sums.tobytes() == np.array(expected).tobytes()
+    assert pairwise_sum(sums).tobytes() == pairwise_sum(rows).tobytes() == _reference_pairwise_sum(rows).tobytes()
+
+
 def test_pairwise_sum_is_blocking_invariant():
     rng = np.random.default_rng(3)
     values = rng.normal(size=137)
@@ -473,15 +497,15 @@ def test_single_trajectory_ensemble_is_pure(model):
 
 
 def test_report_grid_arrays_are_sized_by_grid_points(monkeypatch):
-    # 2000 steps, 4 report points: no array handed to a block may scale with the steps.
+    # 2000 steps, 4 report points: no array handed to a range may scale with the steps.
     tasks = []
-    block_partials = sse._block_partials
+    range_partials = sse._range_partials
 
     def recorder(task):
         tasks.append(task)
-        return block_partials(task)
+        return range_partials(task)
 
-    monkeypatch.setattr(sse, "_block_partials", recorder)
+    monkeypatch.setattr(sse, "_range_partials", recorder)
     est = ensemble_density(NonCpQubitModel(), PLUS, 2.0, 1e-3, 3, seed=1, grid_points=4)
     assert tasks
     for task in tasks:
@@ -498,41 +522,34 @@ def test_ensemble_thread_count_does_not_change_bytes():
     assert se[0].tobytes() == se[1].tobytes()
 
 
-def test_pool_size_is_clamped_to_cpus_and_blocks(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(sse, "_process_pool", SerialPool)
-    args = (NonCpQubitModel(), POLE, 0.002, 1e-3, 3 * 4096, 42)  # three blocks
-    serial = ensemble_density(*args)
-    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert ensemble_density(*args, threads=10000).mean_density.tobytes() == serial.mean_density.tobytes()
-    ensemble_density(*args, threads=2)
-    assert sizes == [3, 2]
-    monkeypatch.setattr(sse.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    ensemble_density(*args, threads=4)
-    assert sizes == [3, 2]
+def test_pool_size_is_clamped_to_cpus_and_ranges(serial_pool):
+    args = (NonCpQubitModel(), POLE, 0.002, 1e-3)
+    serial = ensemble_density(*args, 3, 42)
+    # Three trajectories make three one-trajectory ranges on 8 CPUs.
+    assert ensemble_density(*args, 3, 42, threads=10000).mean_density.tobytes() == serial.mean_density.tobytes()
+    ensemble_density(*args, 3, 42, threads=2)
+    ensemble_density(*args, 3 * 4096, 42, threads=10000)
+    assert serial_pool.sizes == [3, 2, 8]
+    serial_pool.cpus = 1
+    ensemble_density(*args, 3 * 4096, 42, threads=4)
+    assert serial_pool.sizes == [3, 2, 8]
+    # No thread count below one starts a pool or changes a bit.
+    serial_pool.cpus = 8
+    for threads in (0, -3):
+        assert ensemble_density(*args, 3, 42, threads=threads).mean_density.tobytes() == serial.mean_density.tobytes()
+    assert serial_pool.sizes == [3, 2, 8]
 
 
-def test_levels_share_one_pool_and_map_longest_blocks_first(serial_pool):
+def test_levels_share_one_pool(serial_pool):
     dts = [4e-3, 2e-3, 1e-3]
     args = (NonCpQubitModel(), POLE, 0.008)
-    estimates = ensemble_density(*args, dts, 4096 + 100, 42, threads=10000)  # two blocks per level
-    assert serial_pool.sizes == [6]
-    costs = [task[4] * (task[7] - task[6]) for task in serial_pool.tasks]
-    assert len(costs) == 6 and costs == sorted(costs, reverse=True)
+    estimates = ensemble_density(*args, dts, 4096 + 100, 42, threads=10000)  # eight ranges per level
+    assert serial_pool.sizes == [8]
+    # Every level's ranges, in level order, each level's tiling its trajectories in order.
+    assert [task[3] for task in serial_pool.tasks] == [dt for dt in dts for _ in range(8)]
+    for level in range(3):
+        bounds = [(task[6], task[7]) for task in serial_pool.tasks[8 * level : 8 * level + 8]]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == 4096 + 100
     assert isinstance(estimates, list) and len(estimates) == len(dts)
     for dt, est in zip(dts, estimates):
         alone = ensemble_density(*args, dt, 4096 + 100, 42)
@@ -540,6 +557,31 @@ def test_levels_share_one_pool_and_map_longest_blocks_first(serial_pool):
         assert est.times.tobytes() == alone.times.tobytes()
         assert est.mean_density.tobytes() == alone.mean_density.tobytes()
         assert est.density_standard_error.tobytes() == alone.density_standard_error.tobytes()
+
+
+def test_default_trajectories_on_two_cpus_split_into_ranges_one_chunk_apart(serial_pool):
+    serial_pool.cpus = 2
+    ensemble_density(NonCpQubitModel(), POLE, 1e-3, 1e-3, 20000, 42, threads=2)
+    (_, _, _, _, _, _, lo0, hi0, chunk), (_, _, _, _, _, _, lo1, hi1, _) = serial_pool.tasks
+    assert (lo0, hi1) == (0, 20000) and hi0 == lo1 and hi0 % chunk == 0
+    assert abs((hi0 - lo0) - (hi1 - lo1)) <= chunk
+
+
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_traj=st.integers(1, 3 * 4096 + 7),
+    cpus=st.integers(1, 8),
+    threads=st.integers(1, 10),
+    model=st.sampled_from([NonCpQubitModel(), _GENERAL]),
+    dt=st.sampled_from([1e-3, [2e-3, 1e-3]]),
+)
+def test_ensemble_bytes_do_not_depend_on_cpus_or_threads(serial_pool, n_traj, cpus, threads, model, dt):
+    serial_pool.cpus = cpus
+    args = (model, PLUS, 2e-3, dt, n_traj, 7)
+    pooled, serial = (ensemble_density(*args, grid_points=2, threads=t) for t in (threads, 1))
+    for a, b in zip(*(est if isinstance(est, list) else [est] for est in (pooled, serial))):
+        assert a.mean_density.tobytes() == b.mean_density.tobytes()
+        assert a.density_standard_error.tobytes() == b.density_standard_error.tobytes()
 
 
 @pytest.mark.parametrize("dt", [[[1e-3]], np.full((2, 1), 1e-3)])
@@ -639,12 +681,13 @@ def test_bloch_standard_error_is_the_sample_error_of_trajectory_bloch_vectors(mo
 
 
 def test_ensemble_above_the_byte_bound_is_refused_before_stepping(monkeypatch):
+    # 245 chunks of at most 4096 trajectories, each with two partial sums at 10^5 report times: 3.1 GB.
     def no_stepping(task):
-        raise AssertionError("stepped a block before checking the memory bound")
+        raise AssertionError("stepped a range before checking the memory bound")
 
-    monkeypatch.setattr(sse, "_block_partials", no_stepping)
+    monkeypatch.setattr(sse, "_range_partials", no_stepping)
     with pytest.raises(ValidationError, match=str(sse.MAX_ENSEMBLE_BYTES)):
-        ensemble_density(NonCpQubitModel(), POLE, 10.0, 1e-3, 10**6, seed=1, grid_points=10**4)
+        ensemble_density(NonCpQubitModel(), POLE, 100.0, 1e-3, 10**6, seed=1, grid_points=10**5)
 
 
 # ---------------------------------------------------------------- kernels
@@ -722,8 +765,8 @@ def test_batch_proposal_matches_each_column_bitwise(model, data):
 def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
     # A fresh process, such as a pool worker, has glibc's lowest mmap threshold, so
     # per-step temporaries of 128 KiB or more would be mapped and faulted in again
-    # on every step: 187k minor faults for this block without the 16 MiB array that
-    # `_block_partials` frees first to raise that threshold.
+    # on every step: 206k minor faults for this batch, as wide as a worker steps, without
+    # the 16 MiB array that `_range_partials` frees first to raise that threshold.
     pytest.importorskip("resource")
     script = textwrap.dedent(
         """
@@ -738,9 +781,9 @@ def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
             np.linalg.qr(np.random.default_rng(1).normal(size=(4, 3)) + 0j)[0],
         )
         psi0 = np.array([1.0, 0.0], dtype=complex)
-        sse._block_partials((model, psi0, 1, 1e-3, 1, report_indices(1, 1), 0, 2))  # first-use imports
+        sse._range_partials((model, psi0, 1, 1e-3, 1, report_indices(1, 1), 0, 2, 1))  # first-use imports
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        sse._block_partials((model, psi0, 1, 1e-3, 250, report_indices(250, 32), 0, 4096))
+        sse._range_partials((model, psi0, 1, 1e-3, 250, report_indices(250, 32), 0, sse._BATCH_WIDTH, 2048))
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """
     )
@@ -750,7 +793,7 @@ def test_a_general_block_does_not_fault_in_fresh_pages_every_step():
         [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert proc.returncode == 0, proc.stderr
-    # The block's own arrays, records included, are about 12 MB: some 3000 pages.
+    # The batch's own arrays are a few MB: this run faulted 360 pages.
     assert int(proc.stdout) < 20000
 
 
