@@ -15,7 +15,6 @@ from .algebra import (
     bloch_from_density,
     bloch_from_state,
     bloch_standard_error,
-    hermitian_eigen,
     pauli,
     random_state,
     state_from_bloch,
@@ -51,9 +50,6 @@ from .sse import (
     ensemble_density,
     identity_residual,
     increment,
-    pairwise_sum,
-    perp_state,
     simulate_trajectory,
     simulate_with_noise,
-    step,
 )

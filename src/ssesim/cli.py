@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import NamedTuple
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import __version__, master
 from .algebra import bloch_from_density, bloch_from_state, bloch_standard_error, max_abs, pauli, random_state
-from .algebra import report_indices, resolve_steps, state_from_bloch
+from .algebra import MAX_STEPS, report_indices, resolve_steps, state_from_bloch
 from .errors import DimensionError, InfeasibleError, StepSizeError, ValidationError
 from .master import (
     analytic_pauli_solution,
@@ -169,7 +168,8 @@ def _is_int(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # An integer beyond the float range is refused too: converting it would overflow.
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -196,8 +196,10 @@ def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
 
     for key, value in cfg.items():
         kind, least = _KEYS[key].kind, _KEYS[key].least
-        if kind is float and not _is_finite_number(value):
-            raise ValidationError(f"{key} must be a finite number, got {value!r}")
+        if kind is float:
+            if not _is_finite_number(value):
+                raise ValidationError(f"{key} must be a finite number, got {value!r}")
+            cfg[key] = float(value)  # a JSON integer runs, and is reported, as the float it names
         if kind is int and not _is_int(value):
             raise ValidationError(f"{key} must be an integer, got {value!r}")
         if kind is str and value is not None and not isinstance(value, str):
@@ -401,6 +403,8 @@ def cmd_param(cfg: dict):
         raise ValidationError(f"n_lindblad must be <= {len(_WITNESS_LINDBLADS)}")
     if n_w < n:
         raise ValidationError("n_wiener must be >= n_lindblad")
+    if cfg["witness_steps"] > MAX_STEPS:
+        raise ValidationError(f"witness_steps must be <= {MAX_STEPS}")
     cases = _record_count(cfg, "cases")
     if cases * n_w * n_w > MAX_ORTHOGONAL_ENTRIES:
         raise ValidationError(f"cases * n_wiener^2 must be <= {MAX_ORTHOGONAL_ENTRIES}, one orthogonal matrix per case")

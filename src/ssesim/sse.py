@@ -194,8 +194,9 @@ class GeneralDiffusiveModel:
 
 
 def _perp(a, b, n1, n2):
-    # The two components of psi_perp.  1 - n_z^2 is evaluated as 4|a|^2|b|^2:
-    # identical for unit states but free of the cancellation near the poles.
+    # The two components of psi_perp = (1 - n_z^2)^{-1/2} (n_y sigma_x - n_x sigma_y) psi, or of
+    # (-conj(b), conj(a)) where 1 - n_z^2 < _POLE_TOLERANCE.  1 - n_z^2 is evaluated as
+    # 4|a|^2|b|^2: identical for unit states but free of the cancellation near the poles.
     off = 4.0 * (a.conj() * a).real * (b.conj() * b).real
     pole = off < _POLE_TOLERANCE
     inv = 1.0 / np.sqrt(np.where(pole, 1.0, off))
@@ -206,20 +207,12 @@ def _perp(a, b, n1, n2):
     return up, down
 
 
-def perp_state(psi) -> np.ndarray:
-    """Unit state orthogonal to a qubit state.
+def increment(psi, model, dw, dt: float) -> np.ndarray:
+    """One unnormalized Ito proposal psi + dpsi of either model; see its `propose`.
 
-    This is (1 - n_z^2)^{-1/2} (n_y sigma_x - n_x sigma_y) psi, except where
-    1 - n_z^2 < `_POLE_TOLERANCE` = 1e-12, next to the poles: there the
-    canonical orthogonal complement (-conj(psi_2), conj(psi_1)) is returned.
+    States are (..., d) and real Wiener increments (..., N), already scaled
+    to variance dt; the two batch shapes broadcast.
     """
-    psi = np.asarray(psi, dtype=complex)
-    n = bloch_from_state(psi)  # rejects non-qubit and unnormalized states
-    return np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
-
-
-def _component_major(psi, model, dw):
-    # Boundary of the stepping path: checked states and increments in one batch shape, component axis first.
     psi, dw = np.asarray(psi, dtype=complex), np.asarray(dw, dtype=float)
     if psi.shape[-1:] != (model.dim,) or dw.shape[-1:] != (model.n_channels,):
         raise DimensionError(f"need states (..., {model.dim}) and increments (..., {model.n_channels})")
@@ -229,16 +222,8 @@ def _component_major(psi, model, dw):
         message = f"state batch {psi.shape[:-1]} and increment batch {dw.shape[:-1]} do not broadcast"
         raise DimensionError(message) from None
     psi = np.moveaxis(np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]), -1, 0)
-    return psi, np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
-
-
-def increment(psi, model, dw, dt: float) -> np.ndarray:
-    """One unnormalized Ito proposal psi + dpsi of either model; see its `propose`.
-
-    States are (..., d) and real Wiener increments (..., N), already scaled
-    to variance dt; the two batch shapes broadcast.
-    """
-    return np.moveaxis(model.propose(*_component_major(psi, model, dw), dt), 0, -1)
+    dw = np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
+    return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
 
 
 def _path(advance, psi, noise, dt: float, ids=None, what: str = "trajectory"):
@@ -264,13 +249,6 @@ def _path(advance, psi, noise, dt: float, ids=None, what: str = "trajectory"):
         # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
         psi = proposal * (1.0 / np.sqrt(norm2))
         yield psi, norm2
-
-
-def step(psi, model, dw, dt: float) -> np.ndarray:
-    """Euler-Maruyama step: `increment` with exact renormalization; a failing batch row is reported at step 0."""
-    psi, dw = _component_major(psi, model, dw)
-    _, (psi, _) = _path(model.propose, psi, [dw], dt, np.arange(psi[0].size))
-    return np.moveaxis(psi, 0, -1)
 
 
 def _initial_state(model, psi0) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssesim import cli, master, rng, sse
@@ -236,6 +236,129 @@ def test_flag_the_subcommand_ignores_exits_two(argv, capsys):
         cli.main(argv)
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The exit-code contract over generated configs: each command's own keys, as flags or in a config
+# file, with valid values and invalid ones.  Valid sizes stay small, so an example runs in milliseconds.
+
+# Integers a JSON config may give for any number: past int64, and past the float range.
+_HUGE_INTS = [2**63, 10**300, 10**400]
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e300, -0.0, *_HUGE_INTS]
+_EDGE_INTS = [0, -1, 10**30, *_HUGE_INTS]
+_WRONG_TYPES = [None, True, "1", 1.5, [1.0], {"x": 1}]
+_UNIT_BLOCHS = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8), (0.0, -1.0, 0.0)]
+_BAD_TRIPLES = [(math.nan, 0.0, 1.0), (1.0, 0.0), (2.0, 0.0, 0.0), (1e300, 0.0, 0.0), (10**400, 0, 0), (1, 0, 0, 0), "0,0,1"]
+_BAD_MATRICES = [
+    5, [], [[1, 0]], [[None, 0], [0, 0]], [["a", 0], [0, 0]], [[1e308, 1e308], [1e308, 1e308]], [[10**400, 0], [0, 0]],
+    [[[1, 0]]],
+]
+_BAD_STATES = [5, [], [None, 1], ["a", 1], [[1e308, 1e308], 0], [10**400, 0], [1, 0, 0], [2, 0], [[1, 2, 3], 0]]
+# Keys a run always sets unless drawn, which bound its size.
+_SMALL = {
+    "unravel": {"trajectories": 8, "t_final": 0.016, "grid_points": 4},
+    "choi": {"t_final": 0.1, "grid_points": 4},
+    "identity": {"trajectories": 50},
+    "param": {"cases": 5, "witness_steps": 10},
+    "convergence": {"trajectories": 8, "t_final": 0.016, "grid_points": 4},
+}
+
+
+def _valid_values(key):
+    kind = cli._KEYS[key].kind
+    if key in ("hamiltonian", "lindblads", "noise_matrix"):
+        return st.just(_GENERAL_CONFIG[key])
+    valid = {
+        "t_final": st.sampled_from([0.0, 0.004, 0.016, 0.5]),
+        "dt": st.sampled_from([1e-3, 2e-3, 4e-3, 0.5]),
+        "trajectories": st.integers(1, 40),
+        "seed": st.integers(-(2**70), 2**70),
+        "grid_points": st.integers(1, 8),
+        "initial_bloch": st.sampled_from(_UNIT_BLOCHS),
+        "initial_state": st.sampled_from([[1, 0], [0.6, [0, 0.8]], [[0, 1], 0]]),
+        "n_lindblad": st.integers(1, 4),
+        "n_wiener": st.integers(1, 5),
+        "cases": st.integers(1, 10),
+        "witness_steps": st.integers(1, 20),
+    }
+    if key in valid:
+        return valid[key]
+    return st.sampled_from(kind) if isinstance(kind, tuple) else st.floats(-2.0, 2.0)
+
+
+def _invalid_values(key):
+    kind = cli._KEYS[key].kind
+    edges = {float: _EDGE_FLOATS, int: _EDGE_INTS, cli._parse_triple: _BAD_TRIPLES}.get(kind, [])
+    if key == "initial_state":
+        edges = _BAD_STATES
+    elif kind is None:
+        edges = _BAD_MATRICES
+    elif isinstance(kind, tuple):
+        edges = [kind[0].upper(), "xml"]
+    return st.sampled_from(edges + _WRONG_TYPES)
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, (tuple, list)):
+        return ",".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _cli_calls(draw):
+    command = draw(st.sampled_from(sorted(cli._DEFAULTS)))
+    keys = sorted(set(cli._DEFAULTS[command]) - {"threads", "output", "format"})
+    file_cfg = dict(_SMALL[command])
+    if draw(st.booleans()) and command == "unravel":
+        file_cfg.update(_GENERAL_CONFIG)
+    argv = [command]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=4)):
+        value = draw(st.one_of(_valid_values(key), _invalid_values(key)))
+        flag = cli._KEYS[key].flag
+        if flag is not None and draw(st.booleans()):
+            argv.append(f"{flag}={_flag_text(value)}")
+        else:
+            file_cfg[key] = value
+    if "threads" in cli._DEFAULTS[command]:
+        argv += ["--threads", "1"]
+    return argv, file_cfg, draw(st.sampled_from([None, "csv", "json"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(call=_cli_calls())
+# Integers that a float conversion or numpy cannot take: a step count and a time past the float
+# range, and step sizes past int64.
+@example(call=(["param", f"--witness-steps={10**400}"], _SMALL["param"], None))
+@example(call=(["choi"], {"t_final": 10**400}, None))
+@example(call=(["choi"], {"t_final": 0, "dt": 2**70}, None))
+@example(call=(["unravel", "--threads", "1"], {"trajectories": 3, "t_final": 10**300, "dt": 10**300}, None))
+def test_generated_configs_keep_the_exit_code_contract(call, fuzz_dir):
+    argv, file_cfg, output = call
+    config = fuzz_dir / "config.json"
+    config.write_text(json.dumps(file_cfg), encoding="utf-8")
+    argv = argv + ["--config", str(config)]
+    if output:
+        argv += ["--format", output, "--output", str(fuzz_dir / f"payload.{output}")]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag's text
+            code = exc.code
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, err
+    else:
+        assert err == ""
+        report = json.loads(out)
+        assert (code == 1) == (report["verdict"] == "FAIL")
 
 
 def _subparsers() -> dict:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ssesim import sse
 from ssesim.algebra import bloch_from_density, bloch_from_state, bloch_standard_error, pauli, random_state
+from ssesim.algebra import state_from_bloch
 from ssesim.errors import DimensionError, StepSizeError, ValidationError
 from ssesim.master import MasterGenerator, analytic_pauli_solution, integrate_master
 from ssesim.param import redundancy_witness
@@ -23,10 +24,8 @@ from ssesim.sse import (
     identity_residual,
     increment,
     pairwise_sum,
-    perp_state,
     simulate_trajectory,
     simulate_with_noise,
-    step,
 )
 
 POLE = np.array([1.0, 0.0], dtype=complex)
@@ -69,19 +68,26 @@ def test_wiener_streams_differ_across_trajectories():
 # ---------------------------------------------------------------- perp state
 
 
+def _perp_state(psi):
+    # psi_perp of unit states (..., 2) from the kernel's `_perp`, formed as `identity_residual` forms it.
+    psi = np.asarray(psi, dtype=complex)
+    n = bloch_from_state(psi)
+    return np.stack(sse._perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
+
+
 def test_perp_at_pole_uses_fallback():
-    assert np.array_equal(perp_state(POLE), np.array([0.0, 1.0], dtype=complex))
+    assert np.array_equal(_perp_state(POLE), np.array([0.0, 1.0], dtype=complex))
 
 
 def test_perp_on_equator():
-    perp = perp_state(PLUS)
+    perp = _perp_state(PLUS)
     assert abs(np.vdot(PLUS, perp)) <= 1e-15
     assert np.allclose(bloch_from_state(perp), [-1.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_perp_sweep_norm_and_orthogonality():
     psi = random_state(21, 2, np.arange(1000))
-    perp = perp_state(psi)
+    perp = _perp_state(psi)
     norms = np.einsum("bi,bi->b", perp.conj(), perp).real
     overlaps = np.abs(np.einsum("bi,bi->b", psi.conj(), perp))
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
@@ -106,15 +112,19 @@ def _unit_states(draw, kinds=("any", "north", "south"), pole_offset=1e-6):
 @given(psi=_unit_states(kinds=("north", "south"), pole_offset=4e-7))
 def test_perp_state_at_the_poles_is_the_unit_orthogonal_fallback(psi):
     # Within 4e-7 of a pole, 1 - n_z^2 <= 6.4e-13 is below the 1e-12 pole tolerance.
-    perp = perp_state(psi)
+    perp = _perp_state(psi)
     assert np.array_equal(perp, np.array([-psi[1].conj(), psi[0].conj()]))
     assert abs(np.vdot(psi, perp)) <= 1e-15
     assert abs(np.vdot(perp, perp).real - 1.0) <= 1e-15
 
 
 def test_perp_rejects_wrong_dimension():
-    with pytest.raises(DimensionError):
-        perp_state(np.ones(3, dtype=complex) / np.sqrt(3.0))
+    # psi_perp is defined for qubits only: both the non-CP noise built on it and its Bloch form refuse a qutrit.
+    qutrit = np.ones(3, dtype=complex) / np.sqrt(3.0)
+    with pytest.raises(DimensionError, match=r"need states \(\.\.\., 2\)"):
+        increment(qutrit, NonCpQubitModel(), np.zeros(1), 1e-3)
+    with pytest.raises(DimensionError, match="Bloch conversion requires qubit states, got dim 3"):
+        _perp_state(qutrit)
 
 
 # ---------------------------------------------------------------- increments
@@ -225,9 +235,9 @@ def test_increment_rejects_wrong_state_or_increment_widths(model):
     with pytest.raises(DimensionError):
         increment(PLUS, model, 0.0, 1e-3)
     with pytest.raises(DimensionError):
-        step(1.0, model, np.zeros(model.n_channels), 1e-3)
+        increment(1.0, model, np.zeros(model.n_channels), 1e-3)
     with pytest.raises(DimensionError, match="do not broadcast"):
-        step(random_state(1, 2, np.arange(3)), model, np.zeros((2, model.n_channels)), 1e-3)
+        increment(random_state(1, 2, np.arange(3)), model, np.zeros((2, model.n_channels)), 1e-3)
 
 
 def test_general_model_rejects_non_isometry():
@@ -243,27 +253,35 @@ def test_general_model_rejects_wide_noise_matrix():
 # ---------------------------------------------------------------- stepping
 
 
+def _one_step(psi, dw, dt):
+    # The state after one renormalized Euler step of the non-CP model from psi, driven by dw.
+    return simulate_with_noise(NonCpQubitModel(), psi, dt, [dw]).states[1]
+
+
 def test_step_is_identity_without_time_and_noise():
     psi = random_state(2, 2, 5)
-    assert np.array_equal(step(psi, NonCpQubitModel(), np.zeros(1), 0.0), psi)
+    assert np.array_equal(_one_step(psi, [0.0], 0.0), psi)
 
 
 def test_step_at_pole_without_noise():
-    out = step(POLE, NonCpQubitModel(), np.zeros(1), 1e-3)
-    assert np.max(np.abs(out - POLE)) <= 1e-15
+    assert np.max(np.abs(_one_step(POLE, [0.0], 1e-3) - POLE)) <= 1e-15
 
 
 def test_step_output_is_normalized():
-    psi = random_state(6, 2, np.arange(100))
-    dw = sse._wiener(sse._wiener_key(6, 0), 0, np.arange(1), 1e-3) * np.ones((100, 1))
-    out = step(psi, NonCpQubitModel(), dw, 1e-3)
-    norms = np.einsum("bi,bi->b", out.conj(), out).real
+    # One step of a component-major batch of 100 states, all driven by one draw.
+    psi = random_state(6, 2, np.arange(100)).T
+    dw = sse._wiener(sse._wiener_key(6, 0), 0, np.arange(1), 1e-3)[:, None] * np.ones((1, 100))
+    _, (out, _) = sse._path(NonCpQubitModel().propose, psi, [dw], 1e-3)
+    norms = np.einsum("ib,ib->b", out.conj(), out).real
     assert np.max(np.abs(norms - 1.0)) <= 1e-15
 
 
 def test_step_failure_on_collapsed_norm():
-    with pytest.raises(StepSizeError):
-        step(POLE, NonCpQubitModel(), np.zeros(1), 0.99)
+    # Without noise, only the pole of the batch falls below norm^2 0.01 at dt = 0.99.
+    psi = np.array([PLUS, PLUS, POLE]).T
+    path = sse._path(NonCpQubitModel().propose, psi, [np.zeros((1, 3))], 0.99, np.arange(3))
+    with pytest.raises(StepSizeError, match="^trajectory 2 collapsed at step 0:"):
+        list(path)
 
 
 def test_trajectory_zero_time():
@@ -319,7 +337,6 @@ _EQUATOR_COLLAPSE = GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(3),), np.eye(
 @pytest.mark.parametrize(
     "run, message",
     [
-        (lambda: step([PLUS, PLUS, POLE], NonCpQubitModel(), np.zeros((3, 1)), 0.99), "trajectory 2 collapsed at step 0"),
         # The pole stays put without noise; the overflowing increment of step 3 collapses it.
         (
             lambda: simulate_with_noise(NonCpQubitModel(), POLE, 1e-3, [[0.0], [0.0], [0.0], [1e200]]),
@@ -339,7 +356,7 @@ _EQUATOR_COLLAPSE = GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(3),), np.eye(
             "witness case 104 collapsed at step 6",
         ),
     ],
-    ids=["step", "simulate_with_noise", "ensemble_density", "redundancy_witness"],
+    ids=["simulate_with_noise", "ensemble_density", "redundancy_witness"],
 )
 def test_every_stepping_path_names_its_collapse(run, message):
     with pytest.raises(StepSizeError, match=f"^{message}: proposed norm"):
@@ -383,6 +400,34 @@ def test_plus_state_is_a_fixed_point_of_the_unraveling():
     traj = simulate_trajectory(NonCpQubitModel(), PLUS, 0.5, 1e-3, seed=17)
     proj = _projectors(traj.states)
     assert np.max(np.abs(proj - _projectors(PLUS))) <= 1e-12
+
+
+def test_euler_paths_reach_the_exact_solution_at_strong_order_one_half():
+    # The non-CP noise sqrt(2) n_z psi_perp dW only turns the Bloch vector about z, so on every path
+    # n_z(t) = n_z(0) e^{-4t} and the azimuth is phi(0) - int 2 sqrt(2) z / r dW with r = sqrt(1 - z^2),
+    # a Wiener integral of a known function.  Euler batches from (0.6, 0, 0.8) at dt 4e-3 halved four
+    # times step with the sums of one set of increments, on whose grid, 4x finer than the finest level,
+    # the solution is evaluated.  The rms path-maximum errors of the azimuth and of n_z then fall as
+    # dt^(1/2) (Kloeden & Platen, Numerical Solution of SDEs, ch. 10): fitted over 1000 paths to
+    # t = 0.128, the orders read 0.462-0.494 (sd 0.011) and 0.469-0.490 (sd 0.006) over generator
+    # seeds 0-11, so each margin is the largest miss plus two sd.  A drift whose n_z term is 10 %
+    # short reads an n_z order of 0.436.
+    paths, fine, steps = 1000, 4e-3 / 64, 2048
+    dw = np.random.default_rng(0).standard_normal((steps, paths)) * np.sqrt(fine)
+    z = 0.8 * np.exp(-4.0 * fine * np.arange(steps + 1))
+    phase_rate = -2.0 * np.sqrt(2.0) * z[:-1] / np.sqrt(1.0 - z[:-1] ** 2)
+    phi = np.concatenate([np.zeros((1, paths)), np.cumsum(phase_rate[:, None] * dw, axis=0)])
+    psi0 = np.repeat(state_from_bloch([0.6, 0.0, 0.8])[:, None], paths, axis=1)
+    errors = []
+    for m in (64, 32, 16, 8, 4):
+        increments = dw.reshape(steps // m, m, 1, paths).sum(axis=1)
+        states = np.stack([psi for psi, _ in sse._path(NonCpQubitModel().propose, psi0, increments, m * fine)])
+        n = bloch_from_state(states.swapaxes(1, 2))
+        d_phi = np.angle(np.exp(1j * (np.arctan2(n[..., 1], n[..., 0]) - phi[::m])))
+        d_z = n[..., 2] - z[::m, None]
+        errors.append([np.sqrt(np.mean(np.max(np.abs(d), axis=0) ** 2)) for d in (d_phi, d_z)])
+    orders = np.polyfit(np.log(fine * np.array([64, 32, 16, 8, 4])), np.log(errors), 1)[0]
+    assert np.all(np.abs(orders - 0.5) <= [0.06, 0.045]), orders
 
 
 # ---------------------------------------------------------------- gauge
@@ -843,7 +888,7 @@ def _identity_residual_oracle(psi):
     # The stacked-matmul form: each term is (sigma_k - n_k) |psi><psi| (sigma_k - n_k) formed as matrices.
     n = bloch_from_state(psi)
     proj = _projectors(psi)
-    perp = perp_state(psi)
+    perp = _perp_state(psi)
     lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * _projectors(perp)
     rhs = np.zeros_like(proj)
     for k, rate in enumerate((1.0, 1.0, -1.0)):
