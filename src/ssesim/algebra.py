@@ -150,7 +150,10 @@ def bloch_standard_error(density_se) -> np.ndarray:
 
 
 def state_from_bloch(n) -> np.ndarray:
-    """Pure qubit state (cos(theta/2), e^{i phi} sin(theta/2)) for a unit Bloch vector."""
+    """Pure qubit state (cos(theta/2), e^{i phi} sin(theta/2)) for a unit Bloch vector.
+
+    The half-angle factors are formed as sqrt((1 +- n_z) / 2), which is exact at both poles.
+    """
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise DimensionError(f"Bloch vector must have shape (3,), got {n.shape}")
@@ -158,9 +161,9 @@ def state_from_bloch(n) -> np.ndarray:
         norm = float(np.linalg.norm(n))
     if abs(norm - 1.0) > 1e-8:
         raise ValidationError(f"Bloch vector of a pure state must be unit length, got ||n|| = {norm}")
-    theta = np.arccos(np.clip(n[2] / norm, -1.0, 1.0))
+    z = np.clip(n[2] / norm, -1.0, 1.0)
     phi = np.arctan2(n[1], n[0])
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex)
+    return np.array([np.sqrt((1.0 + z) / 2.0), np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)], dtype=complex)
 
 
 def hermitian_eigen(a):

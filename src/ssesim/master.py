@@ -108,15 +108,25 @@ def integrate_master(rho0, gen: MasterGenerator, t: float, dt: float) -> np.ndar
 def analytic_pauli_solution(n0, rates, t) -> np.ndarray:
     """Closed-form Bloch solution n_j(t) = exp(-2 (C - c_j) t) n_j(0), C = sum c.
 
-    `t` may be a scalar or an array; the result has shape (..., 3).
+    `t` may be a scalar or an array; the result has shape (..., 3).  The decays
+    are libm's exp, so that they do not depend on the SIMD loops numpy dispatches.
     """
     n0 = np.asarray(n0, dtype=float)
     if n0.shape != (3,):
         raise DimensionError(f"Bloch vector must have shape (3,), got {n0.shape}")
     c = require_rates(rates)
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(-2.0 * (np.sum(c) - c) * t[..., None])
+    exponents = -2.0 * (np.sum(c) - c) * np.asarray(t, dtype=float)[..., None]
+    values, inverse = np.unique(exponents, return_inverse=True)
+    decay = np.array([_exp(x) for x in values.tolist()])[inverse].reshape(exponents.shape)
     return n0 * decay
+
+
+def _exp(x: float) -> float:
+    # libm's exp, or inf where it overflows, as np.exp gives.
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _choi(s: np.ndarray, d: int) -> np.ndarray:
@@ -127,7 +137,8 @@ def _choi(s: np.ndarray, d: int) -> np.ndarray:
 @dataclass
 class DynamicalMap:
     """Superoperator acting on row-major vectorized d x d matrices: one d^2 x d^2
-    map, or a stack (..., d^2, d^2) of them, checked as one array."""
+    map, or a stack (..., d^2, d^2) of them, checked as one array: finite, then
+    trace and Hermiticity preserving."""
 
     superoperator: np.ndarray
     dim: int = field(init=False)
@@ -139,6 +150,8 @@ class DynamicalMap:
             raise DimensionError(f"superoperator must be d^2 x d^2, or a stack of them, got shape {s.shape}")
         self.superoperator = s
         self.dim = d
+        bad = np.sum(~np.isfinite(s), axis=(-2, -1))
+        require_within(bad, 0, ValidationError, "dynamical map{at} overflowed: {dev} of its entries are not finite")
         tvec = np.eye(d, dtype=complex).reshape(-1)
         dev = max_abs(tvec @ s - tvec, axis=-1) / matrix_scale(s)
         require_within(dev, 1e-9, ValidationError, "dynamical map{at} is not trace preserving")
@@ -183,7 +196,7 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
     if np.any(np.diff(steps.ravel()) <= 0):
         raise ValidationError("grid times must resolve to strictly increasing step counts of dt")
     s = np.tile(np.eye(gen.dim**2, dtype=complex), steps.shape + (1, 1))
-    # A large dt L or a growing map may overflow: the check below refuses it, with no numpy warning.
+    # A large dt L or a growing map may overflow: DynamicalMap refuses it, with no numpy warning.
     # At one time `odd` is a 0-d boolean, so s[odd] is the lone map as a stack of one, or of none.
     with np.errstate(over="ignore", invalid="ignore"):
         power = _rk4_step(gen, dt)
@@ -192,8 +205,6 @@ def map_grid(gen: MasterGenerator, times, dt: float) -> DynamicalMap:
                 power = power @ power
             odd = (steps >> bit) & 1 == 1
             s[odd] = power @ s[odd]
-    bad = np.sum(~np.isfinite(s), axis=(-2, -1))
-    require_within(bad, 0, ValidationError, "dynamical map{at} overflowed: {dev} of its entries are not finite")
     return DynamicalMap(s)
 
 

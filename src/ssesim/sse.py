@@ -10,9 +10,8 @@ trajectory is reproducible independently of batching and thread count.
 
 Inside the stepping path states are component-major: a batch of B
 trajectories is a (d, B) array and its increments are (N, B), so each kernel
-works on whole component rows; a lone trajectory keeps its (d,) and (N,)
-shapes and rounds exactly like a batch column.  The public functions take
-and return states of shape (..., d).
+works on whole component rows, and a lone trajectory steps as a batch of one.
+The public functions take and return states of shape (..., d).
 """
 
 from __future__ import annotations
@@ -57,21 +56,18 @@ def _wiener(key, step, channel, dt: float) -> np.ndarray:
 
 def _dot(a, b):
     # sum_i a[i] * b[i] over the short leading axis, added left to right, with no stacked
-    # (k, ...) temporary.  numpy's sum() pairs the terms of one trajectory's contiguous axis
-    # differently than those of a batch, and the kernels must give a batch column the bits of
-    # a lone state.  Rows are i:i+1 slices, so that a lone state's rows stay arrays: numpy's
-    # 0-d complex arithmetic rounds differently from the array loops a batch runs.
-    total = a[0:1] * b[0:1]
+    # (k, ...) temporary, so that each batch column's bits do not depend on its neighbours.
+    total = a[0] * b[0]
     for i in range(1, len(a)):
-        total += a[i : i + 1] * b[i : i + 1]
-    return total[0]
+        total += a[i] * b[i]
+    return total
 
 
 def _contract(matrix_t, x):
     # matrix @ x for component-major x of shape (k, ...), given matrix.T of
     # shape (k, m), or one matrix per column as matrix.T of shape (k, m, ...).
-    # A BLAS matmul accumulates a batch column differently from the same vector
-    # alone, so the k products are formed elementwise and summed in order.
+    # A BLAS matmul accumulates a column differently by the batch width, so
+    # the k products are formed elementwise and summed in order.
     # Casting x once is cheaper than casting it inside every product.
     columns = matrix_t.reshape(matrix_t.shape + (1,) * (x.ndim + 1 - matrix_t.ndim))
     return _dot(columns, x.astype(matrix_t.dtype, copy=False))
@@ -101,14 +97,12 @@ class NonCpQubitModel:
         return 1
 
     def propose(self, psi, dw, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal psi + dpsi for component-major psi (2, ...) and dw (1, ...):
+        """Unchecked Ito proposal psi + dpsi for component-major psi (2, B) and dw (1, B):
 
         dpsi = -(1/2) sum_k c_k (sigma_k - n_k)^2 psi dt + sqrt(2) n_z psi_perp dW,
         with all coefficients evaluated at the pre-step state.
         """
-        # Slices keep a lone state's components arrays, shape (1,): numpy's scalar
-        # complex arithmetic rounds differently from the array loops a batch runs.
-        a, b = psi[0:1], psi[1:2]
+        a, b = psi
         n1, n2, n3 = _bloch_components(a, b)
         # (sigma_k - n_k)^2 = (1 + n_k^2) I - 2 n_k sigma_k, so the drift step is
         # I + dt (-half I + sum_k c_k n_k sigma_k): diagonal 1 + dt (-half +- c_3 n_3),
@@ -117,9 +111,9 @@ class NonCpQubitModel:
         w3 = -n3
         dt_z = dt * n1 + 1j * (dt * n2)
         up, down = _perp(a, b, n1, n2)
-        amp = np.sqrt(2.0) * n3 * dw
+        amp = np.sqrt(2.0) * n3 * dw[0]
         out = np.empty(psi.shape, dtype=complex)
-        top, bottom = out[0:1], out[1:2]
+        top, bottom = out
         np.multiply(1.0 + dt * (w3 - half), a, out=top)
         top += dt_z.conj() * b
         top += amp * up
@@ -168,7 +162,7 @@ class GeneralDiffusiveModel:
         return self.noise_matrix.shape[0]
 
     def propose(self, psi, dw, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal psi + dpsi for component-major psi (d, ...) and dw (N, ...):
+        """Unchecked Ito proposal psi + dpsi for component-major psi (d, B) and dw (N, B):
 
         dpsi = [-iH dt + sum_kj u_kj (L_j - <L_j>) dW_k
                 - (1/2) sum_j (L_j^dag L_j - 2 <L_j>* L_j + |<L_j>|^2) dt] psi.
@@ -176,11 +170,11 @@ class GeneralDiffusiveModel:
         return self.drive(psi, _contract(self.noise_matrix, dw), dt)
 
     def drive(self, psi, xi, dt: float) -> np.ndarray:
-        """Unchecked Ito proposal for component-major psi (d, ...) driven by the
-        complex noise xi (n, ...) = u^T dW, whatever noise matrix u mixed it."""
+        """Unchecked Ito proposal for component-major psi (d, B) driven by the
+        complex noise xi (n, B) = u^T dW, whatever noise matrix u mixed it."""
         d = psi.shape[0]
         stacked = _contract(self._stacked_t, psi)
-        k_psi, l_psi = stacked[:d], stacked[d:].reshape((-1,) + psi.shape)
+        k_psi, l_psi = stacked[:d], stacked[d:].reshape((len(self.lindblads),) + psi.shape)
         expv = _dot(l_psi.swapaxes(0, 1), psi.conj())
         # psi + [K psi + sum_j (<L_j>* L_j - |<L_j>|^2 / 2) psi] dt + sum_j xi_j (L_j - <L_j>) psi
         # = psi + K psi dt + sum_j (g_j + dt <L_j>* / 2) L_j psi - (sum_j g_j <L_j>) psi
@@ -221,30 +215,29 @@ def increment(psi, model, dw, dt: float) -> np.ndarray:
     except ValueError:
         message = f"state batch {psi.shape[:-1]} and increment batch {dw.shape[:-1]} do not broadcast"
         raise DimensionError(message) from None
-    psi = np.moveaxis(np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]), -1, 0)
-    dw = np.moveaxis(np.broadcast_to(dw, batch + dw.shape[-1:]), -1, 0)
-    return np.moveaxis(model.propose(psi, dw, dt), 0, -1)
+    # The broadcast batch steps as the columns of one component-major batch.
+    psi = np.broadcast_to(require_normalized(psi), batch + psi.shape[-1:]).reshape(-1, model.dim).T
+    dw = np.broadcast_to(dw, batch + dw.shape[-1:]).reshape(-1, model.n_channels).T
+    return model.propose(psi, dw, dt).T.reshape(batch + (model.dim,))
 
 
 def _path(advance, psi, noise, dt: float, ids=None, what: str = "trajectory"):
-    # The one stepping loop: it yields the component-major start psi with norm^2 1, then for each step s's
-    # noise the proposal advance(psi, noise_s, dt) over its norm, with that norm^2.  Its only check: norm^2
-    # below 0.01, inf or nan means dt is too large; the failure names the `what` of the batch row in `ids`.
-    yield psi, 1.0
+    # The one stepping loop: it yields the component-major (d, B) start psi with (B,) norm^2 1, then for each
+    # step s's (N, B) noise the proposal advance(psi, noise_s, dt) over its norm, with that norm^2.  Its only
+    # check: norm^2 below 0.01, inf or nan means dt is too large; the failure names the `what` of the column in `ids`.
+    yield psi, np.ones(psi.shape[1:])
     for s, xi in enumerate(noise):
         proposal = advance(psi, xi, dt)
         # An overflowing proposal is rejected below, so its inf or nan norm^2 is no warning.
         with np.errstate(over="ignore", invalid="ignore"):
             squares = (proposal.conj() * proposal).real
             norm2 = sum(squares[1:], squares[0])  # left to right, into one contiguous row
-        # min() and max() cost microseconds even on one value; a lone state's norm^2 is compared as is.
-        low, high = (norm2.min(), norm2.max()) if norm2.ndim else (norm2, norm2)
-        if not 0.01 <= low <= high < np.inf:
+        if not 0.01 <= norm2.min() <= norm2.max() < np.inf:
             bad = int(np.argmax(~((norm2 >= 0.01) & (norm2 < np.inf))))
             who = f"the {what}" if ids is None else f"{what} {np.ravel(ids)[bad]}"
             raise StepSizeError(
                 f"{who} collapsed at step {s}: proposed norm^2 "
-                f"{np.ravel(norm2)[bad]:.3g} is not a finite number >= 0.01; dt is too large"
+                f"{norm2[bad]:.3g} is not a finite number >= 0.01; dt is too large"
             )
         # Bit-identical to dividing: numpy divides a complex by a real as a product with its reciprocal.
         psi = proposal * (1.0 / np.sqrt(norm2))
@@ -283,19 +276,21 @@ def simulate_with_noise(model, psi0, dt: float, increments, gauge=None) -> Traje
 
 
 def _record(model, psi0, dt: float, increments, gauge, ids=None) -> Trajectory:
-    # The one single-trajectory recorder: a collapse names the trajectory `ids`, if given.
+    # The one single-trajectory recorder: the trajectory steps as a batch of one, and a collapse
+    # names the trajectory `ids`, if given.  A gauge sees the (d,) state and the (N,) increments.
     psi = _initial_state(model, psi0)
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 2 or increments.shape[1] != model.n_channels:
         raise DimensionError(f"increments must have shape (steps, {model.n_channels}), got {increments.shape}")
 
     def gauged(psi, dw, dt):
-        return model.propose(psi, dw, dt) * np.exp(-1j * np.asarray(gauge(psi, dw, dt), dtype=float))
+        return model.propose(psi, dw, dt) * np.exp(-1j * np.asarray(gauge(psi[:, 0], dw[:, 0], dt), dtype=float))
 
     states = np.empty((len(increments) + 1, model.dim), dtype=complex)
     norm2 = np.empty(len(states))
-    for s, (psi, psi_norm2) in enumerate(_path(model.propose if gauge is None else gauged, psi, increments, dt, ids)):
-        states[s], norm2[s] = psi, psi_norm2
+    path = _path(model.propose if gauge is None else gauged, psi[:, None], increments[:, :, None], dt, ids)
+    for s, (psi, psi_norm2) in enumerate(path):
+        states[s], norm2[s] = psi[:, 0], psi_norm2[0]
     return Trajectory(states=states, norm_drift=norm2[1:] - 1.0)
 
 

@@ -106,6 +106,19 @@ def test_bloch_standard_error_refuses_a_qutrit_ensemble_naming_its_shape():
         bloch_standard_error(est.density_standard_error)
 
 
+def test_state_from_bloch_is_exact_at_both_poles():
+    # cos(pi / 2) would leave 6.1e-17 in the south pole's first component, inside the
+    # 1e-12 band where psi_perp takes its fallback.
+    assert state_from_bloch([0.0, 0.0, 1.0]).tobytes() == np.array([1.0, 0.0], dtype=complex).tobytes()
+    assert state_from_bloch([0.0, 0.0, -1.0]).tobytes() == np.array([0.0, 1.0], dtype=complex).tobytes()
+
+
+def test_state_from_bloch_keeps_the_seed_7_start():
+    # The start of the pinned `unravel --seed 7 --init-bloch 0.6,0,0.8` payload: sqrt(0.9), sqrt(0.1).
+    expected = np.array([0.9486832980505138, 0.3162277660168379], dtype=complex)
+    assert state_from_bloch([0.6, 0.0, 0.8]).tobytes() == expected.tobytes()
+
+
 def test_state_from_bloch_rejects_interior_point():
     with pytest.raises(ValidationError):
         state_from_bloch([0.0, 0.0, 0.5])

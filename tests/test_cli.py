@@ -889,16 +889,17 @@ def test_readme_quotes_every_verdict_string():
         assert verdict in README, verdict
 
 
-# sha256 of CSV payloads written before the non-CP model lost its rate knob.
+# sha256 of non-CP CSV payloads.  Their analytic reference uses libm's exp, so that they read the
+# same whether or not numpy dispatches its AVX-512 loops.
 _NONCP_PAYLOADS = {
-    "unravel": (["unravel"], "240820c2876a71de2797086979644857ada48e65d50810958050e0aa78deb614"),
+    "unravel": (["unravel"], "597a33d894f4d83539690a77959f9ae9a2c7aa43659c1d5303d5a6ce2e2f6c73"),
     "unravel-seed-7": (
         ["unravel", "--seed", "7", "--init-bloch", "0.6,0,0.8"],
         "8ad74635db879cfef7835ea7fa500d16db5f084023bb4d0d63339c9ba261ea82",
     ),
     "convergence": (
         ["convergence", "--t-final", "0.256"],
-        "1f27257577fc4238a3ba1ef70ec91c89239dfcedcebb03262126282612df2c88",
+        "0a6ae071b776f846617125ce68942051abaa2543f1d55f9337b800b019b7bdd9",
     ),
 }
 
@@ -910,6 +911,31 @@ def test_noncp_payloads_keep_their_bytes(name, tmp_path, capsys):
     assert cli.main(argv + ["--threads", "1", "--output", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_the_noncp_pin_holds_without_avx512_loops(tmp_path):
+    # The pinned `unravel` payload, written by a process whose numpy dispatches at most its AVX2
+    # loops, as on a host without AVX-512.  numpy's AVX-512 exp differs from libm's in the last
+    # bit, so a reference that used it would read other bytes on such hosts.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")  # numpy's dispatch tables, numpy >= 2
+    targets = [t for t in umath.__cpu_dispatch__ if ("AVX512" in t or t == "X86_V4") and umath.__cpu_features__[t]]
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 loops on this host")
+    path = tmp_path / "payload.csv"
+    script = f"""
+        import sys
+        from numpy._core._multiarray_umath import __cpu_features__
+        from ssesim import cli
+        assert not any(__cpu_features__[t] for t in {targets!r})
+        sys.exit(cli.main(["unravel", "--threads", "1", "--output", {str(path)!r}]))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        env=_child_env(NPY_DISABLE_CPU_FEATURES=" ".join(targets)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _NONCP_PAYLOADS["unravel"][1]
 
 
 def test_payloads_are_byte_identical_across_threads(tmp_path):
@@ -1171,7 +1197,7 @@ def test_commands_return_their_records_as_equal_length_columns_of_python_scalars
 # payloads of `_SMALL_RUNS`, pinned so that any change to their bytes shows.
 _IDENTITY_STDOUT = "31d579a452ae8acbba4b529d8cd65d86b5f2e45af13d6e8c66f6153df180db0c"
 _JSON_PAYLOADS = {
-    "unravel": "2aa1db2df8b299aacc149fd5a64b16e047bb1df100b2ef6381e67b742ddfe014",
+    "unravel": "7ba650c9e8b7fd77ec6e0427c4ed4ba71c1a5796000489e1b989cc42fc122ddc",
     "choi": "b2e5d8f6a9024130d4ce8ab3b09bd54b6a8da9b74f5768b71e32e68ad6ec22a2",
     "identity": "7b40d1eb03c65958ebfab57aeb61775e16ab2f96e94dbc81a2de3a7e460f14b7",
     "param": "e85106fa44a9a0a32cd32f2358d024a18dc0652beb9ddb379e8717fabe8ddc2a",

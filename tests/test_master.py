@@ -315,8 +315,13 @@ def test_dynamical_map_checks_trace_relative_to_its_size():
 
 
 def test_dynamical_map_refuses_nan():
-    with pytest.raises(ValidationError, match="not trace preserving"):
-        DynamicalMap(np.full((4, 4), np.nan))
+    # Non-finite entries are refused by name before the trace check, whose inf * 0
+    # would otherwise warn (and so fail under `error::RuntimeWarning`).
+    for entry in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="^dynamical map overflowed: 16 of its entries are not finite$"):
+            DynamicalMap(np.full((4, 4), entry))
+    with pytest.raises(ValidationError, match="^dynamical map overflowed: 16 of its entries are not finite$"):
+        pauli_channel_map([np.inf, 0.0, 0.0])
 
 
 def test_a_map_stack_is_refused_naming_its_first_failing_index():
@@ -325,10 +330,13 @@ def test_a_map_stack_is_refused_naming_its_first_failing_index():
     bad[0, 0] = 1.5
     nan = np.full((4, 4), np.nan)
     with pytest.raises(ValidationError, match="dynamical map 2 is not trace preserving"):
+        DynamicalMap(np.stack([eye, eye, bad, eye]))
+    # Finiteness is checked over the whole stack first.
+    with pytest.raises(ValidationError, match="dynamical map 3 overflowed: 16 of its entries"):
         DynamicalMap(np.stack([eye, eye, bad, nan]))
-    with pytest.raises(ValidationError, match="dynamical map 1 is not trace preserving"):
+    with pytest.raises(ValidationError, match="dynamical map 1 overflowed"):
         DynamicalMap(np.stack([eye, nan, bad]))
-    with pytest.raises(ValidationError, match=r"dynamical map \(1, 0\) is not trace preserving"):
+    with pytest.raises(ValidationError, match=r"dynamical map \(1, 0\) overflowed"):
         DynamicalMap(np.stack([[eye, eye], [nan, eye]]))
     skewed = eye.copy()
     skewed[1, 1] = 2.0

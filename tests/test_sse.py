@@ -240,6 +240,12 @@ def test_increment_rejects_wrong_state_or_increment_widths(model):
         increment(random_state(1, 2, np.arange(3)), model, np.zeros((2, model.n_channels)), 1e-3)
 
 
+@pytest.mark.parametrize("model", _QUBIT_MODELS, ids=["noncp", "general"])
+def test_increment_of_an_empty_batch_is_empty(model):
+    out = increment(np.zeros((0, 2)), model, np.zeros(model.n_channels), 1e-3)
+    assert out.shape == (0, 2) and out.dtype == complex
+
+
 def test_general_model_rejects_non_isometry():
     with pytest.raises(ValidationError):
         GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(1),), np.array([[0.5]]))
@@ -787,9 +793,9 @@ def test_each_model_unravels_its_generator(model):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_batch_proposal_matches_each_column_bitwise(model, data):
-    # A block steps component-major (d, B) states; a lone trajectory steps (d,).
-    # Both must round alike, including next to the poles where psi_perp
-    # switches to its fallback.
+    # A block steps component-major (d, B) states, and a lone trajectory steps as
+    # a batch of one.  Each column must round as it does alone, including next to
+    # the poles where psi_perp switches to its fallback.
     states = data.draw(st.lists(_unit_states(), min_size=1, max_size=8))
     k = len(states)
     dw = np.array(
@@ -802,7 +808,7 @@ def test_batch_proposal_matches_each_column_bitwise(model, data):
     reps = 1 + 64 // k
     batch = model.propose(np.tile(np.array(states).T, reps), np.tile(dw, reps), dt)
     for j in range(k):
-        lone = model.propose(states[j], dw[:, j].copy(), dt)
+        lone = model.propose(np.array(states[j])[:, None], dw[:, j : j + 1].copy(), dt)[:, 0]
         assert np.array_equal(batch[:, j], lone)
         assert np.array_equal(batch[:, j + k * (reps - 1)], lone)
 
