@@ -511,9 +511,22 @@ def _weave(leads, cells) -> str:
     return "".join(parts)
 
 
+# Float columns this long encode each distinct value once: that pays from about 128 rows of repeating
+# rounding-level values, costs up to a fifth more on distinct ones, and only `identity` reports as many.
+_DISTINCT_ROWS = 1024
+
+
+def _encode_column(column: list, encode) -> list:
+    """`encode(column)`, with each distinct float of a long float column, by bit pattern, encoded once."""
+    if len(column) < _DISTINCT_ROWS or set(map(type, column)) != {float}:
+        return encode(column)
+    bits, inverse = np.unique(np.array(column).view(np.int64), return_inverse=True)
+    return np.array(encode(bits.view(float).tolist()), dtype=object)[inverse].tolist()
+
+
 def _csv_text(records: dict) -> str:
     """A header line of the column names, then one line per record; each column is formatted once."""
-    cells = [list(map(_format_value, column)) for column in records.values()]
+    cells = [_encode_column(column, lambda values: list(map(_format_value, values))) for column in records.values()]
     return ",".join(records) + _weave(["\n"] + [","] * (len(cells) - 1), cells) + "\n"
 
 
@@ -541,7 +554,8 @@ def _dumps(report: dict) -> str:
         return text
     # A raw newline and two spaces open only a top-level key, so the anchor is unique.
     head, tail = text.split(_RECORDS_ANCHOR + "[]")
-    cells = [json.dumps(records[name], separators=("\0", ": "))[1:-1].split("\0") for name in names]
+    encode = lambda values: json.dumps(values, separators=("\0", ": "))[1:-1].split("\0")
+    cells = [_encode_column(records[name], encode) for name in names]
     keys = [json.dumps(name) + ": " for name in names]
     leads = [_RECORD_BREAK + keys[0]] + [",\n      " + key for key in keys[1:]]
     body = _weave(leads, cells)[len(_RECORD_BREAK) :]

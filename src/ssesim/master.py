@@ -222,6 +222,7 @@ def pauli_channel_map(lambdas) -> DynamicalMap:
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (3,):
         raise DimensionError(f"need three Bloch multipliers, got shape {lam.shape}")
+    require_within(~np.isfinite(lam), 0, ValidationError, "Bloch multiplier{at} is not finite")
     # S[k d + l, i d + j] = Lambda(E_ij)[k, l] = sum_mu mults_mu sigma_mu[j, i] sigma_mu[k, l] / 2
     # with sigma_0 = I, since tr(sigma_mu E_ij) = sigma_mu[j, i].
     sigmas = np.concatenate([np.eye(2, dtype=complex)[None], _SIGMA])

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .algebra import _SIGMA, _bloch_components, bloch_from_state, report_indices
+from .algebra import _bloch_components, bloch_from_state, report_indices
 from .algebra import require_isometry, require_normalized, resolve_steps
 from .errors import DimensionError, StepSizeError, ValidationError
 from .master import MasterGenerator, pauli_generator
@@ -481,11 +481,13 @@ def identity_residual(psi):
     Accepts a batch of states of shape (..., 2) and returns matching residuals.
     """
     psi = np.asarray(psi, dtype=complex)
-    n = bloch_from_state(psi)
-    perp = np.stack(_perp(psi[..., 0], psi[..., 1], n[..., 0], n[..., 1]), axis=-1)
-    lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())
-    # sigma_k - n_k is Hermitian, so each term is v_k v_k^dag with v_k = sigma_k psi - n_k psi.
-    v = np.einsum("kij,...j->...ki", _SIGMA, psi) - n[..., None] * psi[..., None, :]
-    t0, t1, t2 = (np.einsum("...i,...j->...ij", v[..., k, :], v[..., k, :].conj()) for k in range(3))
-    res = np.max(np.abs(lhs - (t0 + t1 - t2)), axis=(-2, -1))
+    # Component-major rows over the m states.  sigma_k - n_k is Hermitian, so each term is v_k v_k^dag with
+    # v_k = sigma_k psi - n_k psi; sigma_k psi is the exact permutation (b, a), (-ib, ia), (a, -b).
+    n = bloch_from_state(psi).reshape(-1, 3).T
+    a, b = psi.reshape(-1, 2).T
+    perp = np.stack(_perp(a, b, n[0], n[1]))
+    lhs = 2.0 * n[2] ** 2 * np.einsum("im,jm->ijm", perp, perp.conj())
+    v = np.array([(b, a), (-1j * b, 1j * a), (a, -b)]) - n[:, None] * np.stack([a, b])
+    t0, t1, t2 = np.einsum("kim,kjm->kijm", v, v.conj())
+    res = np.max(np.abs(lhs - (t0 + t1 - t2)).reshape(4, -1), axis=0).reshape(psi.shape[:-1])
     return float(res) if res.ndim == 0 else res

@@ -2,9 +2,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -913,21 +915,19 @@ def test_noncp_payloads_keep_their_bytes(name, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_the_noncp_pin_holds_without_avx512_loops(tmp_path):
-    # The pinned `unravel` payload, written by a process whose numpy dispatches at most its AVX2
-    # loops, as on a host without AVX-512.  numpy's AVX-512 exp differs from libm's in the last
-    # bit, so a reference that used it would read other bytes on such hosts.
+def _run_without_avx512_loops(calls):
+    # `cli.main` on each argv of `calls`, in one process whose numpy dispatches at most its AVX2
+    # loops, as on a host without AVX-512; skipped where numpy dispatches no AVX-512 loop.
     umath = pytest.importorskip("numpy._core._multiarray_umath")  # numpy's dispatch tables, numpy >= 2
     targets = [t for t in umath.__cpu_dispatch__ if ("AVX512" in t or t == "X86_V4") and umath.__cpu_features__[t]]
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 loops on this host")
-    path = tmp_path / "payload.csv"
     script = f"""
-        import sys
         from numpy._core._multiarray_umath import __cpu_features__
         from ssesim import cli
         assert not any(__cpu_features__[t] for t in {targets!r})
-        sys.exit(cli.main(["unravel", "--threads", "1", "--output", {str(path)!r}]))
+        for argv in {calls!r}:
+            assert cli.main(argv) == 0, argv
     """
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
@@ -935,7 +935,24 @@ def test_the_noncp_pin_holds_without_avx512_loops(tmp_path):
         env=_child_env(NPY_DISABLE_CPU_FEATURES=" ".join(targets)),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_noncp_pin_holds_without_avx512_loops(tmp_path):
+    # The pinned `unravel` payload at numpy's AVX2 level.  numpy's AVX-512 exp differs from libm's
+    # in the last bit, so a reference that used it would read other bytes on such hosts.
+    path = tmp_path / "payload.csv"
+    _run_without_avx512_loops([["unravel", "--threads", "1", "--output", str(path)]])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _NONCP_PAYLOADS["unravel"][1]
+
+
+def test_the_json_payload_pins_hold_without_avx512_loops(tmp_path):
+    # The pinned `choi`, `identity` and `param` JSON payloads of `_SMALL_RUNS`, all written by one
+    # process at numpy's AVX2 level, read the digests pinned natively.
+    runs = {argv[0]: argv for argv in _SMALL_RUNS if argv[0] in ("choi", "identity", "param")}
+    paths = {name: tmp_path / f"{name}.json" for name in runs}
+    _run_without_avx512_loops([argv + ["--format", "json", "--output", str(paths[name])] for name, argv in runs.items()])
+    for name, path in paths.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _JSON_PAYLOADS[name], name
 
 
 def test_payloads_are_byte_identical_across_threads(tmp_path):
@@ -1159,6 +1176,74 @@ def _csv_reference(names, rows) -> str:
 def test_csv_writer_lays_out_columns_as_the_row_wise_reference(table):
     names, rows = table
     assert cli._csv_text(_columns(names, rows)) == _csv_reference(names, rows)
+
+
+def _first_difference(text: str, expected: str):
+    """None for equal texts, else the first line number at which they differ and both lines
+    there; pytest's own diff of two long texts takes minutes."""
+    for number, lines in enumerate(itertools.zip_longest(text.split("\n"), expected.split("\n"))):
+        if lines[0] != lines[1]:
+            return number, *lines
+    return None
+
+
+# Cells of the long columns that the writers encode one distinct float at a time: signed zeros,
+# NaNs of three bit patterns, infinities, the least subnormal and multiples of 2^-52 (which
+# rounding-level residuals repeat), and, in mixed columns, 1 and True beside 1.0, and strings.
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(float).item()
+_LONG_FLOATS = [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, math.inf, -math.inf, 5e-324, -5e-324, 1.0]
+_LONG_FLOATS += [k * 2.0**-52 for k in (1, 2, 3, -1, 6, 2**52 - 1)]
+_LONG_MIXED = _LONG_FLOATS + [1, 0, True, False, "1.0", "NaN", "a,b", "\0"]
+
+
+@st.composite
+def _long_table(draw):
+    """Column names and rows at or past the writers' distinct-value row count: each column draws
+    its cells from a few values of one pool, all floats or mixed."""
+    names = draw(st.lists(_TRICKY_TEXT, unique=True, min_size=1, max_size=3))
+    count = draw(st.integers(cli._DISTINCT_ROWS, cli._DISTINCT_ROWS + 40))
+    columns = []
+    for _ in names:
+        source = draw(st.sampled_from([_LONG_FLOATS, _LONG_MIXED]))
+        pool = draw(st.lists(st.sampled_from(source), min_size=1, max_size=6))
+        # The cells come from a seeded generator, so that a failing table shrinks in a few draws.
+        columns.append(random.Random(draw(st.integers(0, 2**32 - 1))).choices(pool, k=count))
+    return names, list(zip(*columns))
+
+
+_SIGNED_ZEROS_AND_NANS = [0.0, -0.0, math.nan, _NAN_PAYLOAD, 2.0**-52]
+
+
+@settings(max_examples=25)
+@given(_long_table())
+@example(
+    (
+        ["residual", "mixed"],
+        list(
+            zip(
+                random.Random(0).choices(_SIGNED_ZEROS_AND_NANS, k=cli._DISTINCT_ROWS),
+                random.Random(1).choices([1.0, 1, True], k=cli._DISTINCT_ROWS),
+            )
+        ),
+    )
+)
+def test_writers_match_their_row_wise_references_on_long_columns(table):
+    names, rows = table
+    rest = {"command": "identity", "summary": {"states": len(rows)}}
+    expected = json.dumps({**rest, "records": [dict(zip(names, row)) for row in rows]}, indent=2, sort_keys=True)
+    assert _first_difference(cli._dumps({**rest, "records": _columns(names, rows)}), expected) is None
+    assert _first_difference(cli._csv_text(_columns(names, rows)), _csv_reference(names, rows)) is None
+
+
+def test_the_default_identity_report_is_the_row_wise_json_dumps():
+    # 10 010 records, whose residual column is long enough to be encoded one distinct float at a time.
+    args = cli._build_parser().parse_args(["identity"])
+    verdict, summary, records = cli.cmd_identity(cli._resolve_config(args, cli._DEFAULTS["identity"]))
+    assert verdict == "PASS" and len(records["residual"]) == 10010 >= cli._DISTINCT_ROWS
+    rows = [dict(zip(records, row)) for row in zip(*records.values())]
+    report = {"command": "identity", "verdict": verdict, "summary": summary}
+    expected = json.dumps({**report, "records": rows}, indent=2, sort_keys=True)
+    assert _first_difference(cli._dumps({**report, "records": records}), expected) is None
 
 
 # One small run of each command.

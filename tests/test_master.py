@@ -320,8 +320,11 @@ def test_dynamical_map_refuses_nan():
     for entry in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="^dynamical map overflowed: 16 of its entries are not finite$"):
             DynamicalMap(np.full((4, 4), entry))
-    with pytest.raises(ValidationError, match="^dynamical map overflowed: 16 of its entries are not finite$"):
+    # A map built from non-finite multipliers is refused where it is built, naming them.
+    with pytest.raises(ValidationError, match="^Bloch multiplier 0 is not finite$"):
         pauli_channel_map([np.inf, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="^Bloch multiplier 1 is not finite$"):
+        pauli_channel_map([0.5, np.nan, -np.inf])
 
 
 def test_a_map_stack_is_refused_naming_its_first_failing_index():

@@ -912,3 +912,40 @@ def test_identity_residual_matches_the_matrix_form():
     for state in (POLE, PLUS):
         assert identity_residual(state) == _identity_residual_oracle(state)
     assert identity_residual(POLE) == identity_residual(PLUS) == 0.0
+
+
+def _contracted_identity_residual(psi):
+    # The residual with sigma_k psi contracted with the Pauli table and each v_k v_k^dag formed by
+    # its own einsum over the trailing axes; `identity_residual` must keep its bits.
+    n = bloch_from_state(psi)
+    perp = _perp_state(psi)
+    lhs = 2.0 * (n[..., 2] ** 2)[..., None, None] * np.einsum("...i,...j->...ij", perp, perp.conj())
+    sigma = np.stack([pauli(k) for k in (1, 2, 3)])
+    v = np.einsum("kij,...j->...ki", sigma, psi) - n[..., None] * psi[..., None, :]
+    t0, t1, t2 = (np.einsum("...i,...j->...ij", v[..., k, :], v[..., k, :].conj()) for k in range(3))
+    return np.max(np.abs(lhs - (t0 + t1 - t2)), axis=(-2, -1))
+
+
+# A pole |0> or |1> times a phase e^{i gamma}.
+_PHASED_POLES = st.builds(
+    lambda gamma, k: np.exp(1j * gamma) * np.eye(2, dtype=complex)[k],
+    st.floats(0.0, 2.0 * np.pi),
+    st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 400),
+    poles=st.lists(_PHASED_POLES, max_size=6),
+    near=st.lists(_unit_states(), max_size=6),
+)
+def test_identity_residual_keeps_the_bits_of_the_pauli_table_contraction(seed, count, poles, near):
+    states = np.concatenate([random_state(seed, 2, np.arange(count)), np.reshape(poles + near, (-1, 2))])
+    expected = _contracted_identity_residual(states)
+    assert identity_residual(states).tobytes() == expected.tobytes()
+    for state, value in zip(states[-3:], expected[-3:]):
+        assert np.float64(identity_residual(state)).tobytes() == value.tobytes()
+    if len(states) % 2 == 0:
+        assert identity_residual(states.reshape(2, -1, 2)).tobytes() == expected.reshape(2, -1).tobytes()
