@@ -159,7 +159,7 @@ def state_from_bloch(n) -> np.ndarray:
         raise DimensionError(f"Bloch vector must have shape (3,), got {n.shape}")
     with np.errstate(over="ignore"):  # a huge finite n has norm inf, refused below with no numpy warning
         norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # refuses a nan norm too
         raise ValidationError(f"Bloch vector of a pure state must be unit length, got ||n|| = {norm}")
     z = np.clip(n[2] / norm, -1.0, 1.0)
     phi = np.arctan2(n[1], n[0])

@@ -32,14 +32,14 @@ _SIGNED_RATES = (1.0, 1.0, -1.0)
 _POLE_TOLERANCE = 1e-12
 # Trajectories of the widest aligned chunk, whose partial sums a worker returns.
 _MAX_CHUNK = 4096
-# Trajectories a worker steps at once, give or take a chunk: wider batches cost
-# less per trajectory-step until their temporaries outgrow the caches.
+# Trajectories of the widest batch an ensemble is cut into, give or take a chunk: wider
+# batches cost less per trajectory-step until their temporaries outgrow the caches.
 _BATCH_WIDTH = 10240
 # Ceiling of an ensemble's trajectory count: the partial sums of every chunk of
 # every level are kept until the reduction.
 MAX_TRAJECTORIES = 10**8
 # Ceiling of an ensemble's memory: the partial sums of every chunk of every
-# level plus the projectors of one batch at a report time.
+# level plus the projectors of the widest batch at a report time.
 MAX_ENSEMBLE_BYTES = 1 << 30
 
 
@@ -344,12 +344,12 @@ def _cuts(n: int, parts: int, chunk: int) -> list[int]:
 
 
 def _range_partials(task):
-    """Advance trajectories lo..hi-1 in component-major batches of about
-    _BATCH_WIDTH, shape (d, batch), and return, for each aligned chunk of
-    `chunk` of them, the pairwise sums over it of the projectors on the grid
-    and of the squared real + 1j * squared imaginary parts of their
-    deviations from psi0's projector: shape (2, chunks, grid, d, d).
-    Module-level so ranges can run in worker processes."""
+    """Advance trajectories lo..hi-1 as one component-major batch, shape
+    (d, hi - lo), and return, for each aligned chunk of `chunk` of them, the
+    pairwise sums over it of the projectors on the grid and of the squared
+    real + 1j * squared imaginary parts of their deviations from psi0's
+    projector: shape (2, chunks, grid, d, d).
+    Module-level so batches can run in worker processes."""
     # Freeing one 16 MiB array raises glibc's mmap threshold past it (mallopt(3)), so that the
     # per-step temporaries of a fresh process, such as a pool worker, reuse the heap instead
     # of being mapped and faulted in anew on every step.
@@ -359,19 +359,16 @@ def _range_partials(task):
     sums = np.empty((2, -(-(hi - lo) // chunk), grid_idx.size) + center.shape, dtype=complex)
     channels = np.arange(model.n_channels)[:, None]
     grid = set(grid_idx.tolist())
-    bounds = _cuts(hi - lo, -(-(hi - lo) // _BATCH_WIDTH), chunk)
-    for first, last in zip(bounds[:-1], bounds[1:]):
-        ids = np.arange(lo + first, lo + last)
-        key = _wiener_key(seed, ids)
-        noise = (_wiener(key, s, channels, dt) for s in range(steps))
-        path = _path(model.propose, np.repeat(psi0[:, None], ids.size, axis=1), noise, dt, ids)
-        rows = slice(first // chunk, -(-last // chunk))
-        for slot, psi in enumerate(psi for s, (psi, _) in enumerate(path) if s in grid):
-            proj = np.einsum("ib,jb->ijb", psi, psi.conj())
-            sums[0, rows, slot] = _chunk_sums(proj, chunk)
-            proj -= center[..., None]
-            squares = sums[1, rows, slot]
-            squares.real, squares.imag = (_chunk_sums(np.square(part), chunk) for part in (proj.real, proj.imag))
+    ids = np.arange(lo, hi)
+    key = _wiener_key(seed, ids)
+    noise = (_wiener(key, s, channels, dt) for s in range(steps))
+    path = _path(model.propose, np.repeat(psi0[:, None], ids.size, axis=1), noise, dt, ids)
+    for slot, psi in enumerate(psi for s, (psi, _) in enumerate(path) if s in grid):
+        proj = np.einsum("ib,jb->ijb", psi, psi.conj())
+        sums[0, :, slot] = _chunk_sums(proj, chunk)
+        proj -= center[..., None]
+        squares = sums[1, :, slot]
+        squares.real, squares.imag = (_chunk_sums(np.square(part), chunk) for part in (proj.real, proj.imag))
     return sums
 
 
@@ -396,12 +393,13 @@ def ensemble_density(
     Trajectory i draws its noise from (seed, i, step, channel) alone, and the
     reduction over trajectories is a fixed pairwise tree, so each estimate is
     bitwise independent of `threads` and of the other step sizes.  Each step
-    size's trajectories are split into min(threads, CPUs) contiguous ranges,
-    cut at multiples of a power-of-two chunk: the coarsest, up to 4096
-    trajectories, that fits four times into a range's even share.  The ranges of
-    every step size go to one process pool of at most `threads` workers;
-    each steps its range in wide batches and returns one partial sum per
-    chunk, which the reduction takes in trajectory order.
+    size's trajectories are cut once, into k batches of at most about 10240
+    for each of min(threads, CPUs) workers, at multiples of a power-of-two
+    chunk: the coarsest, up to 4096 trajectories, that fits four times into a
+    worker's even share.  One pool of at most `threads` processes takes every
+    step size's batches k at a time, each hand-out one worker's contiguous
+    share; each batch returns one partial sum per chunk, which the reduction
+    takes in trajectory order.
     """
     if np.ndim(dt) > 1:
         raise DimensionError(f"need one step size or a 1-D sequence of them, got shape {np.shape(dt)}")
@@ -413,22 +411,23 @@ def ensemble_density(
 
     parts = max(1, min(threads, available_cpus()))  # a threads of 0 or less runs serially
     chunk = min(_MAX_CHUNK, 1 << (max(1, n_traj // (4 * parts)).bit_length() - 1))
-    bounds = _cuts(n_traj, parts, chunk)
-    ranges = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    batch_bytes = 16 * psi0.size**2 * min(n_traj, _BATCH_WIDTH + chunk)  # one batch's complex projectors
+    k = -(-n_traj // (parts * _BATCH_WIDTH))  # batches per worker; every k-th cut is a cut into `parts` ranges
+    bounds = _cuts(n_traj, parts * k, chunk)
+    batches = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    batch_bytes = 16 * psi0.size**2 * max(hi - lo for lo, hi in batches)  # the widest batch's complex projectors
     levels, tasks = [], []
     partial_bytes = 0
     for level in np.ravel(dt).tolist():
         steps = resolve_steps(t_final, level)
         grid_idx = report_indices(steps, grid_points)
-        # Two partial sums per chunk and grid point, checked before the level's ranges are listed.
+        # Two partial sums per chunk and grid point, checked before the level's batches are listed.
         partial_bytes += 2 * 16 * psi0.size**2 * grid_idx.size * -(-n_traj // chunk)
         if partial_bytes + batch_bytes > MAX_ENSEMBLE_BYTES:
             raise ValidationError(f"ensemble partial sums and records would exceed {MAX_ENSEMBLE_BYTES} bytes")
-        levels.append((level, grid_idx, len(tasks), len(tasks) + len(ranges)))
-        tasks += [(model, psi0, seed, level, steps, grid_idx, lo, hi, chunk) for lo, hi in ranges]
+        levels.append((level, grid_idx, len(tasks), len(tasks) + len(batches)))
+        tasks += [(model, psi0, seed, level, steps, grid_idx, lo, hi, chunk) for lo, hi in batches]
     # A forking pool starts all `max_workers` processes at once, so ask for no
-    # more than can run at the same time or have a range to work on.
+    # more than can run at the same time or have a batch to work on.
     workers = min(parts, len(tasks))
     partials = None
     if workers > 1:
@@ -437,10 +436,10 @@ def ensemble_density(
 
         try:
             with _process_pool(workers) as pool:
-                partials = list(pool.map(_range_partials, tasks))
+                partials = list(pool.map(_range_partials, tasks, chunksize=k))
         except BrokenExecutor as exc:
             # Not the serial fallback below: a worker that died may die again in this process.
-            raise OSError(f"an ensemble worker process died before returning its range: {exc}") from None
+            raise OSError(f"an ensemble worker process died before returning its batches: {exc}") from None
         except OSError:
             partials = None  # no subprocess support; fall through to serial
     if partials is None:

@@ -14,9 +14,9 @@ settings.load_profile("ssesim")
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Stand-in for the ensemble process pool on a machine of `cpus` CPUs, 8
-    unless a test sets it: it runs ranges in this process and records each
-    pool's size and the tasks mapped."""
-    record = SimpleNamespace(sizes=[], tasks=[], cpus=8)
+    unless a test sets it: it runs batches in this process and records each
+    pool's size, the tasks mapped and the chunksize they were mapped with."""
+    record = SimpleNamespace(sizes=[], tasks=[], chunksizes=[], cpus=8)
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -28,8 +28,9 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize):
             record.tasks.extend(tasks)
+            record.chunksizes.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(sse, "_process_pool", SerialPool)

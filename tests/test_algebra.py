@@ -120,8 +120,10 @@ def test_state_from_bloch_keeps_the_seed_7_start():
 
 
 def test_state_from_bloch_rejects_interior_point():
-    with pytest.raises(ValidationError):
-        state_from_bloch([0.0, 0.0, 0.5])
+    # A nan component makes a nan norm, which no unit-length test may let through.
+    for n in ([0.0, 0.0, 0.5], [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [np.nan] * 3):
+        with pytest.raises(ValidationError, match="unit length"):
+            state_from_bloch(n)
 
 
 def test_eigen_diagonal_input():

@@ -97,3 +97,16 @@ def test_one_stepping_loop_raises_every_step_size_error():
                 raises.append(path.name)
     assert raises == ["sse.py"]
     assert "raise StepSizeError(" in inspect.getsource(ssesim.sse._path)
+
+
+def test_one_function_cuts_an_ensemble_into_batches():
+    # `_BATCH_WIDTH` and `_cuts` are read in `sse.ensemble_density` alone: no worker cuts its batch again.
+    readers = set()
+    for path in sorted(Path(ssesim.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                loaded = node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else None
+                name = node.attr if isinstance(node, ast.Attribute) else loaded
+                if name in ("_BATCH_WIDTH", "_cuts"):
+                    readers.add((path.name, getattr(top, "name", "<module>"), name))
+    assert readers == {("sse.py", "ensemble_density", "_BATCH_WIDTH"), ("sse.py", "ensemble_density", "_cuts")}

@@ -937,22 +937,22 @@ def _run_without_avx512_loops(calls):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_noncp_pin_holds_without_avx512_loops(tmp_path):
-    # The pinned `unravel` payload at numpy's AVX2 level.  numpy's AVX-512 exp differs from libm's
-    # in the last bit, so a reference that used it would read other bytes on such hosts.
-    path = tmp_path / "payload.csv"
-    _run_without_avx512_loops([["unravel", "--threads", "1", "--output", str(path)]])
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _NONCP_PAYLOADS["unravel"][1]
-
-
-def test_the_json_payload_pins_hold_without_avx512_loops(tmp_path):
-    # The pinned `choi`, `identity` and `param` JSON payloads of `_SMALL_RUNS`, all written by one
-    # process at numpy's AVX2 level, read the digests pinned natively.
-    runs = {argv[0]: argv for argv in _SMALL_RUNS if argv[0] in ("choi", "identity", "param")}
-    paths = {name: tmp_path / f"{name}.json" for name in runs}
-    _run_without_avx512_loops([argv + ["--format", "json", "--output", str(paths[name])] for name, argv in runs.items()])
-    for name, path in paths.items():
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == _JSON_PAYLOADS[name], name
+def test_the_payload_pins_hold_without_avx512_loops(tmp_path):
+    # The pinned noncp `unravel` CSV, the JSON payload of each of `_SMALL_RUNS` and the general
+    # `unravel` JSON payload, all written by one process at numpy's AVX2 level, read the digests
+    # pinned natively.  numpy's AVX-512 exp differs from libm's in the last bit, so a noncp
+    # reference that used it would read other bytes on such hosts.
+    config = tmp_path / "general-config.json"
+    config.write_text(json.dumps(_GENERAL_CONFIG))
+    general = ["unravel", "--config", str(config), "--trajectories", "200", "--t-final", "0.05", "--threads", "1"]
+    runs = {
+        "noncp.csv": (["unravel", "--threads", "1"], _NONCP_PAYLOADS["unravel"][1]),
+        **{f"{argv[0]}.json": (argv + ["--format", "json"], _JSON_PAYLOADS[argv[0]]) for argv in _SMALL_RUNS},
+        "general.json": (general + ["--format", "json"], _GENERAL_PAYLOAD),
+    }
+    _run_without_avx512_loops([argv + ["--output", str(tmp_path / name)] for name, (argv, _) in runs.items()])
+    for name, (_, digest) in runs.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_payloads_are_byte_identical_across_threads(tmp_path):
@@ -1101,7 +1101,7 @@ def test_scipy_is_imported_before_the_pool_starts():
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
         sse._process_pool = SerialPool

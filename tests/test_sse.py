@@ -618,6 +618,28 @@ def test_default_trajectories_on_two_cpus_split_into_ranges_one_chunk_apart(seri
     assert abs((hi0 - lo0) - (hi1 - lo1)) <= chunk
 
 
+def test_each_worker_is_handed_its_batches_as_its_one_range(serial_pool):
+    # Two batch widths and one trajectory on 2 CPUs: two batches per worker, four per step size,
+    # handed out two at a time.
+    serial_pool.cpus = 2
+    n, dts = 2 * sse._BATCH_WIDTH + 1, [2e-3, 1e-3]
+    args = (NonCpQubitModel(), POLE, 2e-3, dts, n, 42)
+    pooled, serial = ensemble_density(*args, threads=2), ensemble_density(*args, threads=1)
+    assert serial_pool.chunksizes == [2] and len(serial_pool.tasks) == 2 * 4
+    for level, dt in enumerate(dts):
+        tasks = serial_pool.tasks[4 * level : 4 * level + 4]
+        assert {task[3] for task in tasks} == {dt}
+        bounds = [(task[6], task[7]) for task in tasks]
+        assert [lo for lo, _ in bounds[1:]] == [hi for _, hi in bounds[:-1]]
+        # Each worker's two batches span the range of its even share.
+        assert [bounds[0][0], bounds[1][1], bounds[3][1]] == sse._cuts(n, 2, tasks[0][8])
+    for a, b in zip(pooled, serial):
+        assert a.mean_density.tobytes() == b.mean_density.tobytes()
+        assert a.density_standard_error.tobytes() == b.density_standard_error.tobytes()
+    # A batch is then at least half a batch width wide, wider than a chunk, so none is empty.
+    assert sse._BATCH_WIDTH >= 2 * sse._MAX_CHUNK
+
+
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     n_traj=st.integers(1, 3 * 4096 + 7),
