@@ -937,11 +937,12 @@ def _run_without_avx512_loops(calls):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_the_payload_pins_hold_without_avx512_loops(tmp_path):
+@pytest.fixture(scope="module")
+def avx2_payloads(tmp_path_factory):
     # The pinned noncp `unravel` CSV, the JSON payload of each of `_SMALL_RUNS` and the general
-    # `unravel` JSON payload, all written by one process at numpy's AVX2 level, read the digests
-    # pinned natively.  numpy's AVX-512 exp differs from libm's in the last bit, so a noncp
-    # reference that used it would read other bytes on such hosts.
+    # `unravel` JSON payload, all written by one process at numpy's AVX2 level, each with the
+    # digest pinned natively.
+    tmp_path = tmp_path_factory.mktemp("avx2")
     config = tmp_path / "general-config.json"
     config.write_text(json.dumps(_GENERAL_CONFIG))
     general = ["unravel", "--config", str(config), "--trajectories", "200", "--t-final", "0.05", "--threads", "1"]
@@ -951,8 +952,21 @@ def test_the_payload_pins_hold_without_avx512_loops(tmp_path):
         "general.json": (general + ["--format", "json"], _GENERAL_PAYLOAD),
     }
     _run_without_avx512_loops([argv + ["--output", str(tmp_path / name)] for name, (argv, _) in runs.items()])
-    for name, (_, digest) in runs.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    return {name: (tmp_path / name, digest) for name, (_, digest) in runs.items()}
+
+
+def test_the_noncp_pin_holds_without_avx512_loops(avx2_payloads):
+    # numpy's AVX-512 exp differs from libm's in the last bit, so a noncp reference that used it
+    # would read other bytes on such hosts.
+    path, digest = avx2_payloads["noncp.csv"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_the_json_payload_pins_hold_without_avx512_loops(avx2_payloads):
+    json_runs = {name: run for name, run in avx2_payloads.items() if name.endswith(".json")}
+    assert len(json_runs) == len(_SMALL_RUNS) + 1
+    for name, (path, digest) in json_runs.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
 
 def test_payloads_are_byte_identical_across_threads(tmp_path):
