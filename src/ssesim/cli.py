@@ -340,8 +340,8 @@ def cmd_choi(cfg: dict):
     times = report_indices(resolve_steps(cfg["t_final"], dt), _record_count(cfg, "grid_points")) * dt
     verdicts = cp_verdict(choi_matrix(map_grid(gen, times, dt)))
 
-    minima, raw, cp = verdicts.min_eigenvalue, verdicts.min_eigenvalue_raw, verdicts.cp
-    records = {"t": times.tolist(), "min_choi_eig": minima.tolist(), "min_choi_eig_raw": raw.tolist(), "cp": cp.tolist()}
+    minima, cp = verdicts.min_eigenvalue, verdicts.cp
+    records = {"t": times.tolist(), "min_choi_eig": minima.tolist(), "cp": cp.tolist()}
     positive = times > 0
     cp_everywhere, noncp_at_positive_times = bool(np.all(cp)), not np.any(cp[positive])
     summary = {
@@ -381,7 +381,7 @@ def cmd_identity(cfg: dict):
     residuals = identity_residual(states)
     max_residual = float(np.max(residuals))
 
-    records = {"index": list(range(len(states))), "kind": kinds, "residual": residuals.tolist()}
+    records = {"kind": kinds, "residual": residuals.tolist()}
     summary = {"max_identity_residual": max_residual, "states": len(states)}
     return ("PASS" if max_residual <= 1e-12 else "FAIL"), summary, records
 
@@ -440,7 +440,7 @@ def cmd_param(cfg: dict):
         rejected = True
     summary["infeasible_rejected"] = rejected
     ok = rejected and summary["max_s_deviation"] <= 1e-12 and summary["max_pathwise_deviation"] <= 1e-12
-    records = {"case": case_ids.tolist(), **{name: e.tolist() for name, e in errors.items()}}
+    records = {name: e.tolist() for name, e in errors.items()}
     return ("PASS" if ok else "FAIL"), summary, records
 
 

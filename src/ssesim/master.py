@@ -246,15 +246,13 @@ class CpVerdict:
 
     cp: np.ndarray
     min_eigenvalue: np.ndarray  # divided by d (spectrum summing to 1)
-    min_eigenvalue_raw: np.ndarray
 
 
 def cp_verdict(choi) -> CpVerdict:
     """Complete-positivity test: each d^2 x d^2 Choi matrix of (..., d^2, d^2) must be positive semidefinite."""
     values = hermitian_eigen(choi)[0]
-    raw = values[..., 0]
-    normalized = raw / math.isqrt(values.shape[-1])
-    return CpVerdict(cp=normalized >= -_VERDICT_TOL, min_eigenvalue=normalized, min_eigenvalue_raw=raw)
+    normalized = values[..., 0] / math.isqrt(values.shape[-1])
+    return CpVerdict(cp=normalized >= -_VERDICT_TOL, min_eigenvalue=normalized)
 
 
 @dataclass

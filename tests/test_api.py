@@ -37,7 +37,8 @@ _REMOVED = {
 # no code read them or passed another value, or moved elsewhere, keyed by (module, name).
 _REMOVED_MEMBERS = {
     ("master", "DynamicalMap"): ["time"],
-    ("master", "CpVerdict"): ["witness"],
+    # A raw Choi minimum is d times `min_eigenvalue`.
+    ("master", "CpVerdict"): ["witness", "min_eigenvalue_raw"],
     ("master", "pauli_channel_map"): ["time"],
     ("master", "cp_verdict"): ["tol"],
     ("master", "positivity_verdict"): ["tol"],

@@ -194,6 +194,9 @@ def test_invalid_config_value_exits_two(capsys):
         ),
         (["choi"], {"format": "xml"}),
         (["choi"], {"output": ["a.csv"]}),
+        (["choi"], [1, 2]),
+        (["unravel", "--model", "general"], {"hamiltonian": [[0, 0], [0]], "lindblads": [[[0, 1], [0, 0]]], "noise_matrix": [[1]]}),
+        (["unravel", "--model", "general"], {"hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 1], [0, 0]]]}),
     ],
 )
 def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsys):
@@ -202,7 +205,16 @@ def test_non_finite_or_mistyped_config_exits_two(argv, file_cfg, tmp_path, capsy
         path.write_text(json.dumps(file_cfg))
         argv = argv + ["--config", str(path)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_bloch_flag_of_two_numbers_exits_two_with_one_error_line(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["unravel", "--init-bloch=1,2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.endswith("error: argument --init-bloch: expected three comma-separated numbers\n")
 
 
 def test_unknown_model_names_both_models(tmp_path, capsys):
@@ -368,6 +380,36 @@ def _subparsers() -> dict:
     return action.choices
 
 
+def _csv_columns(path):
+    header, *rows = path.read_text().splitlines()
+    return header, np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+@pytest.mark.parametrize("command", ["unravel", "convergence"])
+def test_a_start_runs_alike_in_any_global_phase_and_from_its_bloch_vector(command, tmp_path, capsys):
+    # The paper's gauge claim through the CLI: the SSE moves the ray of psi, so a config initial_state,
+    # the same state times e^{0.7i}, and the --init-bloch of its Bloch vector (0, 0.96, -0.28) give the
+    # same records.  The start stays away from the poles, where the non-CP step's antilinear psi_perp
+    # fallback turns the other way from psi's phase, so that the phase moves a pole start's paths.
+    state = np.array([0.6, 0.8j])
+    starts = {}
+    for name, vec in (("state", state), ("phased", np.exp(0.7j) * state)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"initial_state": [[z.real, z.imag] for z in vec.tolist()]}))
+        starts[name] = ["--config", str(path)]
+    starts["bloch"] = ["--init-bloch=0,0.96,-0.28"]
+    columns = {}
+    for name, flags in starts.items():
+        out = tmp_path / f"{name}.csv"
+        code, report = _run(capsys, [command, "--trajectories", "200", "--threads", "1", "--output", str(out), *flags])
+        assert code == 0 and report["verdict"] == "PASS", name
+        columns[name] = _csv_columns(out)
+    header, reference = columns.pop("state")
+    for name, (other_header, values) in columns.items():
+        assert other_header == header and values.shape == reference.shape
+        assert np.max(np.abs(values - reference)) <= 1e-12, name
+
+
 @pytest.mark.parametrize("command", sorted(cli._DEFAULTS))
 def test_flags_are_the_config_keys_of_their_subcommand(command):
     config_only = {"initial_state", "hamiltonian", "lindblads", "noise_matrix"}
@@ -529,11 +571,11 @@ def test_choi_curve_values_and_csv(tmp_path, capsys):
     assert code == 0
     assert report["verdict"] == "PASS"
     lines = out.read_text().splitlines()
-    assert lines[0] == "t,min_choi_eig,min_choi_eig_raw,cp"
+    assert lines[0] == "t,min_choi_eig,cp"
     fields = lines[1].split(",")
     assert float(fields[0]) == 0.25
     assert abs(float(fields[1]) - (-0.1580301)) <= 1e-5
-    assert fields[3] == "0"
+    assert fields[2] == "0"
 
 
 def test_choi_cp_case_passes(capsys):
@@ -698,7 +740,7 @@ def test_identity_csv_output_keeps_its_bytes(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == "90ddfda1f5347be427678503c8512253ecbf5a507771fc841ecf36e55e1da096"
     csv = (tmp_path / "x.csv").read_bytes()
-    assert hashlib.sha256(csv).hexdigest() == "27700fe7e405a2960ee77e77fe1f8cc6a1c00baec797738dfcd8efb397869a4f"
+    assert hashlib.sha256(csv).hexdigest() == "e1e9a80269c7209315149abec0608b6784918217a3d079c79d0fd882761814eb"
 
 
 @pytest.mark.parametrize("argv", [["identity", "--trajectories"], ["param", "--cases"]])
@@ -1292,14 +1334,24 @@ def test_commands_return_their_records_as_equal_length_columns_of_python_scalars
         assert set(map(type, column)) <= {int, float, str, bool}
 
 
+def test_readme_lists_each_commands_record_columns():
+    payloads = README[README.index("### Output payloads"):README.index("## Determinism")]
+    documented = dict(re.findall(r"^- `(\w+)`: `([\w,]+)`", payloads, flags=re.M))
+    documented["convergence"] = "dt," + documented["unravel"]  # "the same, prefixed by `dt`"
+    for argv in _SMALL_RUNS:
+        args = cli._build_parser().parse_args(argv)
+        _, _, records = cli._COMMANDS[args.command](cli._resolve_config(args, cli._DEFAULTS[args.command]))
+        assert ",".join(records) == documented[args.command], args.command
+
+
 # sha256 of the records' JSON layout in the stdout report and in the JSON
 # payloads of `_SMALL_RUNS`, pinned so that any change to their bytes shows.
-_IDENTITY_STDOUT = "31d579a452ae8acbba4b529d8cd65d86b5f2e45af13d6e8c66f6153df180db0c"
+_IDENTITY_STDOUT = "ce2e634fc1568d2835c7a2959ef2c62bcb1d66c76fb30c6bf2bb0f0d1e11892e"
 _JSON_PAYLOADS = {
     "unravel": "7ba650c9e8b7fd77ec6e0427c4ed4ba71c1a5796000489e1b989cc42fc122ddc",
-    "choi": "b2e5d8f6a9024130d4ce8ab3b09bd54b6a8da9b74f5768b71e32e68ad6ec22a2",
-    "identity": "7b40d1eb03c65958ebfab57aeb61775e16ab2f96e94dbc81a2de3a7e460f14b7",
-    "param": "e85106fa44a9a0a32cd32f2358d024a18dc0652beb9ddb379e8717fabe8ddc2a",
+    "choi": "c9f6239b436f5ae4329b3de02ea2c63440010c8c83f55f98e5c5534e98890bc6",
+    "identity": "dc499fde80e09f8d5bab846e72ab0b36c6c6d0800afdf00f328c163cf187df5f",
+    "param": "4547001445ee169a3e2c700e015a0b93022c528b2c489221fac5104027e4e2c7",
     "convergence": "aa1e5e3d2a0e7ae069b41f66aa2c3e3203fd41b153dd4c638e8df442319968fd",
 }
 

@@ -275,9 +275,8 @@ def _param_rows(argv):
 
 @pytest.mark.parametrize("seed", [1, 42])
 def test_param_rows_match_the_lone_witness_bitwise(seed):
-    # All cases step as one block; each must round exactly as it does alone.
-    for row in _param_rows(["param", "--seed", str(seed)]):
-        case = row["case"]
+    # All cases step as one block; each must round exactly as it does alone.  A row's position is its case.
+    for case, row in enumerate(_param_rows(["param", "--seed", str(seed)])):
         witness = redundancy_witness(
             random_isometry(seed, 4, 2, case),
             random_orthogonal(seed, 4, case),
@@ -399,6 +398,11 @@ def test_witness_rejects_time_not_a_multiple_of_dt():
         redundancy_witness(
             u, np.eye(3), H_TEST, L_TEST[:1], random_state(9, 2, 0), 0.0104, 1e-3, seed=1
         )
+
+
+def test_random_isometry_refuses_more_columns_than_rows():
+    with pytest.raises(DimensionError, match="^need N >= n >= 1, got N = 2, n = 3$"):
+        random_isometry(1, 2, 3)
 
 
 def test_random_helpers_are_deterministic():

@@ -251,6 +251,29 @@ def test_general_model_rejects_non_isometry():
         GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(1),), np.array([[0.5]]))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GeneralDiffusiveModel(np.zeros((2, 2)), (), np.eye(1)), ValidationError, "need at least one Lindblad operator"),
+        (
+            lambda: GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(1), pauli(2)), np.eye(3)),
+            DimensionError,
+            r"noise matrix must be N x n with n = 2 operators, got shape \(3, 3\)",
+        ),
+        (
+            lambda: simulate_with_noise(NonCpQubitModel(), POLE, 1e-3, np.zeros((3, 2))),
+            DimensionError,
+            r"increments must have shape \(steps, 1\), got \(3, 2\)",
+        ),
+        (lambda: pairwise_sum(np.zeros((0, 3))), ValidationError, "cannot pairwise-reduce an empty axis"),
+    ],
+    ids=["no-lindblads", "noise-width", "noncp-increments", "empty-sum"],
+)
+def test_malformed_input_is_refused_by_name(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_general_model_rejects_wide_noise_matrix():
     with pytest.raises(ValidationError):
         GeneralDiffusiveModel(np.zeros((2, 2)), (pauli(1), pauli(2)), np.eye(2)[:1])
@@ -638,6 +661,25 @@ def test_each_worker_is_handed_its_batches_as_its_one_range(serial_pool):
         assert a.density_standard_error.tobytes() == b.density_standard_error.tobytes()
     # A batch is then at least half a batch width wide, wider than a chunk, so none is empty.
     assert sse._BATCH_WIDTH >= 2 * sse._MAX_CHUNK
+
+
+def test_a_pool_that_cannot_start_its_processes_steps_serially(serial_pool, monkeypatch):
+    # Without subprocess support the pool's map raises OSError, and every batch steps in this process.
+    def no_subprocesses(fn, tasks, chunksize):
+        raise OSError("no subprocess support")
+
+    def pool_without_subprocesses(workers, stand_in=sse._process_pool):
+        pool = stand_in(workers)
+        pool.map = no_subprocesses
+        return pool
+
+    serial_pool.cpus = 2
+    monkeypatch.setattr(sse, "_process_pool", pool_without_subprocesses)
+    args = (NonCpQubitModel(), POLE, 0.05, 1e-3, 600, 42)
+    fallback, serial = ensemble_density(*args, threads=2), ensemble_density(*args, threads=1)
+    assert serial_pool.sizes == [2] and serial_pool.tasks == []
+    assert fallback.mean_density.tobytes() == serial.mean_density.tobytes()
+    assert fallback.density_standard_error.tobytes() == serial.density_standard_error.tobytes()
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
